@@ -23,10 +23,10 @@ from .montecarlo import (CheckResult, LambdaTrialReport, MonteCarloReport,
                          verify_lemmas, wilson_interval)
 from .sampling import (RngStream, SphereSample, gaussian_vector, lambda_of,
                        sphere_sample)
-from .tail_bounds import (BoundBreakdown, BoundInputs, ChiSquareTailQuery,
-                          LaurentMassartBound, OptimizedBound, chisq_tail_lower,
-                          chisq_tail_upper, corollary_bound, dkw_bound, g_minus,
-                          g_plus, lambda_concentration_bound, lm_lower, lm_upper,
+from .tail_bounds import (BoundBreakdown, BoundInputs, LaurentMassartBound,
+                          OptimizedBound, chisq_tail_lower, chisq_tail_upper,
+                          corollary_bound, dkw_bound, g_minus, g_plus,
+                          lambda_concentration_bound, lm_lower, lm_upper,
                           optimize_split, p_value_bound, theorem_bound)
 
 __all__ = [
@@ -38,9 +38,9 @@ __all__ = [
     "f_minus", "f_plus", "alpha", "alpha_prime", "f_minus_prime",
     "secant_interval",
     # tail bounds
-    "BoundInputs", "BoundBreakdown", "OptimizedBound", "ChiSquareTailQuery",
-    "LaurentMassartBound", "g_plus", "g_minus", "dkw_bound", "lm_upper",
-    "lm_lower", "chisq_tail_upper", "chisq_tail_lower",
+    "BoundInputs", "BoundBreakdown", "OptimizedBound", "LaurentMassartBound",
+    "g_plus", "g_minus", "dkw_bound", "lm_upper", "lm_lower", "chisq_tail_upper",
+    "chisq_tail_lower",
     "lambda_concentration_bound", "theorem_bound", "corollary_bound",
     "optimize_split", "p_value_bound",
     # sampling

@@ -24,12 +24,12 @@ import numpy as np
 
 from . import __version__
 from .deformation import gamma_closed, gamma_oracle
-from .empirical import _sorted_ks_gaps
-from .errors import DomainError
+from .empirical import _ks_statistics
+from .errors import DomainError, check_int, check_open
 from .montecarlo import (TrialConfig, run_chisq_trials, run_dkw_trials,
                          run_lambda_trials, run_theorem_trials, verify_lemmas)
-from .tail_bounds import (BoundInputs, corollary_bound, g_minus, g_plus,
-                          optimize_split, p_value_bound, theorem_bound)
+from .tail_bounds import (BoundInputs, _breakdown, corollary_bound, g_minus,
+                          g_plus, optimize_split, p_value_bound, theorem_bound)
 
 _FORMATS = ("human", "csv", "json")
 
@@ -193,10 +193,7 @@ def _cmd_bound_eval(args, out) -> int:
 
 def _cmd_bound_optimize(args, out) -> int:
     opt = optimize_split(args.n, args.delta, args.mode)
-    if opt.mode == "exact_gamma":
-        br = theorem_bound(BoundInputs(args.n, opt.best_epsilon, opt.best_t))
-    else:
-        br = corollary_bound(args.n, opt.best_epsilon, opt.best_t)
+    br = _breakdown(args.n, opt.best_epsilon, opt.best_t, opt.mode)
     result = {"delta": opt.delta, "best_epsilon": opt.best_epsilon,
               "best_t": opt.best_t, "best_total": opt.best_total, "mode": opt.mode,
               "breakdown": _breakdown_dict(br)}
@@ -221,8 +218,7 @@ def _cmd_bound_optimize(args, out) -> int:
 def _cmd_gamma(args, out) -> int:
     if not (0.0 <= args.t_min < args.t_max < 1.0):
         raise DomainError("need 0 <= t-min < t-max < 1")
-    if args.steps < 2:
-        raise DomainError("steps must be >= 2")
+    check_int(args.steps, "steps", 2)
     ts = np.linspace(args.t_min, args.t_max, args.steps)
     header = ["t", "gamma", "gamma_oracle", "half_t", "g_plus", "g_minus",
               "g_minus_lb", "g_plus_lb"]
@@ -325,8 +321,7 @@ def _cmd_verify(args, out) -> int:
 
 
 def _cmd_test_uniformity(args, out) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {args.alpha}")
+    check_open(args.alpha, 0.0, 1.0, "alpha")
     mat = load_vector_file(args.input)
     n = mat.shape[1]
     sqrt_n = math.sqrt(n)
@@ -340,8 +335,7 @@ def _cmd_test_uniformity(args, out) -> int:
         # the scale mismatch this test exists to detect)
         warned = abs(norm - 1.0) > 1e-6
         values = np.sort(row if warned else row * sqrt_n)
-        upper, lower = _sorted_ks_gaps(values)
-        stat = float(max(upper.max(), lower.max()))
+        stat = float(_ks_statistics(values))
         p = p_value_bound(n, min(stat, 1.0))
         rows.append({"row": i, "n": n, "norm_warning": warned,
                      "ks_statistic": stat, "p_bound": p, "reject": p < args.alpha})

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError
+from .errors import DomainError, check_int, check_open
 
 __all__ = [
     "DeformationParam",
@@ -103,27 +103,19 @@ def _t_value(t) -> float:
     return DeformationParam(t).t
 
 
-def _open_unit(t, name: str = "t") -> float:
-    """Validate |t| < 1 and return it as a float."""
-    t = float(t)
-    if not math.isfinite(t) or not -1.0 < t < 1.0:
-        raise DomainError(f"{name} must lie in (-1, 1), got {t}")
-    return t
-
-
 def std_normal_cdf(x):
     """Standard Gaussian CDF, evaluated through the complementary error function.
 
     Accepts a scalar or an ndarray.  Tail arguments keep full relative accuracy
-    because the underlying erfc avoids the 1 - (tiny) cancellation; outputs are
-    clamped to [0, 1].
+    because the underlying erfc avoids the 1 - (tiny) cancellation; outputs lie
+    in [0, 1].
 
     Raises DomainError on non-finite input.
     """
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise DomainError("std_normal_cdf requires finite input")
-    out = np.clip(special.ndtr(arr), 0.0, 1.0)
+    out = special.ndtr(arr)
     if arr.ndim == 0:
         return float(out)
     return out
@@ -182,10 +174,7 @@ def x_plus(t: float) -> float:
     The factor log(1-t)/(-t) is evaluated by series near 0, so the formula
     extends continuously with limit 1 as t -> 0+.  Requires 0 < t < 1.
     """
-    t = float(t)
-    if not math.isfinite(t) or not 0.0 < t < 1.0:
-        raise DomainError(f"x_plus requires t in (0, 1), got {t}")
-    return _x_plus_ext(t)
+    return _x_plus_ext(check_open(t, 0.0, 1.0, "t"))
 
 
 def x_minus(t: float) -> float:
@@ -193,10 +182,27 @@ def x_minus(t: float) -> float:
 
     Continuous extension -1 as t -> 0.  Requires 0 < t < 1.
     """
-    t = float(t)
-    if not math.isfinite(t) or not 0.0 < t < 1.0:
-        raise DomainError(f"x_minus requires t in (0, 1), got {t}")
-    return _x_minus_ext(t)
+    return _x_minus_ext(check_open(t, 0.0, 1.0, "t"))
+
+
+def _plus_peak(t: float):
+    """Location x_plus(t) and height of the positive-side peak, for -1 < t < 1."""
+    xp = _x_plus_ext(t)
+    return xp, float(special.ndtr(xp / (1.0 - t)) - special.ndtr(xp))
+
+
+def _gamma(t: float) -> float:
+    """gamma(t) as a bare float, for inner loops whose t values skip _t_value.
+
+    Keeps gamma_closed's invariants, 0 <= t < 1 and 0 <= gamma < 1/2, as
+    scalar compares instead of DeformationParam and GapEvaluation objects.
+    """
+    if not 0.0 <= t < 1.0:
+        raise DomainError(f"deformation parameter must lie in [0, 1), got {t}")
+    gamma = max(_plus_peak(t)[1], 0.0) if t > 0.0 else 0.0
+    if not gamma < 0.5:
+        raise DomainError(f"gap value out of [0, 1/2): {gamma}")
+    return gamma
 
 
 def gamma_closed(t) -> GapEvaluation:
@@ -213,20 +219,26 @@ def gamma_closed(t) -> GapEvaluation:
     tv = _t_value(t)
     if tv == 0.0:
         return GapEvaluation(t=0.0, gamma=0.0, maximizer_x=math.nan)
-    xp = _x_plus_ext(tv)
-    gap = float(special.ndtr(xp / (1.0 - tv)) - special.ndtr(xp))
-    return GapEvaluation(t=tv, gamma=max(gap, 0.0), maximizer_x=xp)
+    xp, height = _plus_peak(tv)
+    return GapEvaluation(t=tv, gamma=max(height, 0.0), maximizer_x=xp)
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float) -> float:
-    """Largest fn value found by golden-section search on [lo, hi]."""
-    a, b = lo, hi
+def _golden_min(fn, a: float, b: float, tol: float, best=None):
+    """Golden-section search for a minimum of fn on [a, b]; returns (x_best, f_best).
+
+    The bracket shrinks until it is at most tol wide.  After each shrink the
+    two interior probes, left one first, replace the best point only when
+    strictly lower, so ties keep the earlier point.  best is an (x, f)
+    incumbent to beat; without one, the lower opening probe seeds it.
+    """
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fn(c), fn(d)
-    best = max(fc, fd)
+    if best is None:
+        best = (d, fd) if fd < fc else (c, fc)
+    best_x, best_f = best
     while b - a > tol:
-        if fc >= fd:
+        if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
             fc = fn(c)
@@ -234,11 +246,10 @@ def _golden_max(fn, lo: float, hi: float, tol: float) -> float:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
             fd = fn(d)
-        if fc > best:
-            best = fc
-        if fd > best:
-            best = fd
-    return best
+        for x, f in ((c, fc), (d, fd)):
+            if f < best_f:
+                best_x, best_f = x, f
+    return best_x, best_f
 
 
 def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
@@ -260,8 +271,7 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
       side: which one-sided gap to maximize
     """
     tv = _t_value(t)
-    if grid_points < 1000:
-        raise DomainError(f"grid_points must be >= 1000, got {grid_points}")
+    grid_points = check_int(grid_points, "grid_points", 1000)
     if side not in ("plus", "minus"):
         raise DomainError(f"side must be 'plus' or 'minus', got {side!r}")
     half = np.linspace(0.0, SUP_WINDOW, grid_points // 2 + 1)
@@ -269,13 +279,13 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
     if side == "plus":
         vals = special.ndtr(xs / (1.0 - np.sign(xs) * tv)) - special.ndtr(xs)
 
-        def diff(x):
-            return float(special.ndtr(x / (1.0 - math.copysign(tv, x))) - special.ndtr(x))
+        def neg_diff(x):
+            return -float(special.ndtr(x / (1.0 - math.copysign(tv, x))) - special.ndtr(x))
     else:
         vals = special.ndtr(xs) - special.ndtr(xs / (1.0 + np.sign(xs) * tv))
 
-        def diff(x):
-            return float(special.ndtr(x) - special.ndtr(x / (1.0 + math.copysign(tv, x))))
+        def neg_diff(x):
+            return -float(special.ndtr(x) - special.ndtr(x / (1.0 + math.copysign(tv, x))))
 
     best = float(vals.max())
     n = len(xs)
@@ -285,22 +295,20 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
         idx = np.nonzero(region)[0]
         k = int(idx[np.argmax(vals[idx])])
         lo, hi = xs[max(k - 1, 0)], xs[min(k + 1, n - 1)]
-        best = max(best, _golden_max(diff, float(lo), float(hi), refine_tolerance))
+        best = max(best, -_golden_min(neg_diff, float(lo), float(hi), refine_tolerance)[1])
     return best
 
 
 def f_minus(t: float) -> float:
     """Height of the negative-side peak of the deformation gap, smooth on (-1, 1)."""
-    tv = _open_unit(t)
+    tv = check_open(t, -1.0, 1.0, "t")
     xm = _x_minus_ext(tv)
     return float(special.ndtr(xm / (1.0 + tv)) - special.ndtr(xm))
 
 
 def f_plus(t: float) -> float:
     """Height of the positive-side peak; satisfies f_plus(t) = -f_minus(-t)."""
-    tv = _open_unit(t)
-    xp = _x_plus_ext(tv)
-    return float(special.ndtr(xp / (1.0 - tv)) - special.ndtr(xp))
+    return _plus_peak(check_open(t, -1.0, 1.0, "t"))[1]
 
 
 def alpha(t: float) -> float:
@@ -309,13 +317,13 @@ def alpha(t: float) -> float:
     Writing x_minus(t) = -(1+t) sqrt(2 alpha(t)) turns the peak-height algebra
     for f_minus into expressions in alpha alone.
     """
-    tv = _open_unit(t)
+    tv = check_open(t, -1.0, 1.0, "t")
     return _log1p_over(tv) / (2.0 + tv)
 
 
 def alpha_prime(t: float) -> float:
     """Derivative of alpha, differentiated in closed form with a series near 0."""
-    tv = _open_unit(t)
+    tv = check_open(t, -1.0, 1.0, "t")
     lv = _log1p_over(tv)
     lp = _log1p_over_prime(tv)
     return lp / (2.0 + tv) - lv / (2.0 + tv) ** 2
@@ -326,7 +334,7 @@ def f_minus_prime(t: float) -> float:
 
     Strictly positive on (-1, 1); equals 1/sqrt(2 pi e) at t = 0.
     """
-    tv = _open_unit(t)
+    tv = check_open(t, -1.0, 1.0, "t")
     a = alpha(tv)
     return math.exp(-a) * math.sqrt(2.0 * a) / (math.sqrt(2.0 * math.pi) * (1.0 + tv))
 
@@ -353,17 +361,17 @@ def secant_interval(target_slope: float, which: str) -> float:
                 f"gamma_upper slope must lie in (1/sqrt(2*pi*e), 1/2], got {slope}")
 
         def h(t):
-            return gamma_closed(t).gamma - slope * t
+            return _gamma(t) - slope * t
 
         # h < 0 strictly inside the valid stretch, h > 0 beyond the root
         inside_sign = -1.0
     elif which == "gplus_lower":
         if not 0.375 <= slope < 1.0:
             raise DomainError(f"gplus_lower slope must lie in [3/8, 1), got {slope}")
-        from .tail_bounds import g_plus  # deferred: tail_bounds imports this module
+        from .tail_bounds import _g_plus  # deferred: tail_bounds imports this module
 
         def h(t):
-            return g_plus(t) - slope * t
+            return _g_plus(t) - slope * t
 
         inside_sign = 1.0
     else:

@@ -11,14 +11,13 @@ the tube-inflation property: an empirical CDF within epsilon of Phi stays
 within epsilon + gamma(t) after rescaling by any lambda with |1-lambda| <= t.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .deformation import gamma_closed, _t_value
-from .errors import DomainError
+from .deformation import _gamma, _t_value
+from .errors import DomainError, check_positive
 
 __all__ = ["EmpiricalCdfView", "KsResult", "build_ecdf", "ks_to_normal",
            "rescale_cdf", "check_tube_inflation"]
@@ -70,10 +69,8 @@ class KsResult:
 def build_ecdf(values) -> EmpiricalCdfView:
     """Sort a copy of the sample into an empirical CDF view; ties stack."""
     v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
+    if v.ndim != 1:
         raise DomainError("build_ecdf needs a nonempty 1-D sample")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("build_ecdf requires finite values")
     return EmpiricalCdfView(np.sort(v))
 
 
@@ -88,6 +85,12 @@ def _sorted_ks_gaps(sorted_values: np.ndarray):
     hi = np.arange(1, n + 1) / n
     lo = np.arange(0, n) / n
     return hi - p, p - lo
+
+
+def _ks_statistics(sorted_values: np.ndarray):
+    """Exact KS statistic of a sorted sample, or of each row of a row-sorted matrix."""
+    upper, lower = _sorted_ks_gaps(sorted_values)
+    return np.maximum(upper.max(axis=-1), lower.max(axis=-1))
 
 
 def ks_to_normal(ecdf: EmpiricalCdfView) -> KsResult:
@@ -109,9 +112,7 @@ def ks_to_normal(ecdf: EmpiricalCdfView) -> KsResult:
 
 def rescale_cdf(ecdf: EmpiricalCdfView, lam: float) -> EmpiricalCdfView:
     """View of the sample rescaled by lam > 0 (its CDF maps x to F(x/lam))."""
-    lv = float(lam)
-    if not math.isfinite(lv) or lv <= 0.0:
-        raise DomainError(f"rescale factor must be positive, got {lam!r}")
+    lv = check_positive(lam, "rescale factor")
     return EmpiricalCdfView(ecdf.sorted_values * lv)
 
 
@@ -123,14 +124,10 @@ def check_tube_inflation(ecdf: EmpiricalCdfView, lam: float, epsilon: float, t,
     epsilon and |1 - lam| <= t), checks that the rescaled sample stays within
     epsilon + gamma(t) + tol.  Returns vacuous True when a hypothesis fails.
     """
-    lv = float(lam)
-    ev = float(epsilon)
+    lv = check_positive(lam, "rescale factor")
+    ev = check_positive(epsilon, "epsilon")
     tv = _t_value(t)
-    if not math.isfinite(lv) or lv <= 0.0:
-        raise DomainError(f"rescale factor must be positive, got {lam!r}")
-    if not math.isfinite(ev) or ev <= 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon!r}")
     if ks_to_normal(ecdf).statistic > ev or abs(1.0 - lv) > tv:
         return True
     inflated = ks_to_normal(rescale_cdf(ecdf, lv)).statistic
-    return inflated <= ev + gamma_closed(tv).gamma + tol
+    return inflated <= ev + _gamma(tv) + tol

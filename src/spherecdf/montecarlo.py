@@ -29,10 +29,9 @@ from scipy import special
 
 from . import deformation as dfm
 from . import tail_bounds as tb
-from .empirical import _sorted_ks_gaps
-from .errors import DomainError
+from .empirical import _ks_statistics
+from .errors import DomainError, check_int, check_open, check_positive, check_u64
 from .sampling import RngStream, _sq_norm, _uniform_open
-from .tail_bounds import BoundInputs, theorem_bound
 
 __all__ = [
     "TrialConfig",
@@ -65,10 +64,10 @@ class TrialConfig:
     t: float
 
     def __post_init__(self):
-        object.__setattr__(self, "N", tb._check_dim(self.N))
-        object.__setattr__(self, "trials", _check_trials(self.trials))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
-        object.__setattr__(self, "epsilon", tb._check_positive(self.epsilon, "epsilon"))
+        object.__setattr__(self, "N", check_int(self.N, "N"))
+        object.__setattr__(self, "trials", check_int(self.trials, "trials", _MIN_TRIALS))
+        object.__setattr__(self, "seed", check_u64(self.seed, "seed"))
+        object.__setattr__(self, "epsilon", check_positive(self.epsilon, "epsilon"))
         object.__setattr__(self, "t", dfm._t_value(self.t))
 
 
@@ -98,22 +97,6 @@ class LambdaTrialReport(MonteCarloReport):
     lower_count: int
 
 
-def _check_trials(trials) -> int:
-    try:
-        n = int(trials)
-    except (TypeError, ValueError):
-        raise DomainError(f"trials must be an integer >= {_MIN_TRIALS}, got {trials!r}") from None
-    if n < _MIN_TRIALS or n != trials:
-        raise DomainError(f"trials must be an integer >= {_MIN_TRIALS}, got {trials!r}")
-    return n
-
-
-def _check_seed(seed) -> int:
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < (1 << 64):
-        raise DomainError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
-    return int(seed)
-
-
 def wilson_interval(count: int, trials: int, confidence: float = 0.95):
     """Wilson score interval for a binomial proportion.
 
@@ -129,9 +112,7 @@ def wilson_interval(count: int, trials: int, confidence: float = 0.95):
         raise DomainError(f"trials must be a positive integer, got {trials!r}")
     if not isinstance(count, (int, np.integer)) or not 0 <= count <= trials:
         raise DomainError(f"count must lie in [0, trials], got {count!r}")
-    conf = float(confidence)
-    if not 0.0 < conf < 1.0:
-        raise DomainError(f"confidence must lie in (0, 1), got {confidence!r}")
+    conf = check_open(confidence, 0.0, 1.0, "confidence")
     z = float(special.ndtri(0.5 * (1.0 + conf)))
     n = float(trials)
     phat = count / n
@@ -143,11 +124,11 @@ def wilson_interval(count: int, trials: int, confidence: float = 0.95):
     return low, high
 
 
-def _report(count: int, trials: int, bound: float) -> MonteCarloReport:
+def _report(count: int, trials: int, bound: float, cls=MonteCarloReport, **counts):
     low, high = wilson_interval(count, trials)
-    return MonteCarloReport(event_count=count, trials=trials, frequency=count / trials,
-                            wilson_low=low, wilson_high=high, bound=bound,
-                            dominated=count / trials <= bound)
+    return cls(event_count=count, trials=trials, frequency=count / trials,
+               wilson_low=low, wilson_high=high, bound=bound,
+               dominated=count / trials <= bound, **counts)
 
 
 def _gaussian_rows(N: int, seed: int, first: int, count: int) -> np.ndarray:
@@ -186,8 +167,7 @@ def run_theorem_trials(config: TrialConfig) -> MonteCarloReport:
     """
     if not isinstance(config, TrialConfig):
         raise DomainError("run_theorem_trials expects a TrialConfig")
-    threshold = config.epsilon + dfm.gamma_closed(config.t).gamma
-    bound = theorem_bound(BoundInputs(config.N, config.epsilon, config.t)).total
+    bound = tb._breakdown(config.N, config.epsilon, config.t, "exact_gamma")
     sqrt_n = math.sqrt(config.N)
     count = 0
     for first, rows in _chunks(config.trials, config.N):
@@ -195,10 +175,8 @@ def run_theorem_trials(config: TrialConfig) -> MonteCarloReport:
         norms = _row_norms(z)
         values = (z / norms[:, None]) * sqrt_n
         values.sort(axis=1)
-        upper, lower = _sorted_ks_gaps(values)
-        stats = np.maximum(upper.max(axis=1), lower.max(axis=1))
-        count += int(np.count_nonzero(stats > threshold))
-    return _report(count, config.trials, bound)
+        count += int(np.count_nonzero(_ks_statistics(values) > bound.threshold))
+    return _report(count, config.trials, bound.total)
 
 
 def run_dkw_trials(N: int, trials: int, seed: int, epsilon: float) -> MonteCarloReport:
@@ -207,18 +185,16 @@ def run_dkw_trials(N: int, trials: int, seed: int, epsilon: float) -> MonteCarlo
     Counts KS deviations of the raw (unnormalized) Gaussian sample exceeding
     epsilon; the bound is 2 exp(-2 N epsilon^2).
     """
-    n = tb._check_dim(N)
-    trials = _check_trials(trials)
-    seed = _check_seed(seed)
-    eps = tb._check_positive(epsilon, "epsilon")
+    n = check_int(N, "N")
+    trials = check_int(trials, "trials", _MIN_TRIALS)
+    seed = check_u64(seed, "seed")
+    eps = check_positive(epsilon, "epsilon")
     count = 0
     for first, rows in _chunks(trials, n):
         z = _gaussian_rows(n, seed, first, rows)
         z.sort(axis=1)
-        upper, lower = _sorted_ks_gaps(z)
-        stats = np.maximum(upper.max(axis=1), lower.max(axis=1))
-        count += int(np.count_nonzero(stats > eps))
-    return _report(count, trials, tb.dkw_bound(n, eps))
+        count += int(np.count_nonzero(_ks_statistics(z) > eps))
+    return _report(count, trials, tb._dkw_term(n, eps))
 
 
 def run_lambda_trials(N: int, trials: int, seed: int, t) -> LambdaTrialReport:
@@ -227,9 +203,9 @@ def run_lambda_trials(N: int, trials: int, seed: int, t) -> LambdaTrialReport:
     The two one-sided events lambda > 1+t and lambda < 1-t are disjoint, so
     their counts always sum to the two-sided count; both are reported.
     """
-    n = tb._check_dim(N)
-    trials = _check_trials(trials)
-    seed = _check_seed(seed)
+    n = check_int(N, "N")
+    trials = check_int(trials, "trials", _MIN_TRIALS)
+    seed = check_u64(seed, "seed")
     tv = dfm._t_value(t)
     sqrt_n = math.sqrt(n)
     upper = lower = 0
@@ -238,13 +214,9 @@ def run_lambda_trials(N: int, trials: int, seed: int, t) -> LambdaTrialReport:
         deviation = sqrt_n / _row_norms(z) - 1.0
         upper += int(np.count_nonzero(deviation > tv))
         lower += int(np.count_nonzero(deviation < -tv))
-    bound = tb.lambda_concentration_bound(n, tv)
-    count = upper + lower
-    low, high = wilson_interval(count, trials)
-    return LambdaTrialReport(event_count=count, trials=trials, frequency=count / trials,
-                             wilson_low=low, wilson_high=high, bound=bound,
-                             dominated=count / trials <= bound,
-                             upper_count=upper, lower_count=lower)
+    gp, gm = tb._scale_terms(n, tv, "exact_gamma")
+    return _report(upper + lower, trials, gp + gm, LambdaTrialReport,
+                   upper_count=upper, lower_count=lower)
 
 
 def run_chisq_trials(N: int, trials: int, seed: int, x: float):
@@ -253,9 +225,9 @@ def run_chisq_trials(N: int, trials: int, seed: int, x: float):
     Counts U - N >= 2 sqrt(N x) + 2 x and N - U >= 2 sqrt(N x) separately;
     each is bounded by exp(-x).  Returns (upper_report, lower_report).
     """
-    n = tb._check_dim(N)
-    trials = _check_trials(trials)
-    seed = _check_seed(seed)
+    n = check_int(N, "N")
+    trials = check_int(trials, "trials", _MIN_TRIALS)
+    seed = check_u64(seed, "seed")
     up = tb.lm_upper(n, x)
     lo = tb.lm_lower(n, x)
     upper = lower = 0
@@ -332,11 +304,10 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all",
 
     Returns a VerificationReport; failing checks are recorded, not raised.
     """
-    if grid_steps < 100:
-        raise DomainError(f"grid_steps must be >= 100, got {grid_steps}")
+    grid_steps = check_int(grid_steps, "grid_steps", 100)
     if scope not in ("lemmas", "appendix", "all"):
         raise DomainError(f"scope must be 'lemmas', 'appendix' or 'all', got {scope!r}")
-    gen = RngStream(_check_seed(seed), 0).generator()
+    gen = RngStream(seed, 0).generator()
     results = []
 
     def add(name, scope_, residual, default_threshold, where):

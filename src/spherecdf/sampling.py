@@ -18,11 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError
+from .errors import DomainError, check_int, check_u64
 
 __all__ = ["RngStream", "SphereSample", "gaussian_vector", "sphere_sample", "lambda_of"]
-
-_U64_MAX = (1 << 64) - 1
 
 # fsum is exact but slow; switch to it only where naive accumulation could
 # erode the 1e-12 norm invariants
@@ -37,9 +35,8 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if not isinstance(value, (int, np.integer)) or not 0 <= value <= _U64_MAX:
-                raise DomainError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+        check_u64(self.seed, "seed")
+        check_u64(self.stream_id, "stream_id")
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
@@ -62,7 +59,7 @@ def gaussian_vector(N: int, rng: RngStream) -> np.ndarray:
     Deterministic per (seed, stream_id): the same stream always yields the
     same vector.
     """
-    n = _check_count(N)
+    n = check_int(N, "N")
     return special.ndtri(_uniform_open(rng.generator(), n))
 
 
@@ -101,7 +98,7 @@ def sphere_sample(N: int, rng: RngStream) -> SphereSample:
     A zero norm (possible only for pathological floating-point draws) retries
     with the next values of the same stream.
     """
-    n = _check_count(N)
+    n = check_int(N, "N")
     gen = rng.generator()
     while True:
         z = special.ndtri(_uniform_open(gen, n))
@@ -126,13 +123,3 @@ def lambda_of(Z: np.ndarray) -> float:
     if sq == 0.0:
         raise DomainError("lambda_of is undefined for the zero vector")
     return math.sqrt(z.size) / math.sqrt(sq)
-
-
-def _check_count(N) -> int:
-    try:
-        n = int(N)
-    except (TypeError, ValueError):
-        raise DomainError(f"N must be a positive integer, got {N!r}") from None
-    if n < 1 or n != N:
-        raise DomainError(f"N must be a positive integer, got {N!r}")
-    return n

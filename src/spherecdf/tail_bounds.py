@@ -29,14 +29,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .deformation import DeformationParam, gamma_closed, _t_value
-from .errors import DomainError
+from .deformation import DeformationParam, _gamma, _golden_min, _t_value
+from .errors import DomainError, check_int, check_positive
 
 __all__ = [
     "BoundInputs",
     "BoundBreakdown",
     "OptimizedBound",
-    "ChiSquareTailQuery",
     "LaurentMassartBound",
     "g_plus",
     "g_minus",
@@ -52,26 +51,6 @@ __all__ = [
     "p_value_bound",
 ]
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _check_dim(N) -> int:
-    try:
-        n = int(N)
-    except (TypeError, ValueError):
-        raise DomainError(f"dimension must be a positive integer, got {N!r}") from None
-    if n < 1 or n != N:
-        raise DomainError(f"dimension must be a positive integer, got {N!r}")
-    return n
-
-
-def _check_positive(value, name: str) -> float:
-    v = float(value)
-    if not math.isfinite(v) or v <= 0.0:
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    return v
-
-
 @dataclass(frozen=True)
 class BoundInputs:
     """Inputs of the three-term bound: dimension N, tube half-width epsilon, scale window t."""
@@ -81,8 +60,8 @@ class BoundInputs:
     t: float
 
     def __post_init__(self):
-        object.__setattr__(self, "N", _check_dim(self.N))
-        object.__setattr__(self, "epsilon", _check_positive(self.epsilon, "epsilon"))
+        object.__setattr__(self, "N", check_int(self.N, "N"))
+        object.__setattr__(self, "epsilon", check_positive(self.epsilon, "epsilon"))
         object.__setattr__(self, "t", _t_value(self.t))
 
 
@@ -117,22 +96,6 @@ class OptimizedBound:
     mode: str
 
 
-@dataclass(frozen=True)
-class ChiSquareTailQuery:
-    """A chi-square tail question: N degrees of freedom, deviation x, threshold y."""
-
-    N: int
-    x: float
-    y: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "N", _check_dim(self.N))
-        if not (math.isfinite(self.x) and self.x >= 0.0):
-            raise DomainError(f"deviation x must be >= 0, got {self.x}")
-        if not math.isfinite(self.y):
-            raise DomainError(f"threshold y must be finite, got {self.y}")
-
-
 class LaurentMassartBound(NamedTuple):
     """A tail probability bound together with the deviation threshold it certifies."""
 
@@ -146,8 +109,7 @@ def g_plus(t):
     Zero at t = 0, strictly increasing, with limit 3/8 as t -> 1.  Accepts a
     scalar or ndarray with entries in [0, 1).
     """
-    tv = _g_arg(t)
-    out = 0.5 * (1.0 - 1.0 / (1.0 + tv) ** 2)
+    out = _g_plus(_g_arg(t))
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -157,9 +119,18 @@ def g_minus(t):
     Zero at t = 0, strictly increasing, and divergent as t -> 1.  Accepts a
     scalar or ndarray with entries in [0, 1).
     """
-    tv = _g_arg(t)
-    out = 0.5 * (np.sqrt(2.0 / (1.0 - tv) ** 2 - 1.0) - 1.0)
+    out = _g_minus(_g_arg(t))
     return float(out) if np.ndim(t) == 0 else out
+
+
+def _g_plus(t):
+    # kernel of g_plus on a validated float or ndarray
+    return 0.5 * (1.0 - 1.0 / (1.0 + t) ** 2)
+
+
+def _g_minus(t):
+    # kernel of g_minus on a validated float or ndarray
+    return 0.5 * (np.sqrt(2.0 / (1.0 - t) ** 2 - 1.0) - 1.0)
 
 
 def _g_arg(t):
@@ -173,9 +144,9 @@ def _g_arg(t):
 
 def dkw_bound(N, epsilon) -> float:
     """Two-sided DKW tail 2 exp(-2 N epsilon^2) for an i.i.d. empirical CDF."""
-    n = _check_dim(N)
-    eps = _check_positive(epsilon, "epsilon")
-    return 2.0 * math.exp(-2.0 * n * eps * eps)
+    n = check_int(N, "N")
+    eps = check_positive(epsilon, "epsilon")
+    return _dkw_term(n, eps)
 
 
 def lm_upper(N, x) -> LaurentMassartBound:
@@ -184,7 +155,7 @@ def lm_upper(N, x) -> LaurentMassartBound:
     Returns the bound exp(-x) paired with the certified deviation threshold
     2 sqrt(N x) + 2 x (Laurent and Massart, 2000).
     """
-    n = _check_dim(N)
+    n = check_int(N, "N")
     xv = _lm_x(x)
     return LaurentMassartBound(math.exp(-xv), 2.0 * math.sqrt(n * xv) + 2.0 * xv)
 
@@ -195,7 +166,7 @@ def lm_lower(N, x) -> LaurentMassartBound:
     Returns the bound exp(-x) paired with the certified deviation threshold
     2 sqrt(N x).
     """
-    n = _check_dim(N)
+    n = check_int(N, "N")
     xv = _lm_x(x)
     return LaurentMassartBound(math.exp(-xv), 2.0 * math.sqrt(n * xv))
 
@@ -213,7 +184,7 @@ def chisq_tail_upper(N, y) -> float:
     The threshold form of the upper chi-square tail; substituting
     y = N + 2 sqrt(N x) + 2 x recovers exp(-x) exactly.
     """
-    n = _check_dim(N)
+    n = check_int(N, "N")
     yv = float(y)
     if not math.isfinite(yv) or yv < n:
         raise DomainError(f"upper threshold y must satisfy y >= N, got {y!r}")
@@ -227,18 +198,47 @@ def chisq_tail_lower(N, y) -> float:
     The threshold form of the lower chi-square tail; substituting
     y = N - 2 sqrt(N x) recovers exp(-x) exactly.
     """
-    n = _check_dim(N)
+    n = check_int(N, "N")
     yv = float(y)
     if not math.isfinite(yv) or not 0.0 <= yv <= n:
         raise DomainError(f"lower threshold y must satisfy 0 <= y <= N, got {y!r}")
     return math.exp(-0.25 * n * (yv / n - 1.0) ** 2)
 
 
+def _dkw_term(n: int, eps: float) -> float:
+    return 2.0 * math.exp(-2.0 * n * eps * eps)
+
+
+def _scale_terms(n: int, t: float, mode: str):
+    """Upper and lower scale terms at a validated t: exact rates, or their secant bounds."""
+    if mode == "exact_gamma":
+        return math.exp(-n * _g_plus(t) ** 2), math.exp(-n * _g_minus(t) ** 2)
+    return math.exp(-(9.0 / 64.0) * n * t * t), math.exp(-n * t * t)
+
+
+def _cost(t: float, mode: str) -> float:
+    """Threshold price of the scale window t: gamma(t), or its secant bound t/2."""
+    return _gamma(t) if mode == "exact_gamma" else 0.5 * t
+
+
+def _total(n: int, eps: float, t: float, mode: str) -> float:
+    gp, gm = _scale_terms(n, t, mode)
+    return _dkw_term(n, eps) + gp + gm
+
+
+def _breakdown(n: int, eps: float, t: float, mode: str) -> BoundBreakdown:
+    dkw = _dkw_term(n, eps)
+    gp, gm = _scale_terms(n, t, mode)
+    return BoundBreakdown(dkw_term=dkw, gplus_term=gp, gminus_term=gm,
+                          total=dkw + gp + gm, threshold=eps + _cost(t, mode))
+
+
 def lambda_concentration_bound(N, t) -> float:
     """Pr(|1 - lambda| > t) <= exp(-N g_plus(t)^2) + exp(-N g_minus(t)^2)."""
-    n = _check_dim(N)
+    n = check_int(N, "N")
     tv = _t_value(t)
-    return math.exp(-n * g_plus(tv) ** 2) + math.exp(-n * g_minus(tv) ** 2)
+    gp, gm = _scale_terms(n, tv, "exact_gamma")
+    return gp + gm
 
 
 def theorem_bound(inputs: BoundInputs) -> BoundBreakdown:
@@ -248,17 +248,7 @@ def theorem_bound(inputs: BoundInputs) -> BoundBreakdown:
     """
     if not isinstance(inputs, BoundInputs):
         inputs = BoundInputs(*inputs)
-    n, eps, tv = inputs.N, inputs.epsilon, inputs.t
-    dkw = 2.0 * math.exp(-2.0 * n * eps * eps)
-    gp = math.exp(-n * g_plus(tv) ** 2)
-    gm = math.exp(-n * g_minus(tv) ** 2)
-    return BoundBreakdown(
-        dkw_term=dkw,
-        gplus_term=gp,
-        gminus_term=gm,
-        total=dkw + gp + gm,
-        threshold=eps + gamma_closed(tv).gamma,
-    )
+    return _breakdown(inputs.N, inputs.epsilon, inputs.t, "exact_gamma")
 
 
 def corollary_bound(N, epsilon, t) -> BoundBreakdown:
@@ -268,38 +258,44 @@ def corollary_bound(N, epsilon, t) -> BoundBreakdown:
     total = 2 exp(-2 N eps^2) + exp(-(9/64) N t^2) + exp(-N t^2).
     Dominates the exact-variant total at every (N, epsilon, t).
     """
-    n = _check_dim(N)
-    eps = _check_positive(epsilon, "epsilon")
-    tv = _t_value(t)
-    dkw = 2.0 * math.exp(-2.0 * n * eps * eps)
-    gp = math.exp(-(9.0 / 64.0) * n * tv * tv)
-    gm = math.exp(-n * tv * tv)
-    return BoundBreakdown(
-        dkw_term=dkw,
-        gplus_term=gp,
-        gminus_term=gm,
-        total=dkw + gp + gm,
-        threshold=eps + 0.5 * tv,
-    )
+    n = check_int(N, "N")
+    eps = check_positive(epsilon, "epsilon")
+    return _breakdown(n, eps, _t_value(t), "corollary")
 
 
-def _split_cost(mode: str):
-    if mode == "exact_gamma":
-        return lambda t: gamma_closed(t).gamma
-    if mode == "corollary":
-        return lambda t: 0.5 * t
-    raise DomainError(f"mode must be 'exact_gamma' or 'corollary', got {mode!r}")
-
-
-def _split_total(n: int, mode: str, eps: float, t: float) -> float:
-    dkw = 2.0 * math.exp(-2.0 * n * eps * eps)
-    if mode == "exact_gamma":
-        gp = math.exp(-n * g_plus(t) ** 2)
-        gm = math.exp(-n * g_minus(t) ** 2)
+def _best_split(n: int, dv: float, mode: str):
+    """(epsilon, t, total) of the best split of budget dv; arguments already validated."""
+    # feasible range: cost is strictly increasing from 0 toward 1/2
+    if dv < 0.5:
+        lo, hi = 0.0, 1.0 - 1e-12
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if _cost(mid, mode) < dv:
+                lo = mid
+            else:
+                hi = mid
+        t_max = lo
     else:
-        gp = math.exp(-(9.0 / 64.0) * n * t * t)
-        gm = math.exp(-n * t * t)
-    return dkw + gp + gm
+        t_max = 1.0 - 1e-12
+
+    ts = np.linspace(0.0, t_max, 512, endpoint=False).tolist()
+    totals = [_total(n, dv - _cost(t, mode), t, mode) for t in ts]
+    k = int(np.argmin(totals))
+    a = ts[max(k - 1, 0)]
+    b = ts[k + 1] if k + 1 < len(ts) else t_max
+
+    def objective(t):
+        eps = dv - _cost(t, mode)
+        if eps <= 0.0:
+            return math.inf
+        return _total(n, eps, t, mode)
+
+    best_t, best_total = _golden_min(objective, a, b, 1e-12, (ts[k], totals[k]))
+    best_eps = dv - _cost(best_t, mode)
+    if best_eps <= 0.0:
+        best_t, best_eps = 0.0, dv
+        best_total = _total(n, dv, 0.0, mode)
+    return best_eps, best_t, best_total
 
 
 def optimize_split(N, delta, mode: str = "exact_gamma") -> OptimizedBound:
@@ -315,57 +311,11 @@ def optimize_split(N, delta, mode: str = "exact_gamma") -> OptimizedBound:
     the DKW term plus 2; dropping them has no backing once the sample lives on
     the sphere rather than being i.i.d.
     """
-    n = _check_dim(N)
-    dv = _check_positive(delta, "delta")
-    cost = _split_cost(mode)
-
-    # feasible range: cost is strictly increasing from 0 toward 1/2
-    if dv < 0.5:
-        lo, hi = 0.0, 1.0 - 1e-12
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if cost(mid) < dv:
-                lo = mid
-            else:
-                hi = mid
-        t_max = lo
-    else:
-        t_max = 1.0 - 1e-12
-
-    ts = np.linspace(0.0, t_max, 512, endpoint=False)
-    totals = [_split_total(n, mode, dv - cost(t), t) for t in ts]
-    k = int(np.argmin(totals))
-    best_t, best_total = float(ts[k]), totals[k]
-
-    a = float(ts[max(k - 1, 0)])
-    b = float(ts[k + 1]) if k + 1 < len(ts) else t_max
-
-    def objective(t):
-        eps = dv - cost(t)
-        if eps <= 0.0:
-            return math.inf
-        return _split_total(n, mode, eps, t)
-
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > 1e-12:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = objective(d)
-        for tt, ff in ((c, fc), (d, fd)):
-            if ff < best_total:
-                best_t, best_total = tt, ff
-
-    best_eps = dv - cost(best_t)
-    if best_eps <= 0.0:
-        best_t, best_eps = 0.0, dv
-        best_total = _split_total(n, mode, dv, 0.0)
+    n = check_int(N, "N")
+    dv = check_positive(delta, "delta")
+    if mode not in ("exact_gamma", "corollary"):
+        raise DomainError(f"mode must be 'exact_gamma' or 'corollary', got {mode!r}")
+    best_eps, best_t, best_total = _best_split(n, dv, mode)
     return OptimizedBound(delta=dv, best_epsilon=best_eps, best_t=best_t,
                           best_total=best_total, mode=mode)
 
@@ -376,8 +326,8 @@ def p_value_bound(N, observed_ks) -> float:
     Optimizes the (epsilon, t) split of the exact bound at budget observed_ks
     and clamps the total at 1.  Monotone nonincreasing in the observed value.
     """
-    n = _check_dim(N)
+    n = check_int(N, "N")
     ks = float(observed_ks)
     if not math.isfinite(ks) or not 0.0 < ks <= 1.0:
         raise DomainError(f"observed KS statistic must lie in (0, 1], got {observed_ks!r}")
-    return min(1.0, optimize_split(n, ks, "exact_gamma").best_total)
+    return min(1.0, _best_split(n, ks, "exact_gamma")[2])

@@ -1,12 +1,15 @@
 """Command-line surface: flag validation, formats, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spherecdf
 from spherecdf import RngStream, gaussian_vector, sphere_sample
 from spherecdf.cli import load_vector_file, main
 
@@ -268,17 +271,22 @@ class TestLoader:
         assert np.array_equal(mat[1], [4.0, 5.0, 6.0])
 
 
+def _run_module(*args):
+    # the child imports the same spherecdf as this suite, installed or not
+    paths = [str(Path(spherecdf.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run([sys.executable, "-m", "spherecdf", *args],
+                          capture_output=True, text=True, env=env)
+
+
 class TestEntryPoints:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "spherecdf", "bound-eval", "--n", "50",
-             "--epsilon", "0.1", "--t", "0.1", "--format", "json"],
-            capture_output=True, text=True)
+        proc = _run_module("bound-eval", "--n", "50", "--epsilon", "0.1", "--t", "0.1",
+                           "--format", "json")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["command"] == "bound-eval"
 
     def test_version_flag(self):
-        proc = subprocess.run([sys.executable, "-m", "spherecdf", "--version"],
-                              capture_output=True, text=True)
+        proc = _run_module("--version")
         assert proc.returncode == 0
         assert "spherecdf" in proc.stdout

@@ -117,10 +117,14 @@ class TestRescale:
         direct = ks_to_normal(build_ecdf(lam * z)).statistic
         assert abs(via_rescale - direct) <= 1e-15
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             rescale_cdf(build_ecdf([1.0]), bad)
+        with pytest.raises(DomainError):
+            check_tube_inflation(build_ecdf([1.0]), bad, 0.1, 0.1)
+        with pytest.raises(DomainError):
+            check_tube_inflation(build_ecdf([1.0]), 1.0, bad, 0.1)
 
 
 class TestTubeInflation:

@@ -176,6 +176,17 @@ class TestValidation:
         with pytest.raises(DomainError):
             TrialConfig(N=10, trials=100, seed=0, epsilon=0.1, t=1.0)
 
+    @pytest.mark.parametrize("bad", [-1, 2 ** 64, 1.5, "0"])
+    def test_seed_domain(self, bad):
+        with pytest.raises(DomainError):
+            run_dkw_trials(10, 100, bad, 0.1)
+        with pytest.raises(DomainError):
+            run_lambda_trials(10, 100, bad, 0.1)
+        with pytest.raises(DomainError):
+            run_chisq_trials(10, 100, bad, 1.0)
+        with pytest.raises(DomainError):
+            verify_lemmas(grid_steps=100, seed=bad)
+
 
 class TestVerifyLemmas:
     def test_default_run_passes(self):

@@ -1,0 +1,112 @@
+"""Exact regression pins for the bound pipeline and the gap-function oracle.
+
+The values were recorded from the implementation that evaluated every bound
+term through the public, validating functions; the private kernels must
+reproduce them bit for bit, so every comparison is == with no tolerance.  The
+delta values cover the KS floor 1/(2N), a mid-range budget and the t_max
+branch (delta >= 0.5).
+"""
+
+import pytest
+
+from spherecdf import (BoundInputs, corollary_bound, gamma_closed, gamma_oracle,
+                       lambda_concentration_bound, optimize_split, p_value_bound,
+                       theorem_bound)
+
+OPTIMIZE_PINS = [
+    # (N, delta, mode, best_epsilon, best_t, best_total)
+    (1, 0.5, 'exact_gamma', 0.2314499677224695, 0.713188753541252, 2.7194624474302858),
+    (1, 0.5, 'corollary', 0.5, 0.0, 3.213061319425267),
+    (1, 0.05, 'exact_gamma', 1.258576576290693e-13, 0.1872862367231184, 3.935144358417101),
+    (1, 0.05, 'corollary', 4.4738518445441855e-13, 0.09999999999910524, 3.9886445720555788),
+    (1, 0.75, 'exact_gamma', 0.49306510192579966, 0.6931303027789316, 2.176182186273034),
+    (1, 0.75, 'corollary', 0.75, 0.0, 2.6493049347166995),
+    (100, 0.005, 'exact_gamma', 2.668932783111977e-13, 0.020452346631458236, 3.9195706041870477),
+    (100, 0.005, 'corollary', 4.8871323654609e-13, 0.009999999999022574, 3.988644572057586),
+    (100, 0.05, 'exact_gamma', 1.258576576290693e-13, 0.1872862367231184, 2.1322389917761373),
+    (100, 0.05, 'corollary', 0.05, 0.0, 3.213061319425267),
+    (100, 0.75, 'exact_gamma', 0.2909239785398855, 0.9649897521467911, 1.181065280978474e-06),
+    (100, 0.75, 'corollary', 0.26850179610141023, 0.9629964077971795, 3.2636570242766877e-06),
+    (10000, 5e-05, 'exact_gamma', 1.748656354807511e-13, 0.0002066152198540184, 3.999146561412279),
+    (10000, 5e-05, 'corollary', 5.235205037491461e-13, 9.9999998952959e-05, 3.999885942601098),
+    (10000, 0.05, 'exact_gamma', 0.03615798004797095, 0.055614622478270474, 1.2551726266499706e-11),
+    (10000, 0.05, 'corollary', 0.01866402915756725, 0.0626719416848655, 0.005877235959713407),
+    (10000, 0.75, 'exact_gamma', 0.5953193811145937, 0.4843749999995156, 0.0),
+    (10000, 0.75, 'corollary', 0.38574218750036426, 0.7285156249992715, 0.0),
+    (1000000000, 5e-10, 'exact_gamma', 2.857300363530469e-13, 2.065184583520205e-09, 3.9999999914700246),
+    (1000000000, 5e-10, 'corollary', 4.0869259819576705e-13, 9.991826148036085e-10, 3.999999998861238),
+    (1000000000, 0.05, 'exact_gamma', 0.04973432031953402, 0.0010973802933012108, 0.0),
+    (1000000000, 0.05, 'corollary', 0.04882812500000757, 0.0023437499999848666, 0.0),
+    (1000000000, 0.75, 'exact_gamma', 0.7495269389549971, 0.001953124999998047, 0.0),
+    (1000000000, 0.75, 'corollary', 0.748046875000002, 0.003906249999996094, 0.0),
+]
+
+P_VALUE_PINS = [
+    (1, 0.5, 1.0),
+    (1, 0.05, 1.0),
+    (1, 0.75, 1.0),
+    (100, 0.005, 1.0),
+    (100, 0.05, 1.0),
+    (100, 0.75, 1.181065280978474e-06),
+    (10000, 5e-05, 1.0),
+    (10000, 0.05, 1.2551726266499706e-11),
+    (10000, 0.75, 0.0),
+    (1000000000, 5e-10, 1.0),
+    (1000000000, 0.05, 0.0),
+    (1000000000, 0.75, 0.0),
+]
+
+ORACLE_PINS = [
+    (0.01, 'plus', 0.002431866578099129),
+    (0.01, 'minus', 0.002431866578099129),
+    (0.5, 'plus', 0.16133728441738437),
+    (0.5, 'minus', 0.16133728441738437),
+    (0.99, 'plus', 0.486691281908221),
+    (0.99, 'minus', 0.4866912819082209),
+]
+
+GAMMA_NEAR_ONE = (0.49999999999698164, 7.433682904052987e-12)
+
+BOUND_PINS = [
+    # (N, epsilon, t, theorem terms, corollary terms, lambda bound); terms are
+    # (threshold, dkw, gplus, gminus, total)
+    (1, 0.3, 0.5, (0.46133728441738425, 1.670540422822544, 0.9257412659243828, 0.508075945039717, 3.104357633786644),
+     (0.55, 1.670540422822544, 0.9654545521978378, 0.7788007830714049, 3.414795758091787), 1.4338172109640999),
+    (100, 0.1, 0.2, (0.15377136375284142, 0.2706705664732254, 0.09689717267500662, 0.005310329916802697, 0.37287806906503473),
+     (0.2, 0.2706705664732254, 0.569782824730923, 0.01831563888873418, 0.8587690300928826), 0.10220750259180932),
+    (10000, 0.02, 0.05, (0.0324087551631632, 0.0006709252558050237, 4.1249596605775497e-10, 3.4385061503664756e-12, 0.0006709256717394959),
+     (0.045, 0.0006709252558050237, 0.02972921638615875, 1.3887943864964021e-11, 0.030400141655851715), 4.1593447220812146e-10),
+    (1000000000, 0.0001, 0.001, (0.00034209177040446227, 4.122307244877116e-09, 0.0, 0.0, 4.122307244877116e-09),
+     (0.0006000000000000001, 4.122307244877116e-09, 8.459378991221227e-62, 0.0, 4.122307244877116e-09), 0.0),
+    (50, 0.05, 0.999999999999, (0.5499999999969817, 1.5576015661428098, 0.0008838263069391931, 0.0, 1.558485392449749),
+     (0.5499999999995, 1.5576015661428098, 0.000883826306947478, 1.9287498481567962e-22, 1.5584853924497573), 0.0008838263069391931),
+]
+
+
+@pytest.mark.parametrize("N, delta, mode, eps, t, total", OPTIMIZE_PINS)
+def test_optimize_split(N, delta, mode, eps, t, total):
+    opt = optimize_split(N, delta, mode)
+    assert (opt.best_epsilon, opt.best_t, opt.best_total) == (eps, t, total)
+
+
+@pytest.mark.parametrize("N, delta, p", P_VALUE_PINS)
+def test_p_value_bound(N, delta, p):
+    assert p_value_bound(N, delta) == p
+
+
+@pytest.mark.parametrize("t, side, value", ORACLE_PINS)
+def test_gamma_oracle(t, side, value):
+    assert gamma_oracle(t, side=side) == value
+
+
+def test_gamma_closed_near_one():
+    g = gamma_closed(1.0 - 1e-12)
+    assert (g.gamma, g.maximizer_x) == GAMMA_NEAR_ONE
+
+
+@pytest.mark.parametrize("N, eps, t, theorem, corollary, lam", BOUND_PINS)
+def test_bounds(N, eps, t, theorem, corollary, lam):
+    for b, pin in ((theorem_bound(BoundInputs(N, eps, t)), theorem),
+                   (corollary_bound(N, eps, t), corollary)):
+        assert (b.threshold, b.dkw_term, b.gplus_term, b.gminus_term, b.total) == pin
+    assert lambda_concentration_bound(N, t) == lam

@@ -42,6 +42,13 @@ class TestGaussianVector:
         with pytest.raises(DomainError):
             gaussian_vector(0, RngStream(0))
 
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, "4", math.inf, None])
+    def test_count_domain(self, bad):
+        with pytest.raises(DomainError):
+            gaussian_vector(bad, RngStream(0))
+        with pytest.raises(DomainError):
+            sphere_sample(bad, RngStream(0))
+
     def test_moments_over_a_million_draws(self):
         z = gaussian_vector(1_000_000, RngStream(seed=2024))
         # CLT band: 3 sigma of the mean is ~0.003, variance concentrates alike

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spherecdf import (BoundBreakdown, BoundInputs, ChiSquareTailQuery,
-                       DomainError, chisq_tail_lower, chisq_tail_upper,
+from spherecdf import (BoundBreakdown, BoundInputs, DomainError,
+                       chisq_tail_lower, chisq_tail_upper,
                        corollary_bound, dkw_bound, g_minus, g_plus,
                        gamma_closed, lambda_concentration_bound, lm_lower,
                        lm_upper, optimize_split, p_value_bound, theorem_bound)
@@ -264,10 +264,9 @@ class TestTypes:
             BoundBreakdown(dkw_term=0.1, gplus_term=0.1, gminus_term=0.1,
                            total=0.5, threshold=0.2)
 
-    def test_chisq_query_validation(self):
-        q = ChiSquareTailQuery(N=50, x=2.0, y=60.0)
-        assert q.N == 50
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, "10", math.inf, None])
+    def test_dimension_domain(self, bad):
         with pytest.raises(DomainError):
-            ChiSquareTailQuery(N=50, x=-1.0, y=60.0)
+            dkw_bound(bad, 0.1)
         with pytest.raises(DomainError):
-            ChiSquareTailQuery(N=0, x=1.0, y=60.0)
+            optimize_split(bad, 0.1)
