@@ -226,10 +226,12 @@ def gamma_closed(t) -> GapEvaluation:
 def _golden_min(fn, a: float, b: float, tol: float, best=None):
     """Golden-section search for a minimum of fn on [a, b]; returns (x_best, f_best).
 
-    The bracket shrinks until it is at most tol wide.  After each shrink the
-    two interior probes, left one first, replace the best point only when
-    strictly lower, so ties keep the earlier point.  best is an (x, f)
-    incumbent to beat; without one, the lower opening probe seeds it.
+    The bracket shrinks until it is at most tol wide, or until a step leaves
+    it unchanged (a bracket a few ulps wide can shrink no further, whatever
+    tol is).  After each shrink the two interior probes, left one first,
+    replace the best point only when strictly lower, so ties keep the earlier
+    point.  best is an (x, f) incumbent to beat; without one, the lower
+    opening probe seeds it.
     """
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -238,6 +240,7 @@ def _golden_min(fn, a: float, b: float, tol: float, best=None):
         best = (d, fd) if fd < fc else (c, fc)
     best_x, best_f = best
     while b - a > tol:
+        bracket = (a, b)
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -249,6 +252,8 @@ def _golden_min(fn, a: float, b: float, tol: float, best=None):
         for x, f in ((c, fc), (d, fd)):
             if f < best_f:
                 best_x, best_f = x, f
+        if (a, b) == bracket:
+            break
     return best_x, best_f
 
 

@@ -31,7 +31,7 @@ from . import deformation as dfm
 from . import tail_bounds as tb
 from .empirical import _ks_statistics
 from .errors import DomainError, check_int, check_open, check_positive, check_u64
-from .sampling import RngStream, _sq_norm, _uniform_open
+from .sampling import RngStream, _keyed_uniforms, _sq_norm
 
 __all__ = [
     "TrialConfig",
@@ -137,10 +137,7 @@ def _gaussian_rows(N: int, seed: int, first: int, count: int) -> np.ndarray:
     Row i is bit-identical to gaussian_vector(N, RngStream(seed, i)): the same
     centered 53-bit uniforms pass through one batched inverse-CDF call.
     """
-    rows = np.empty((count, N))
-    for j in range(count):
-        rows[j] = _uniform_open(RngStream(seed, first + j).generator(), N)
-    return special.ndtri(rows)
+    return special.ndtri(_keyed_uniforms(seed, first, count, N))
 
 
 def _chunks(trials: int, N: int):

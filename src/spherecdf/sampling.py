@@ -4,12 +4,12 @@ A standard Gaussian vector Z divided by its Euclidean norm is uniform on the
 unit sphere, and with lambda = sqrt(N)/|Z| the identity sqrt(N) X = lambda Z
 ties the scaled sphere point to the Gaussian sample it came from.
 
-Randomness comes from counter-based Philox streams keyed by (seed, stream_id):
-identical keys reproduce identical output bit for bit, distinct stream ids are
-independent, and no jump-ahead bookkeeping is needed for parallel trials.
-Normal variates use the inverse-CDF transform applied to centered 53-bit
-uniforms, so the mapping from key to sample is a fixed deterministic function
-with no rejection-loop state.
+Randomness comes from counter-based Philox streams keyed by the exact
+unsigned 64-bit pair (seed, stream_id): identical keys reproduce identical
+output bit for bit, distinct stream ids are independent, and no jump-ahead
+bookkeeping is needed for parallel trials.  A stream's k-th normal variate is
+the inverse CDF of the top 53 bits of its k-th raw Philox word, centered on
+the 53-bit grid; one kernel draws these rows for vectors and trial batches.
 """
 
 import math
@@ -40,17 +40,36 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
-        return np.random.Generator(np.random.Philox(key=[self.seed, self.stream_id]))
+        return np.random.Generator(np.random.Philox(key=_key(self.seed, self.stream_id)))
 
 
-def _uniform_open(gen: np.random.Generator, n: int) -> np.ndarray:
-    # centered 53-bit grid: values (k + 1/2) 2^-53 lie strictly inside (0, 1),
-    # keeping the inverse CDF finite
-    raw = gen.integers(0, 1 << 53, size=n, dtype=np.uint64)
-    u = raw.astype(np.float64)
-    u += 0.5
-    u *= 2.0 ** -53
-    return u
+def _key(seed: int, stream_id: int) -> np.ndarray:
+    # numpy turns a plain list holding a value >= 2^63 into float64, which
+    # merges neighbouring keys and wraps 2^64 - 1 to 0
+    return np.array([seed, stream_id], dtype=np.uint64)
+
+
+def _keyed_uniforms(seed: int, first: int, count: int, n: int) -> np.ndarray:
+    """Row j holds the first n uniforms of stream (seed, first + j), shape (count, n).
+
+    The values are (k + 1/2) 2^-53 rounded to double, for the 53-bit draws k.
+    raw >> 11 equals Generator.integers(0, 2**53), whose bounded method never
+    rejects on a power-of-two range, so each row matches a fresh generator of
+    its stream while one bit generator serves the whole call.
+    """
+    bg = np.random.Philox(key=_key(seed, first))
+    # a fresh generator's state: counter 0 and an empty buffer (buffer_pos 4),
+    # so restoring it with a new key starts that key's stream
+    state = bg.state
+    key = state["state"]["key"]
+    out = np.empty((count, n))
+    for j in range(count):
+        key[1] = first + j
+        bg.state = state
+        out[j] = bg.random_raw(n) >> 11
+    out += 0.5
+    out *= 2.0 ** -53
+    return out
 
 
 def gaussian_vector(N: int, rng: RngStream) -> np.ndarray:
@@ -60,7 +79,7 @@ def gaussian_vector(N: int, rng: RngStream) -> np.ndarray:
     same vector.
     """
     n = check_int(N, "N")
-    return special.ndtri(_uniform_open(rng.generator(), n))
+    return special.ndtri(_keyed_uniforms(rng.seed, rng.stream_id, 1, n)[0])
 
 
 def _sq_norm(z: np.ndarray) -> float:
@@ -94,18 +113,13 @@ class SphereSample:
 def sphere_sample(N: int, rng: RngStream) -> SphereSample:
     """Uniform point on the unit sphere in R^N via Gaussian normalization.
 
-    Records the scale factor lambda = sqrt(N)/|Z| and the Gaussian norm |Z|.
-    A zero norm (possible only for pathological floating-point draws) retries
-    with the next values of the same stream.
+    Z is gaussian_vector(N, rng); records lambda = sqrt(N)/|Z| and |Z|.  Like
+    the batch runners it never redraws: |Z| = 0 needs every entry to draw the
+    one grid value that rounds to exactly 1/2 (probability 2^-53 each).
     """
-    n = check_int(N, "N")
-    gen = rng.generator()
-    while True:
-        z = special.ndtri(_uniform_open(gen, n))
-        nrm = math.sqrt(_sq_norm(z))
-        if nrm > 0.0:
-            break
-    return SphereSample(coords=z / nrm, lam=math.sqrt(n) / nrm, gaussian_norm=nrm)
+    z = gaussian_vector(N, rng)
+    nrm = math.sqrt(_sq_norm(z))
+    return SphereSample(coords=z / nrm, lam=math.sqrt(z.size) / nrm, gaussian_norm=nrm)
 
 
 def lambda_of(Z: np.ndarray) -> float:

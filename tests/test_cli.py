@@ -150,6 +150,18 @@ class TestSimulate:
         rep = json.loads(out)["results"]["two_sided"]
         assert rep["upper_count"] + rep["lower_count"] == rep["event_count"]
 
+    def test_top_seed_is_not_seed_zero(self, capsys):
+        # 2^64 - 1 once became key 0 on its way through float64
+        args = ["simulate", "--kind", "dkw", "--n", "50", "--trials", "2000",
+                "--epsilon", "0.1", "--format", "csv"]
+
+        def count(seed):
+            _, out, _ = run_cli(capsys, *args, "--seed", str(seed))
+            header, rows = parse_csv(out)
+            return rows[0][header.index("event_count")]
+
+        assert count(2 ** 64 - 1) != count(0)
+
     def test_trials_below_wilson_floor(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--kind", "dkw", "--n", "50",
                              "--trials", "10", "--epsilon", "0.1")

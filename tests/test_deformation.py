@@ -155,6 +155,10 @@ class TestGamma:
         for t in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
             assert abs(gamma_closed(t).gamma - gamma_oracle(t)) <= 1e-7
 
+    def test_oracle_terminates_at_zero_tolerance(self):
+        # the refinement bracket stalls at one ulp instead of reaching width 0
+        assert abs(gamma_oracle(0.5, refine_tolerance=0.0) - gamma_closed(0.5).gamma) <= 1e-7
+
     def test_oracle_minus_side_symmetry(self):
         for t in (0.05, 0.3, 0.6, 0.9):
             assert abs(gamma_oracle(t) - gamma_oracle(t, side="minus")) <= 1e-9

@@ -1,5 +1,6 @@
 """Trial runners: determinism, per-trial stream equivalence, Wilson verdicts."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -60,17 +61,18 @@ class TestTheoremTrials:
         assert run_theorem_trials(self.CFG) == run_theorem_trials(self.CFG)
 
     def test_matches_per_trial_modules(self):
-        # the batch runner must reproduce the one-trial-at-a-time pipeline
-        cfg = self.CFG
+        # the batch runner must reproduce the one-trial-at-a-time pipeline,
+        # also for a seed above 2^63
         from spherecdf import gamma_closed
-        threshold = cfg.epsilon + gamma_closed(cfg.t).gamma
-        count = 0
-        for i in range(cfg.trials):
-            s = sphere_sample(cfg.N, RngStream(cfg.seed, i))
-            values = s.coords * math.sqrt(cfg.N)
-            if ks_to_normal(build_ecdf(values)).statistic > threshold:
-                count += 1
-        assert run_theorem_trials(cfg).event_count == count
+        for cfg in (self.CFG, dataclasses.replace(self.CFG, seed=2 ** 63 + 5)):
+            threshold = cfg.epsilon + gamma_closed(cfg.t).gamma
+            count = 0
+            for i in range(cfg.trials):
+                s = sphere_sample(cfg.N, RngStream(cfg.seed, i))
+                values = s.coords * math.sqrt(cfg.N)
+                if ks_to_normal(build_ecdf(values)).statistic > threshold:
+                    count += 1
+            assert run_theorem_trials(cfg).event_count == count
 
     def test_chunking_is_invisible(self, monkeypatch):
         before = run_theorem_trials(self.CFG)
@@ -91,15 +93,16 @@ class TestTheoremTrials:
 
 class TestDkwTrials:
     def test_matches_per_trial_modules(self):
-        n, trials, seed, eps = 25, 200, 3, 0.2
-        count = 0
-        for i in range(trials):
-            z = gaussian_vector(n, RngStream(seed, i))
-            if ks_to_normal(build_ecdf(z)).statistic > eps:
-                count += 1
-        report = run_dkw_trials(n, trials, seed, eps)
-        assert report.event_count == count
-        assert report.bound == dkw_bound(n, eps)
+        n, trials, eps = 25, 200, 0.2
+        for seed in (3, 2 ** 64 - 1):
+            count = 0
+            for i in range(trials):
+                z = gaussian_vector(n, RngStream(seed, i))
+                if ks_to_normal(build_ecdf(z)).statistic > eps:
+                    count += 1
+            report = run_dkw_trials(n, trials, seed, eps)
+            assert report.event_count == count
+            assert report.bound == dkw_bound(n, eps)
 
     def test_event_nesting(self):
         # same trial stream, larger epsilon -> subset of events

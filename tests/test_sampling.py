@@ -9,11 +9,13 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import ndtri
 
 from spherecdf import (DomainError, RngStream, chisq_tail_lower,
                        chisq_tail_upper, gaussian_vector, lambda_of,
                        sphere_sample, std_normal_cdf)
 from spherecdf.montecarlo import _gaussian_rows
+from spherecdf.sampling import _keyed_uniforms
 
 
 class TestRngStream:
@@ -29,12 +31,48 @@ class TestRngStream:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("a, b", [
+        (RngStream(2 ** 63 + 1, 0), RngStream(2 ** 63 + 2, 0)),
+        (RngStream(2 ** 64 - 1, 0), RngStream(0, 0)),
+        (RngStream(0, 2 ** 63 + 1), RngStream(0, 2 ** 63 + 2)),
+    ])
+    def test_keys_above_two_to_the_63_stay_distinct(self, a, b):
+        # keys once passed through float64, which merged these pairs
+        assert not np.array_equal(gaussian_vector(8, a), gaussian_vector(8, b))
+        draw = lambda r: r.generator().integers(0, 1 << 53, size=8, dtype=np.uint64)
+        assert not np.array_equal(draw(a), draw(b))
+
     @pytest.mark.parametrize("bad", [-1, 2 ** 64, 1.5, "0"])
     def test_key_validation(self, bad):
         with pytest.raises(DomainError):
             RngStream(seed=bad)
         with pytest.raises(DomainError):
             RngStream(seed=0, stream_id=bad)
+
+
+KEY_WORDS = (0, 7, 2 ** 63 - 1, 2 ** 63 + 1, 2 ** 64 - 1)
+
+
+class TestKeyedUniforms:
+    """Pins the Philox state layout the keyed-row kernel restores per row."""
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 5, 100, 1001])
+    def test_rows_match_fresh_generators(self, n):
+        for seed in KEY_WORDS:
+            for sid in KEY_WORDS:
+                key = np.array([seed, sid], dtype=np.uint64)
+                gen = np.random.Generator(np.random.Philox(key=key))
+                raw = gen.integers(0, 1 << 53, size=n, dtype=np.uint64)
+                expected = (raw.astype(np.float64) + 0.5) * 2.0 ** -53
+                assert np.array_equal(_keyed_uniforms(seed, sid, 1, n)[0], expected)
+                assert np.array_equal(gaussian_vector(n, RngStream(seed, sid)),
+                                      ndtri(expected))
+
+    @pytest.mark.parametrize("seed, first", [(0, 0), (7, 2 ** 63 - 3), (2 ** 64 - 1, 5)])
+    def test_batch_rows_match_single_rows(self, seed, first):
+        batch = _keyed_uniforms(seed, first, 6, 37)
+        for j in range(6):
+            assert np.array_equal(batch[j], _keyed_uniforms(seed, first + j, 1, 37)[0])
 
 
 class TestGaussianVector:
@@ -111,7 +149,6 @@ class TestSphereSample:
         firsts = np.empty(draws)
         for start in range(0, draws, batch):
             raw = gen.integers(0, 1 << 53, size=(batch, n), dtype=np.uint64)
-            from scipy.special import ndtri
             z = ndtri((raw.astype(np.float64) + 0.5) * 2.0 ** -53)
             norms = np.sqrt(np.einsum("ij,ij->i", z, z))
             firsts[start:start + batch] = math.sqrt(n) * z[:, 0] / norms
