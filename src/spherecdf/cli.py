@@ -28,6 +28,7 @@ from .empirical import _ks_statistics
 from .errors import DomainError, check_int, check_open
 from .montecarlo import (TrialConfig, run_chisq_trials, run_dkw_trials,
                          run_lambda_trials, run_theorem_trials, verify_lemmas)
+from .sampling import _norms
 from .tail_bounds import (BoundInputs, _breakdown, corollary_bound, g_minus,
                           g_plus, optimize_split, p_value_bound, theorem_bound)
 
@@ -326,9 +327,7 @@ def _cmd_test_uniformity(args, out) -> int:
     n = mat.shape[1]
     sqrt_n = math.sqrt(n)
     rows = []
-    for i in range(mat.shape[0]):
-        row = mat[i]
-        norm = math.sqrt(float(np.dot(row, row)))
+    for i, (row, norm) in enumerate(zip(mat, _norms(mat).tolist())):
         # unit rows are candidate sphere points X and are scaled to sqrt(N) X;
         # anything else is taken as an already-scaled sample and flagged (the
         # sphere projection itself is never applied: it would erase exactly

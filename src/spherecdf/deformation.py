@@ -223,6 +223,17 @@ def gamma_closed(t) -> GapEvaluation:
     return GapEvaluation(t=tv, gamma=max(height, 0.0), maximizer_x=xp)
 
 
+def _bisect(pred, lo: float, hi: float, tol: float):
+    """Halve [lo, hi] until it is at most tol wide, keeping pred true at lo; returns (lo, hi)."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def _golden_min(fn, a: float, b: float, tol: float, best=None):
     """Golden-section search for a minimum of fn on [a, b]; returns (x_best, f_best).
 
@@ -390,10 +401,5 @@ def secant_interval(target_slope: float, which: str) -> float:
         # slope is barely past the tangent slope; the root sits below lo and
         # the residual there is already under 1e-9
         return lo
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if inside_sign * h(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda t: inside_sign * h(t) > 0.0, lo, hi, 1e-13)
     return 0.5 * (lo + hi)

@@ -31,7 +31,7 @@ from . import deformation as dfm
 from . import tail_bounds as tb
 from .empirical import _ks_statistics
 from .errors import DomainError, check_int, check_open, check_positive, check_u64
-from .sampling import RngStream, _keyed_uniforms, _sq_norm
+from .sampling import RngStream, _gaussian_rows, _norms
 
 __all__ = [
     "TrialConfig",
@@ -131,28 +131,14 @@ def _report(count: int, trials: int, bound: float, cls=MonteCarloReport, **count
                dominated=count / trials <= bound, **counts)
 
 
-def _gaussian_rows(N: int, seed: int, first: int, count: int) -> np.ndarray:
-    """Rows i = first..first+count-1 of the per-trial Gaussian design matrix.
+def _trial_batches(N: int, seed: int, trials: int):
+    """The Gaussian vectors of trials 0..trials-1, as row blocks of at most _CHUNK_ELEMENTS.
 
-    Row i is bit-identical to gaussian_vector(N, RngStream(seed, i)): the same
-    centered 53-bit uniforms pass through one batched inverse-CDF call.
+    Row i overall is bit-identical to gaussian_vector(N, RngStream(seed, i)).
     """
-    return special.ndtri(_keyed_uniforms(seed, first, count, N))
-
-
-def _chunks(trials: int, N: int):
     rows = max(1, min(trials, _CHUNK_ELEMENTS // N))
-    start = 0
-    while start < trials:
-        yield start, min(rows, trials - start)
-        start += rows
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    out = np.empty(rows.shape[0])
-    for j in range(rows.shape[0]):
-        out[j] = math.sqrt(_sq_norm(rows[j]))
-    return out
+    for first in range(0, trials, rows):
+        yield _gaussian_rows(N, seed, first, min(rows, trials - first))
 
 
 def run_theorem_trials(config: TrialConfig) -> MonteCarloReport:
@@ -167,10 +153,8 @@ def run_theorem_trials(config: TrialConfig) -> MonteCarloReport:
     bound = tb._breakdown(config.N, config.epsilon, config.t, "exact_gamma")
     sqrt_n = math.sqrt(config.N)
     count = 0
-    for first, rows in _chunks(config.trials, config.N):
-        z = _gaussian_rows(config.N, config.seed, first, rows)
-        norms = _row_norms(z)
-        values = (z / norms[:, None]) * sqrt_n
+    for z in _trial_batches(config.N, config.seed, config.trials):
+        values = (z / _norms(z)[:, None]) * sqrt_n
         values.sort(axis=1)
         count += int(np.count_nonzero(_ks_statistics(values) > bound.threshold))
     return _report(count, config.trials, bound.total)
@@ -187,8 +171,7 @@ def run_dkw_trials(N: int, trials: int, seed: int, epsilon: float) -> MonteCarlo
     seed = check_u64(seed, "seed")
     eps = check_positive(epsilon, "epsilon")
     count = 0
-    for first, rows in _chunks(trials, n):
-        z = _gaussian_rows(n, seed, first, rows)
+    for z in _trial_batches(n, seed, trials):
         z.sort(axis=1)
         count += int(np.count_nonzero(_ks_statistics(z) > eps))
     return _report(count, trials, tb._dkw_term(n, eps))
@@ -206,9 +189,8 @@ def run_lambda_trials(N: int, trials: int, seed: int, t) -> LambdaTrialReport:
     tv = dfm._t_value(t)
     sqrt_n = math.sqrt(n)
     upper = lower = 0
-    for first, rows in _chunks(trials, n):
-        z = _gaussian_rows(n, seed, first, rows)
-        deviation = sqrt_n / _row_norms(z) - 1.0
+    for z in _trial_batches(n, seed, trials):
+        deviation = sqrt_n / _norms(z) - 1.0
         upper += int(np.count_nonzero(deviation > tv))
         lower += int(np.count_nonzero(deviation < -tv))
     gp, gm = tb._scale_terms(n, tv, "exact_gamma")
@@ -228,9 +210,8 @@ def run_chisq_trials(N: int, trials: int, seed: int, x: float):
     up = tb.lm_upper(n, x)
     lo = tb.lm_lower(n, x)
     upper = lower = 0
-    for first, rows in _chunks(trials, n):
-        z = _gaussian_rows(n, seed, first, rows)
-        u = _row_norms(z) ** 2
+    for z in _trial_batches(n, seed, trials):
+        u = _norms(z) ** 2
         upper += int(np.count_nonzero(u - n >= up.threshold))
         lower += int(np.count_nonzero(n - u >= lo.threshold))
     return _report(upper, trials, up.bound), _report(lower, trials, lo.bound)

@@ -22,10 +22,6 @@ from .errors import DomainError, check_int, check_u64
 
 __all__ = ["RngStream", "SphereSample", "gaussian_vector", "sphere_sample", "lambda_of"]
 
-# fsum is exact but slow; switch to it only where naive accumulation could
-# erode the 1e-12 norm invariants
-_COMPENSATED_THRESHOLD = 1_000_000
-
 
 @dataclass(frozen=True)
 class RngStream:
@@ -52,10 +48,12 @@ def _key(seed: int, stream_id: int) -> np.ndarray:
 def _keyed_uniforms(seed: int, first: int, count: int, n: int) -> np.ndarray:
     """Row j holds the first n uniforms of stream (seed, first + j), shape (count, n).
 
-    The values are (k + 1/2) 2^-53 rounded to double, for the 53-bit draws k.
-    raw >> 11 equals Generator.integers(0, 2**53), whose bounded method never
-    rejects on a power-of-two range, so each row matches a fresh generator of
-    its stream while one bit generator serves the whole call.
+    The values are (k + 1/2) 2^-53 rounded to double, for the 53-bit draws k,
+    capped at 1 - 2^-53: k = 2^53 - 1 alone would round up to 1.0, whose
+    inverse normal CDF is inf.  raw >> 11 equals Generator.integers(0, 2**53),
+    whose bounded method never rejects on a power-of-two range, so each row
+    matches a fresh generator of its stream while one bit generator serves the
+    whole call.
     """
     bg = np.random.Philox(key=_key(seed, first))
     # a fresh generator's state: counter 0 and an empty buffer (buffer_pos 4),
@@ -69,7 +67,13 @@ def _keyed_uniforms(seed: int, first: int, count: int, n: int) -> np.ndarray:
         out[j] = bg.random_raw(n) >> 11
     out += 0.5
     out *= 2.0 ** -53
+    np.minimum(out, 1.0 - 2.0 ** -53, out=out)
     return out
+
+
+def _gaussian_rows(N: int, seed: int, first: int, count: int) -> np.ndarray:
+    """Row j is the first N normal variates of stream (seed, first + j), shape (count, N)."""
+    return special.ndtri(_keyed_uniforms(seed, first, count, N))
 
 
 def gaussian_vector(N: int, rng: RngStream) -> np.ndarray:
@@ -79,11 +83,16 @@ def gaussian_vector(N: int, rng: RngStream) -> np.ndarray:
     same vector.
     """
     n = check_int(N, "N")
-    return special.ndtri(_keyed_uniforms(rng.seed, rng.stream_id, 1, n)[0])
+    return _gaussian_rows(n, rng.seed, rng.stream_id, 1)[0]
 
 
-def _sq_norm(z: np.ndarray) -> float:
-    return float(np.dot(z, z))
+def _norms(z: np.ndarray):
+    """Euclidean norm of a vector, or of each row of a C-contiguous matrix.
+
+    Each norm is the square root of one BLAS ddot of the row with itself, so a
+    batch and a row-by-row pass agree bit for bit.
+    """
+    return np.sqrt(np.vecdot(z, z))
 
 
 @dataclass(frozen=True)
@@ -100,7 +109,7 @@ class SphereSample:
 
     def __post_init__(self):
         n = self.coords.shape[0]
-        unit = math.sqrt(_sq_norm(self.coords))
+        unit = float(_norms(self.coords))
         if abs(unit - 1.0) > 1e-12:
             raise DomainError(f"coords must have unit norm, got {unit!r}")
         if not self.lam > 0.0 or not self.gaussian_norm > 0.0:
@@ -118,22 +127,16 @@ def sphere_sample(N: int, rng: RngStream) -> SphereSample:
     one grid value that rounds to exactly 1/2 (probability 2^-53 each).
     """
     z = gaussian_vector(N, rng)
-    nrm = math.sqrt(_sq_norm(z))
+    nrm = float(_norms(z))
     return SphereSample(coords=z / nrm, lam=math.sqrt(z.size) / nrm, gaussian_norm=nrm)
 
 
 def lambda_of(Z: np.ndarray) -> float:
-    """Scale factor sqrt(N) / |Z| of a nonzero vector.
-
-    Uses exact compensated summation for the squared norm beyond 1e6 entries.
-    """
+    """Scale factor sqrt(N) / |Z| of a nonzero vector; equals sphere_sample's lam for Z."""
     z = np.asarray(Z, dtype=np.float64)
     if z.ndim != 1 or z.size == 0:
         raise DomainError("lambda_of expects a nonempty 1-D vector")
-    if z.size > _COMPENSATED_THRESHOLD:
-        sq = math.fsum(np.square(z).tolist())
-    else:
-        sq = _sq_norm(z)
-    if sq == 0.0:
+    nrm = float(_norms(z))
+    if nrm == 0.0:
         raise DomainError("lambda_of is undefined for the zero vector")
-    return math.sqrt(z.size) / math.sqrt(sq)
+    return math.sqrt(z.size) / nrm

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .deformation import DeformationParam, _gamma, _golden_min, _t_value
+from .deformation import DeformationParam, _bisect, _gamma, _golden_min, _t_value
 from .errors import DomainError, check_int, check_positive
 
 __all__ = [
@@ -267,14 +267,7 @@ def _best_split(n: int, dv: float, mode: str):
     """(epsilon, t, total) of the best split of budget dv; arguments already validated."""
     # feasible range: cost is strictly increasing from 0 toward 1/2
     if dv < 0.5:
-        lo, hi = 0.0, 1.0 - 1e-12
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if _cost(mid, mode) < dv:
-                lo = mid
-            else:
-                hi = mid
-        t_max = lo
+        t_max = _bisect(lambda t: _cost(t, mode) < dv, 0.0, 1.0 - 1e-12, 1e-12)[0]
     else:
         t_max = 1.0 - 1e-12
 

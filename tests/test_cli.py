@@ -1,6 +1,7 @@
 """Command-line surface: flag validation, formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 import spherecdf
-from spherecdf import RngStream, gaussian_vector, sphere_sample
-from spherecdf.cli import load_vector_file, main
+from spherecdf import (RngStream, build_ecdf, gaussian_vector, ks_to_normal,
+                       p_value_bound, sphere_sample)
+from spherecdf.cli import _fmt, load_vector_file, main
 
 
 def run_cli(capsys, *argv):
@@ -230,6 +232,41 @@ class TestUniformity:
         for row in payload["results"]["rows"]:
             assert row["norm_warning"]
             assert row["reject"]
+
+    def test_csv_rows_match_per_row_replay(self, capsys, tmp_path):
+        path = tmp_path / "mixed.txt"
+        rows = [sphere_sample(300, RngStream(5, i)).coords if i % 2 == 0
+                else 1.2 * gaussian_vector(300, RngStream(6, i)) for i in range(8)]
+        self.write_rows(path, rows)
+        code, out, _ = run_cli(capsys, "test-uniformity", "--input", str(path),
+                               "--format", "csv")
+        assert code == 0
+        _, got = parse_csv(out)
+        for i, row in enumerate(load_vector_file(path)):
+            warned = abs(math.sqrt(float(np.dot(row, row))) - 1.0) > 1e-6
+            assert warned == (i % 2 == 1)
+            ks = ks_to_normal(build_ecdf(row if warned else row * math.sqrt(300))).statistic
+            p = p_value_bound(300, min(ks, 1.0))
+            assert got[i] == [_fmt(v) for v in (i, 300, warned, ks, p, p < 0.05)]
+
+    def test_one_dimension(self, capsys, tmp_path):
+        path = tmp_path / "scalars.txt"
+        path.write_text("1.0\n-1.0\n0.0\n2.5\n")
+        code, out, _ = run_cli(capsys, "test-uniformity", "--input", str(path),
+                               "--format", "csv")
+        assert code == 0
+        _, got = parse_csv(out)
+        assert [r[2] for r in got] == ["false", "false", "true", "true"]
+
+    def test_json_norm_warnings_are_booleans(self, capsys, tmp_path):
+        path = tmp_path / "scalars.txt"
+        path.write_text("1.0\n0.0\n")
+        code, out, _ = run_cli(capsys, "test-uniformity", "--input", str(path),
+                               "--format", "json")
+        assert code == 0
+        flags = [r["norm_warning"] for r in json.loads(out)["results"]["rows"]]
+        assert flags == [False, True]
+        assert all(type(f) is bool for f in flags)
 
     def test_comma_separated_and_csv_format(self, capsys, tmp_path):
         path = tmp_path / "commas.txt"

@@ -14,8 +14,7 @@ from scipy.special import ndtri
 from spherecdf import (DomainError, RngStream, chisq_tail_lower,
                        chisq_tail_upper, gaussian_vector, lambda_of,
                        sphere_sample, std_normal_cdf)
-from spherecdf.montecarlo import _gaussian_rows
-from spherecdf.sampling import _keyed_uniforms
+from spherecdf.sampling import _gaussian_rows, _keyed_uniforms, _norms
 
 
 class TestRngStream:
@@ -73,6 +72,30 @@ class TestKeyedUniforms:
         batch = _keyed_uniforms(seed, first, 6, 37)
         for j in range(6):
             assert np.array_equal(batch[j], _keyed_uniforms(seed, first + j, 1, 37)[0])
+
+    def test_top_draw_stays_below_one(self, monkeypatch):
+        # k = 2^53 - 1 would round (k + 1/2) 2^-53 up to 1.0, and ndtri(1.0) = inf
+        class AllOnes(np.random.Philox):
+            def random_raw(self, size=None, output=True):
+                return np.full(size, 2 ** 64 - 1, dtype=np.uint64)
+
+        monkeypatch.setattr(np.random, "Philox", AllOnes)
+        u = _keyed_uniforms(0, 0, 2, 5)
+        assert np.all(u == 1.0 - 2.0 ** -53)
+        assert np.all(np.isfinite(gaussian_vector(5, RngStream(0))))
+
+
+class TestNorms:
+    """Pins the norm kernel to one BLAS dot per row."""
+
+    @pytest.mark.parametrize("n", [1, 3, 100, 1001, 10_000])
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    def test_batch_matches_row_by_row_dot(self, n, seed):
+        z = _gaussian_rows(n, seed, 0, 7)
+        norms = _norms(z)
+        for j, row in enumerate(z):
+            assert norms[j] == math.sqrt(np.dot(row, row))
+            assert _norms(row) == norms[j]
 
 
 class TestGaussianVector:
@@ -175,6 +198,13 @@ class TestLambdaOf:
     def test_zero_vector_rejected(self):
         with pytest.raises(DomainError):
             lambda_of(np.zeros(3))
+
+    def test_matches_mpmath_at_1e5(self):
+        mpmath = pytest.importorskip("mpmath")
+        z = gaussian_vector(100_000, RngStream(seed=4))
+        with mpmath.workdps(40):
+            exact = mpmath.sqrt(z.size) / mpmath.sqrt(mpmath.fsum(mpmath.mpf(v) ** 2 for v in z))
+            assert abs((lambda_of(z) - exact) / exact) <= 1e-14
 
     def test_compensated_path_matches(self):
         z = gaussian_vector(1_100_000, RngStream(seed=9))
