@@ -34,9 +34,9 @@ print("=" * 72)
 print("2. Closed form vs brute-force supremum")
 print("=" * 72)
 print(f"{'t':>6} {'x_minus':>10} {'x_plus':>9} {'gamma':>14} {'oracle':>14} {'diff':>9}")
-for tv in (0.05, 0.1, 0.25, 0.5, 0.75, 0.95):
+tvs = (0.05, 0.1, 0.25, 0.5, 0.75, 0.95)
+for tv, o in zip(tvs, gamma_oracle(np.array(tvs)).tolist()):
     g = gamma_closed(tv)
-    o = gamma_oracle(tv)
     print(f"{tv:6.2f} {x_minus(tv):10.5f} {x_plus(tv):9.5f} "
           f"{g.gamma:14.10f} {o:14.10f} {abs(g.gamma - o):9.1e}")
 

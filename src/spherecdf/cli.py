@@ -223,11 +223,8 @@ def _cmd_gamma(args, out) -> int:
     ts = np.linspace(args.t_min, args.t_max, args.steps)
     header = ["t", "gamma", "gamma_oracle", "half_t", "g_plus", "g_minus",
               "g_minus_lb", "g_plus_lb"]
-    rows = []
-    for t in ts:
-        tv = float(t)
-        rows.append([tv, gamma_closed(tv).gamma, gamma_oracle(tv), 0.5 * tv,
-                     g_plus(tv), g_minus(tv), tv, 0.375 * tv])
+    rows = [[tv, gamma_closed(tv).gamma, oracle, 0.5 * tv, g_plus(tv), g_minus(tv),
+             tv, 0.375 * tv] for tv, oracle in zip(ts.tolist(), gamma_oracle(ts).tolist())]
     if args.format == "json":
         _emit_json("gamma",
                    {"t_min": args.t_min, "t_max": args.t_max, "steps": args.steps},

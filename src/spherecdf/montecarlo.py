@@ -257,7 +257,7 @@ def _worst(values, grid):
 
 
 def _gamma_grid(ts):
-    return np.array([dfm.gamma_closed(t).gamma for t in ts])
+    return np.array([dfm._gamma(t) for t in ts.tolist()])
 
 
 def _second_diff(vals):
@@ -297,7 +297,7 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all",
     if scope in ("lemmas", "all"):
         # symmetry of the two one-sided gap suprema
         ts = np.linspace(0.0, 0.99, grid_steps)
-        gaps = [abs(dfm.gamma_oracle(t) - dfm.gamma_oracle(t, side="minus")) for t in ts]
+        gaps = np.abs(dfm.gamma_oracle(ts) - dfm.gamma_oracle(ts, side="minus"))
         r, w = _worst(gaps, ts)
         add("gap-symmetry", "lemmas", r, 1e-12, w)
 
@@ -314,8 +314,7 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all",
 
         # closed form against the brute-force supremum
         to = np.arange(1, 100) / 100.0
-        diffs = [abs(dfm.gamma_closed(t).gamma - dfm.gamma_oracle(t)) for t in to]
-        r, w = _worst(diffs, to)
+        r, w = _worst(np.abs(_gamma_grid(to) - dfm.gamma_oracle(to)), to)
         add("gamma-closed-vs-oracle", "lemmas", r, 1e-7, w)
 
         # secant bound gamma(t) <= t/2 and convexity of gamma

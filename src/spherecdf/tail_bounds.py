@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .deformation import DeformationParam, _bisect, _gamma, _golden_min, _t_value
+from .deformation import _bisect, _gamma, _golden_min, _t_array, _t_value
 from .errors import DomainError, check_int, check_positive
 
 __all__ = [
@@ -109,7 +109,7 @@ def g_plus(t):
     Zero at t = 0, strictly increasing, with limit 3/8 as t -> 1.  Accepts a
     scalar or ndarray with entries in [0, 1).
     """
-    out = _g_plus(_g_arg(t))
+    out = _g_plus(_t_array(t))
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -119,7 +119,7 @@ def g_minus(t):
     Zero at t = 0, strictly increasing, and divergent as t -> 1.  Accepts a
     scalar or ndarray with entries in [0, 1).
     """
-    out = _g_minus(_g_arg(t))
+    out = _g_minus(_t_array(t))
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -131,15 +131,6 @@ def _g_plus(t):
 def _g_minus(t):
     # kernel of g_minus on a validated float or ndarray
     return 0.5 * (np.sqrt(2.0 / (1.0 - t) ** 2 - 1.0) - 1.0)
-
-
-def _g_arg(t):
-    if isinstance(t, DeformationParam):
-        return t.t
-    arr = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr >= 1.0):
-        raise DomainError(f"t must lie in [0, 1), got {t!r}")
-    return arr
 
 
 def dkw_bound(N, epsilon) -> float:
@@ -270,6 +261,9 @@ def _best_split(n: int, dv: float, mode: str):
         t_max = _bisect(lambda t: _cost(t, mode) < dv, 0.0, 1.0 - 1e-12, 1e-12)[0]
     else:
         t_max = 1.0 - 1e-12
+    if t_max == 0.0:
+        # the feasible range is {0} (dv below about 2.4e-13 in exact_gamma mode)
+        return dv, 0.0, _total(n, dv, 0.0, mode)
 
     ts = np.linspace(0.0, t_max, 512, endpoint=False).tolist()
     totals = [_total(n, dv - _cost(t, mode), t, mode) for t in ts]

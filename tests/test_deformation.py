@@ -16,6 +16,7 @@ from spherecdf import (DeformationParam, DomainError, GapEvaluation,
                        f_minus_prime, f_plus, gamma_closed, gamma_oracle,
                        phi_deformed, secant_interval, std_normal_cdf, x_minus,
                        x_plus)
+from spherecdf.deformation import _log1p_over, _log1p_over_prime
 
 # pinned against mpmath.ncdf at 40 digits
 PHI_1 = 0.8413447460685429
@@ -176,8 +177,84 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma_oracle(0.5, grid_points=100)
 
+    def test_oracle_lanes_match_scalar_calls(self):
+        # 40 t span three 16-t scan blocks; each lane must equal its own scalar call
+        ts = np.concatenate([[0.0, 1.0 - 1e-12], np.linspace(0.003, 0.997, 38)])
+        for tol in (1e-10, 0.0):
+            for side in ("plus", "minus"):
+                got = gamma_oracle(ts, refine_tolerance=tol, side=side)
+                assert got.tolist() == [gamma_oracle(t, refine_tolerance=tol, side=side)
+                                        for t in ts.tolist()]
+        assert gamma_oracle(ts.reshape(4, 10)).tolist() == gamma_oracle(ts).reshape(4, 10).tolist()
+
+    def test_oracle_scalar_and_empty_forms(self):
+        assert type(gamma_oracle(0.5)) is float
+        assert gamma_oracle(DeformationParam(0.5)) == gamma_oracle(0.5)
+        assert gamma_oracle(np.array([0.5])).tolist() == [gamma_oracle(0.5)]
+        empty = gamma_oracle(np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.1, 1.0])
+    def test_oracle_domain(self, bad):
+        for t in (bad, np.array([0.2, bad])):
+            with pytest.raises(DomainError, match=r"t must lie in \[0, 1\)"):
+                gamma_oracle(t)
+
     def test_param_type_accepted(self):
         assert gamma_closed(DeformationParam(0.5)).gamma == gamma_closed(0.5).gamma
+
+
+def _switch_points(signs):
+    """The 1e-4 and 1e-3 series switches, +-1 ulp and +-k*1e6 ulp around each."""
+    out = []
+    for edge in (1e-4, 1e-3):
+        for base in (s * edge for s in signs):
+            ulp = math.ulp(base)
+            out += [base, math.nextafter(base, 1.0), math.nextafter(base, -1.0)]
+            out += [base + s * k * 1e6 * ulp for k in (1, 10, 100, 1000) for s in (1, -1)]
+    return out
+
+
+def _mp_x_plus(mp, t):
+    t = mp.mpf(t)
+    return mp.sqrt(2 * (1 - t) ** 2 / (2 - t) * (mp.log1p(-t) / -t))
+
+
+class TestSeriesSwitches:
+    """40-digit mpmath values on both sides of every series switch.
+
+    Each tolerance is the worst error measured at these points, rounded up.
+    _log1p_over_prime loses about 3,000 ulp just outside its 1e-3 window,
+    where the direct quotient cancels.
+    """
+
+    @pytest.fixture
+    def mp(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            yield mpmath
+
+    def test_log1p_over_within_one_ulp(self, mp):
+        for u in _switch_points((1, -1)):
+            ref = mp.log1p(u) / u
+            assert abs(_log1p_over(u) - ref) <= math.ulp(float(ref))
+
+    def test_x_plus_within_one_ulp(self, mp):
+        for t in _switch_points((1,)):
+            ref = _mp_x_plus(mp, t)
+            assert abs(x_plus(t) - ref) <= math.ulp(float(ref))
+
+    def test_gamma_closed_absolute(self, mp):
+        for t in _switch_points((1,)):
+            xp = _mp_x_plus(mp, t)
+            ref = mp.ncdf(xp / (1 - mp.mpf(t))) - mp.ncdf(xp)
+            assert abs(gamma_closed(t).gamma - ref) <= 5e-16
+
+    def test_log1p_over_prime_relative(self, mp):
+        for u in _switch_points((1, -1)):
+            u_mp = mp.mpf(u)
+            ref = (1 / (1 + u_mp) - mp.log1p(u_mp) / u_mp) / u_mp
+            assert abs(_log1p_over_prime(u) - ref) <= 1e-12 * abs(ref)
 
 
 class TestPeakFunctions:

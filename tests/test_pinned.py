@@ -4,14 +4,16 @@ The values were recorded from the implementation that evaluated every bound
 term through the public, validating functions; the private kernels must
 reproduce them bit for bit, so every comparison is == with no tolerance.  The
 delta values cover the KS floor 1/(2N), a mid-range budget and the t_max
-branch (delta >= 0.5).
+branch (delta >= 0.5).  The tiny-delta and verify pins were recorded from the
+implementation that ran gamma_oracle one t at a time and searched a feasible
+range collapsed to t = 0.
 """
 
 import pytest
 
 from spherecdf import (BoundInputs, corollary_bound, gamma_closed, gamma_oracle,
                        lambda_concentration_bound, optimize_split, p_value_bound,
-                       theorem_bound)
+                       theorem_bound, verify_lemmas)
 
 OPTIMIZE_PINS = [
     # (N, delta, mode, best_epsilon, best_t, best_total)
@@ -65,6 +67,12 @@ ORACLE_PINS = [
     (0.99, 'minus', 0.4866912819082209),
 ]
 
+# verify_lemmas(200): the two checks that run gamma_oracle, as (residual, where)
+VERIFY_ORACLE_PINS = {
+    "gap-symmetry": (1.6653345369377348e-16, 0.029849246231155778),
+    "gamma-closed-vs-oracle": (2.220446049250313e-16, 0.02),
+}
+
 GAMMA_NEAR_ONE = (0.49999999999698164, 7.433682904052987e-12)
 
 BOUND_PINS = [
@@ -89,6 +97,15 @@ def test_optimize_split(N, delta, mode, eps, t, total):
     assert (opt.best_epsilon, opt.best_t, opt.best_total) == (eps, t, total)
 
 
+@pytest.mark.parametrize("N", [1, 100, 10**4, 10**9])
+@pytest.mark.parametrize("delta", [1e-13, 1e-14, 2e-13])
+def test_split_below_feasible_range(N, delta):
+    # below delta of about 2.4e-13, t = 0 is the only exact_gamma split
+    opt = optimize_split(N, delta)
+    assert (opt.best_epsilon, opt.best_t, opt.best_total) == (delta, 0.0, 4.0)
+    assert p_value_bound(N, delta) == 1.0
+
+
 @pytest.mark.parametrize("N, delta, p", P_VALUE_PINS)
 def test_p_value_bound(N, delta, p):
     assert p_value_bound(N, delta) == p
@@ -97,6 +114,12 @@ def test_p_value_bound(N, delta, p):
 @pytest.mark.parametrize("t, side, value", ORACLE_PINS)
 def test_gamma_oracle(t, side, value):
     assert gamma_oracle(t, side=side) == value
+
+
+def test_verify_oracle_checks():
+    got = {c.name: (c.residual, c.where) for c in verify_lemmas(200).checks
+           if c.name in VERIFY_ORACLE_PINS}
+    assert got == VERIFY_ORACLE_PINS
 
 
 def test_gamma_closed_near_one():
