@@ -108,7 +108,8 @@ def _t_array(t):
     if isinstance(t, DeformationParam):
         return t.t
     arr = np.asarray(t, dtype=np.float64)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr >= 1.0):
+    # one reduction; NaN fails both comparisons, so it is refused with +-inf
+    if not ((arr >= 0.0) & (arr < 1.0)).all():
         raise DomainError(f"t must lie in [0, 1), got {t!r}")
     return arr
 

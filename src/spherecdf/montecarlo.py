@@ -275,21 +275,23 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all",
 
     Args:
       grid_steps: grid density for the sweeps, at least 100
-      tolerance: when given, replaces every check's own threshold (0 makes the
-        floating-point residuals visible as failures)
+      tolerance: when given, a finite real that replaces every check's own
+        threshold (0 makes the floating-point residuals visible as failures)
       scope: "lemmas", "appendix", or "all"
       seed: stream key for the randomized spot checks
 
     Returns a VerificationReport; failing checks are recorded, not raised.
     """
     grid_steps = check_int(grid_steps, "grid_steps", 100)
+    if tolerance is not None:
+        tolerance = check_open(tolerance, -math.inf, math.inf, "tolerance")
     if scope not in ("lemmas", "appendix", "all"):
         raise DomainError(f"scope must be 'lemmas', 'appendix' or 'all', got {scope!r}")
     gen = RngStream(seed, 0).generator()
     results = []
 
     def add(name, scope_, residual, default_threshold, where):
-        thr = default_threshold if tolerance is None else float(tolerance)
+        thr = default_threshold if tolerance is None else tolerance
         results.append(CheckResult(name=name, scope=scope_, residual=float(residual),
                                    threshold=thr, where=float(where),
                                    passed=float(residual) <= thr))

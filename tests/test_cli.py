@@ -189,6 +189,13 @@ class TestVerify:
                              "--tolerance", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_nonfinite_tolerance_is_usage_error(self, capsys, bad):
+        code, out, err = run_cli(capsys, "verify", "--grid-steps", "120",
+                                 f"--tolerance={bad}", "--format", "json")
+        assert (code, out) == (2, "")
+        assert "tolerance" in err
+
     def test_appendix_scope(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--scope", "appendix",
                                "--grid-steps", "120", "--format", "csv")

@@ -1,0 +1,112 @@
+"""Golden stdout contract: exact stdout, stderr and exit code of every subcommand.
+
+`cli_golden.json` holds, for each command line, what `main` writes and returns:
+every subcommand in human, csv and json, two usage errors caught by argparse,
+two caught by the library, and the help text of every parser.  Any byte of
+difference fails.  After a deliberate output change, re-record with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and review the diff of the data file.
+"""
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from spherecdf.cli import main
+
+GOLDEN = Path(__file__).resolve().with_name("cli_golden.json")
+FORMATS = ("human", "csv", "json")
+COMMANDS = [
+    ["bound-eval", "--n", "100", "--epsilon", "0.1", "--t", "0.2"],
+    ["bound-optimize", "--n", "10000", "--delta", "0.05"],
+    ["bound-optimize", "--n", "500", "--delta", "0.3", "--mode", "corollary"],
+    ["gamma", "--t-min", "0", "--t-max", "0.9", "--steps", "10"],
+    ["simulate", "--kind", "theorem", "--n", "30", "--trials", "400", "--seed", "3",
+     "--epsilon", "0.12", "--t", "0.15"],
+    ["simulate", "--kind", "dkw", "--n", "50", "--trials", "500", "--epsilon", "0.1"],
+    ["simulate", "--kind", "lambda", "--n", "50", "--trials", "300", "--seed", "7",
+     "--t", "0.2"],
+    ["simulate", "--kind", "chisq", "--n", "50", "--trials", "300", "--x", "1.0"],
+    ["verify", "--grid-steps", "120"],
+    ["test-uniformity", "--input", "vectors.txt", "--alpha", "0.7"],
+]
+# recorded in the default format only
+EXTRA = [
+    ["verify", "--scope", "appendix", "--grid-steps", "120", "--tolerance", "0"],
+    ["bound-eval", "--t", "1.0"],
+    ["simulate", "--kind", "dkw", "--x", "1"],
+    ["bound-eval", "--n", "100", "--epsilon", "0.1", "--t", "1.0"],
+    ["simulate", "--kind", "dkw", "--n", "30", "--trials", "200", "--epsilon", "0.1",
+     "--x", "1"],
+    ["--help"],
+    *([name, "--help"] for name in ("bound-eval", "bound-optimize", "gamma", "simulate",
+                                    "verify", "test-uniformity")),
+]
+ARGVS = [[*argv, "--format", fmt] for argv in COMMANDS for fmt in FORMATS] + EXTRA
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits on --help and bad flags
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _vectors_text():
+    from spherecdf import RngStream, gaussian_vector, sphere_sample
+    rows = [sphere_sample(200, RngStream(5, i)).coords if i % 2 == 0
+            else 1.2 * gaussian_vector(200, RngStream(6, i)) for i in range(4)]
+    return "# two sphere points, two 1.2x-scaled Gaussians\n" + "".join(
+        " ".join(repr(float(v)) for v in row) + "\n" for row in rows)
+
+
+def _record():
+    os.environ["COLUMNS"] = "80"
+    text = _vectors_text()
+    Path("vectors.txt").write_text(text, encoding="utf-8")
+    cases = []
+    for argv in ARGVS:
+        code, out, err = run(argv)
+        cases.append({"argv": argv, "code": code, "stdout": out, "stderr": err})
+    GOLDEN.write_text(json.dumps({"files": {"vectors.txt": text}, "cases": cases},
+                                 indent=1) + "\n", encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.fixture
+def workdir(golden, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    for name, text in golden["files"].items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+
+
+def test_cases_match_command_list(golden):
+    assert [case["argv"] for case in golden["cases"]] == ARGVS
+
+
+@pytest.mark.parametrize("index", range(len(ARGVS)), ids=[" ".join(a) for a in ARGVS])
+def test_golden_output(golden, workdir, index):
+    case = golden["cases"][index]
+    assert run(case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        _record()

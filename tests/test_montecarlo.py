@@ -217,3 +217,13 @@ class TestVerifyLemmas:
     def test_grid_floor(self):
         with pytest.raises(DomainError):
             verify_lemmas(grid_steps=50)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_tolerance(self, bad):
+        # a NaN threshold failed every check and reached JSON as NaN
+        with pytest.raises(DomainError, match="tolerance"):
+            verify_lemmas(grid_steps=100, tolerance=bad)
+
+    def test_negative_tolerance_is_legal(self):
+        report = verify_lemmas(grid_steps=100, tolerance=-1e-12)
+        assert {c.threshold for c in report.checks} == {-1e-12}

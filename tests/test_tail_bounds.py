@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spherecdf import (BoundBreakdown, BoundInputs, DomainError,
                        chisq_tail_lower, chisq_tail_upper,
@@ -58,7 +59,15 @@ class TestExponentRates:
         assert np.all(gm[:-2] - 2 * gm[1:-1] + gm[2:] >= -1e-9)
         assert np.all(gp[:-2] - 2 * gp[1:-1] + gp[2:] <= 1e-9)
 
-    @pytest.mark.parametrize("bad", [1.0, 1.2, -0.1])
+    def test_g_minus_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for t in (0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-12):
+                tm = mpmath.mpf(t)
+                ref = (mpmath.sqrt(2 / (1 - tm) ** 2 - 1) - 1) / 2
+                assert abs(g_minus(t) - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("bad", [1.0, 1.2, -0.1, math.nan, math.inf, -math.inf])
     def test_domain(self, bad):
         with pytest.raises(DomainError):
             g_plus(bad)
@@ -243,6 +252,19 @@ class TestPValueBound:
     def test_monotone_nonincreasing(self):
         values = [p_value_bound(2000, float(d)) for d in np.linspace(0.005, 0.5, 60)]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+
+    # each call runs a split search of about 2 ms, so the example counts stay small
+    @settings(max_examples=40)
+    @given(st.integers(1, 10**9), st.floats(1e-9, 1.0), st.floats(1e-9, 1.0))
+    def test_nonincreasing_in_observed_ks(self, n, a, b):
+        lo, hi = sorted((a, b))
+        assert p_value_bound(n, lo) >= p_value_bound(n, hi)
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 10**9), st.integers(1, 10**9), st.floats(1e-9, 1.0))
+    def test_nonincreasing_in_dimension(self, a, b, ks):
+        lo, hi = sorted((a, b))
+        assert p_value_bound(lo, ks) >= p_value_bound(hi, ks)
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, math.nan])
     def test_domain(self, bad):
