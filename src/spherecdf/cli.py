@@ -278,7 +278,6 @@ def _cmd_test_uniformity(args) -> _Result:
     # scale mismatch this test exists to detect)
     warned = np.abs(_norms(mat) - 1.0) > 1e-6
     values = mat * np.where(warned, 1.0, math.sqrt(n))[:, None]
-    values.sort(axis=1)
     header = ["row", "n", "norm_warning", "ks_statistic", "p_bound", "reject"]
     rows = []
     for i, (flag, stat) in enumerate(zip(warned.tolist(), _ks_statistics(values).tolist())):

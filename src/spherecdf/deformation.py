@@ -35,7 +35,6 @@ __all__ = [
     "DeformationParam",
     "GapEvaluation",
     "TANGENT_SLOPE",
-    "SUP_WINDOW",
     "std_normal_cdf",
     "phi_deformed",
     "x_plus",
@@ -72,8 +71,8 @@ class DeformationParam:
 
     def __post_init__(self):
         t = self.t
-        if not (isinstance(t, (int, float)) and math.isfinite(t)):
-            raise DomainError(f"deformation parameter must be finite, got {t!r}")
+        if not (isinstance(t, (int, float, np.integer, np.floating)) and math.isfinite(t)):
+            raise DomainError(f"deformation parameter must be a finite real, got {t!r}")
         if not 0.0 <= t < 1.0:
             raise DomainError(f"deformation parameter must lie in [0, 1), got {t}")
         object.__setattr__(self, "t", float(t))

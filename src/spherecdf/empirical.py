@@ -87,9 +87,10 @@ def _sorted_ks_gaps(sorted_values: np.ndarray):
     return hi - p, p - lo
 
 
-def _ks_statistics(sorted_values: np.ndarray):
-    """Exact KS statistic of a sorted sample, or of each row of a row-sorted matrix."""
-    upper, lower = _sorted_ks_gaps(sorted_values)
+def _ks_statistics(values: np.ndarray):
+    """Exact KS statistic of a sample or of each matrix row; sorts values in place."""
+    values.sort(axis=-1)
+    upper, lower = _sorted_ks_gaps(values)
     return np.maximum(upper.max(axis=-1), lower.max(axis=-1))
 
 

@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spherecdf import (DeformationParam, DomainError, GapEvaluation,
-                       TANGENT_SLOPE, alpha, alpha_prime, f_minus,
-                       f_minus_prime, f_plus, gamma_closed, gamma_oracle,
-                       phi_deformed, secant_interval, std_normal_cdf, x_minus,
-                       x_plus)
+from spherecdf import (BoundInputs, DeformationParam, DomainError,
+                       GapEvaluation, TANGENT_SLOPE, alpha, alpha_prime,
+                       f_minus, f_minus_prime, f_plus, gamma_closed,
+                       gamma_oracle, lambda_concentration_bound, phi_deformed,
+                       run_lambda_trials, secant_interval, std_normal_cdf,
+                       x_minus, x_plus)
 from spherecdf.deformation import _log1p_over, _log1p_over_prime
 
 # pinned against mpmath.ncdf at 40 digits
@@ -372,6 +373,20 @@ class TestTypes:
     def test_param_rejects(self, bad):
         with pytest.raises(DomainError):
             DeformationParam(bad)
+
+    @pytest.mark.parametrize("value", [np.int64(0), np.float32(0.25), np.float64(0.3)])
+    def test_numpy_scalars_are_reals(self, value):
+        ref = float(value)
+        assert DeformationParam(value).t == ref
+        assert gamma_closed(value).gamma == gamma_closed(ref).gamma
+        assert phi_deformed(0.7, value, "plus") == phi_deformed(0.7, ref, "plus")
+        assert BoundInputs(100, 0.1, value) == BoundInputs(100, 0.1, ref)
+        assert lambda_concentration_bound(100, value) == lambda_concentration_bound(100, ref)
+        assert run_lambda_trials(20, 100, 3, value) == run_lambda_trials(20, 100, 3, ref)
+
+    def test_param_refuses_strings(self):
+        with pytest.raises(DomainError, match="finite real"):
+            DeformationParam("0.3")
 
     def test_param_accepts_boundaries(self):
         assert DeformationParam(0.0).t == 0.0

@@ -74,10 +74,22 @@ class TestTheoremTrials:
                     count += 1
             assert run_theorem_trials(cfg).event_count == count
 
-    def test_chunking_is_invisible(self, monkeypatch):
-        before = run_theorem_trials(self.CFG)
-        monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 64)
-        assert run_theorem_trials(self.CFG) == before
+    # 16 < N clamps to one-row blocks; 7 N leaves a ragged last block (300 = 42 * 7 + 6)
+    @pytest.mark.parametrize("chunk", [64, 16, 7 * 30])
+    def test_chunking_is_invisible(self, monkeypatch, chunk):
+        runs = (lambda: run_theorem_trials(self.CFG),
+                lambda: run_dkw_trials(30, 300, 7, 0.1),
+                lambda: run_lambda_trials(30, 300, 7, 0.15),
+                lambda: run_chisq_trials(30, 300, 7, 1.0))
+        before = [run() for run in runs]
+        draw, blocks = mc._gaussian_rows, []
+        monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(mc, "_gaussian_rows",
+                            lambda *a: blocks.append(a[3]) or draw(*a))
+        assert [run() for run in runs] == before
+        rows = max(1, chunk // 30)
+        per_run = [rows] * (300 // rows) + ([300 % rows] if 300 % rows else [])
+        assert blocks == per_run * len(runs)
 
     def test_impossible_threshold(self):
         # epsilon + gamma(t) > 1 cannot be exceeded by a KS distance

@@ -6,14 +6,31 @@ reproduce them bit for bit, so every comparison is == with no tolerance.  The
 delta values cover the KS floor 1/(2N), a mid-range budget and the t_max
 branch (delta >= 0.5).  The tiny-delta and verify pins were recorded from the
 implementation that ran gamma_oracle one t at a time and searched a feasible
-range collapsed to t = 0.
+range collapsed to t = 0.  PUBLIC_NAMES pins the package surface, which
+__init__ builds from each module's __all__.
 """
 
 import pytest
 
+import spherecdf
 from spherecdf import (BoundInputs, corollary_bound, gamma_closed, gamma_oracle,
                        lambda_concentration_bound, optimize_split, p_value_bound,
                        theorem_bound, verify_lemmas)
+
+PUBLIC_NAMES = [
+    'BoundBreakdown', 'BoundInputs', 'CheckResult', 'DeformationParam', 'DomainError',
+    'EmpiricalCdfView', 'GapEvaluation', 'KsResult', 'LambdaTrialReport',
+    'LaurentMassartBound', 'MonteCarloReport', 'OptimizedBound', 'RngStream',
+    'SphereSample', 'TANGENT_SLOPE', 'TrialConfig', 'VerificationReport', '__version__',
+    'alpha', 'alpha_prime', 'build_ecdf', 'check_tube_inflation', 'chisq_tail_lower',
+    'chisq_tail_upper', 'corollary_bound', 'dkw_bound', 'f_minus', 'f_minus_prime',
+    'f_plus', 'g_minus', 'g_plus', 'gamma_closed', 'gamma_oracle', 'gaussian_vector',
+    'ks_to_normal', 'lambda_concentration_bound', 'lambda_of', 'lm_lower', 'lm_upper',
+    'optimize_split', 'p_value_bound', 'phi_deformed', 'rescale_cdf', 'run_chisq_trials',
+    'run_dkw_trials', 'run_lambda_trials', 'run_theorem_trials', 'secant_interval',
+    'sphere_sample', 'std_normal_cdf', 'theorem_bound', 'verify_lemmas',
+    'wilson_interval', 'x_minus', 'x_plus',
+]
 
 OPTIMIZE_PINS = [
     # (N, delta, mode, best_epsilon, best_t, best_total)
@@ -133,3 +150,10 @@ def test_bounds(N, eps, t, theorem, corollary, lam):
                    (corollary_bound(N, eps, t), corollary)):
         assert (b.threshold, b.dkw_term, b.gplus_term, b.gminus_term, b.total) == pin
     assert lambda_concentration_bound(N, t) == lam
+
+
+def test_public_surface():
+    assert sorted(spherecdf.__all__) == PUBLIC_NAMES
+    assert len(set(spherecdf.__all__)) == len(spherecdf.__all__)
+    for name in spherecdf.__all__:
+        assert hasattr(spherecdf, name), name
