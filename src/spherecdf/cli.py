@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .deformation import gamma_closed, gamma_oracle
 from .empirical import _ks_statistics
-from .errors import DomainError, check_int, check_open
+from .errors import DomainError, check_int, check_real
 from .montecarlo import (TrialConfig, run_chisq_trials, run_dkw_trials,
                          run_lambda_trials, run_theorem_trials, verify_lemmas)
 from .sampling import _norms
@@ -159,7 +159,7 @@ def load_vector_file(path) -> np.ndarray:
                 except ValueError:
                     raise DomainError(f"{path}:{lineno}: unparsable value") from None
                 rows.append(row)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from None
     if not rows:
         raise DomainError(f"{path}: no data rows")
@@ -269,7 +269,7 @@ def _cmd_verify(args) -> _Result:
 
 
 def _cmd_test_uniformity(args) -> _Result:
-    check_open(args.alpha, 0.0, 1.0, "alpha")
+    check_real(args.alpha, "alpha", 0.0, 1.0)
     mat = load_vector_file(args.input)
     n = mat.shape[1]
     # unit rows are candidate sphere points X and are scaled to sqrt(N) X;

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, check_int, check_open
+from .errors import DomainError, check_int, check_real
 
 __all__ = [
     "DeformationParam",
@@ -70,12 +70,7 @@ class DeformationParam:
     t: float
 
     def __post_init__(self):
-        t = self.t
-        if not (isinstance(t, (int, float, np.integer, np.floating)) and math.isfinite(t)):
-            raise DomainError(f"deformation parameter must be a finite real, got {t!r}")
-        if not 0.0 <= t < 1.0:
-            raise DomainError(f"deformation parameter must lie in [0, 1), got {t}")
-        object.__setattr__(self, "t", float(t))
+        object.__setattr__(self, "t", check_real(self.t, "deformation parameter", 0.0, 1.0, "[)"))
 
 
 @dataclass(frozen=True)
@@ -97,20 +92,18 @@ class GapEvaluation:
 
 def _t_value(t) -> float:
     """Coerce a float or DeformationParam to a validated float in [0, 1)."""
-    if isinstance(t, DeformationParam):
-        return t.t
-    return DeformationParam(t).t
+    return t.t if isinstance(t, DeformationParam) else DeformationParam(t).t
 
 
 def _t_array(t):
     """Validate a float, ndarray or DeformationParam of t values in [0, 1)."""
     if isinstance(t, DeformationParam):
         return t.t
-    arr = np.asarray(t, dtype=np.float64)
-    # one reduction; NaN fails both comparisons, so it is refused with +-inf
-    if not ((arr >= 0.0) & (arr < 1.0)).all():
+    arr = np.asarray(t)
+    # check_real's type rule; NaN fails both comparisons, so it is refused with +-inf
+    if arr.dtype.kind not in "iuf" or not ((arr >= 0.0) & (arr < 1.0)).all():
         raise DomainError(f"t must lie in [0, 1), got {t!r}")
-    return arr
+    return arr.astype(np.float64, copy=False)
 
 
 def std_normal_cdf(x):
@@ -136,9 +129,10 @@ def phi_deformed(x, t, sign: str):
 
     sign="plus" divides by 1 - sgn(x) t and lies on or above Phi; sign="minus"
     divides by 1 + sgn(x) t and lies on or below it.  Both reduce to Phi at
-    t = 0 and are nondecreasing in x.  Accepts scalar or ndarray x.
+    t = 0 and are nondecreasing in x.  Accepts scalar or ndarray x and t, which
+    broadcast against each other.
     """
-    tv = _t_value(t)
+    tv = _t_array(t)
     if sign == "plus":
         s = -1.0
     elif sign == "minus":
@@ -146,11 +140,8 @@ def phi_deformed(x, t, sign: str):
     else:
         raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
     arr = np.asarray(x, dtype=np.float64)
-    denom = 1.0 + s * np.sign(arr) * tv
-    out = special.ndtr(arr / denom)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    out = special.ndtr(arr / (1.0 + s * np.sign(arr) * tv))
+    return float(out) if out.ndim == 0 else out
 
 
 def _log1p_over(u: float) -> float:
@@ -184,7 +175,7 @@ def x_plus(t: float) -> float:
     The factor log(1-t)/(-t) is evaluated by series near 0, so the formula
     extends continuously with limit 1 as t -> 0+.  Requires 0 < t < 1.
     """
-    return _x_plus_ext(check_open(t, 0.0, 1.0, "t"))
+    return _x_plus_ext(check_real(t, "t", 0.0, 1.0))
 
 
 def x_minus(t: float) -> float:
@@ -192,7 +183,7 @@ def x_minus(t: float) -> float:
 
     Continuous extension -1 as t -> 0.  Requires 0 < t < 1.
     """
-    return _x_minus_ext(check_open(t, 0.0, 1.0, "t"))
+    return _x_minus_ext(check_real(t, "t", 0.0, 1.0))
 
 
 def _plus_peak(t: float):
@@ -378,14 +369,14 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
 
 def f_minus(t: float) -> float:
     """Height of the negative-side peak of the deformation gap, smooth on (-1, 1)."""
-    tv = check_open(t, -1.0, 1.0, "t")
+    tv = check_real(t, "t", -1.0, 1.0)
     xm = _x_minus_ext(tv)
     return float(special.ndtr(xm / (1.0 + tv)) - special.ndtr(xm))
 
 
 def f_plus(t: float) -> float:
     """Height of the positive-side peak; satisfies f_plus(t) = -f_minus(-t)."""
-    return _plus_peak(check_open(t, -1.0, 1.0, "t"))[1]
+    return _plus_peak(check_real(t, "t", -1.0, 1.0))[1]
 
 
 def alpha(t: float) -> float:
@@ -394,13 +385,13 @@ def alpha(t: float) -> float:
     Writing x_minus(t) = -(1+t) sqrt(2 alpha(t)) turns the peak-height algebra
     for f_minus into expressions in alpha alone.
     """
-    tv = check_open(t, -1.0, 1.0, "t")
+    tv = check_real(t, "t", -1.0, 1.0)
     return _log1p_over(tv) / (2.0 + tv)
 
 
 def alpha_prime(t: float) -> float:
     """Derivative of alpha, differentiated in closed form with a series near 0."""
-    tv = check_open(t, -1.0, 1.0, "t")
+    tv = check_real(t, "t", -1.0, 1.0)
     lv = _log1p_over(tv)
     lp = _log1p_over_prime(tv)
     return lp / (2.0 + tv) - lv / (2.0 + tv) ** 2
@@ -411,7 +402,7 @@ def f_minus_prime(t: float) -> float:
 
     Strictly positive on (-1, 1); equals 1/sqrt(2 pi e) at t = 0.
     """
-    tv = check_open(t, -1.0, 1.0, "t")
+    tv = check_real(t, "t", -1.0, 1.0)
     a = alpha(tv)
     return math.exp(-a) * math.sqrt(2.0 * a) / (math.sqrt(2.0 * math.pi) * (1.0 + tv))
 
@@ -431,11 +422,8 @@ def secant_interval(target_slope: float, which: str) -> float:
     Returns 1.0 when the inequality holds on all of [0, 1).  The root residual
     |curve(t*) - slope * t*| is at most 1e-9.
     """
-    slope = float(target_slope)
     if which == "gamma_upper":
-        if not TANGENT_SLOPE < slope <= 0.5:
-            raise DomainError(
-                f"gamma_upper slope must lie in (1/sqrt(2*pi*e), 1/2], got {slope}")
+        slope = check_real(target_slope, "gamma_upper slope", TANGENT_SLOPE, 0.5, "(]")
 
         def h(t):
             return _gamma(t) - slope * t
@@ -443,8 +431,7 @@ def secant_interval(target_slope: float, which: str) -> float:
         # h < 0 strictly inside the valid stretch, h > 0 beyond the root
         inside_sign = -1.0
     elif which == "gplus_lower":
-        if not 0.375 <= slope < 1.0:
-            raise DomainError(f"gplus_lower slope must lie in [3/8, 1), got {slope}")
+        slope = check_real(target_slope, "gplus_lower slope", 0.375, 1.0, "[)")
         from .tail_bounds import _g_plus  # deferred: tail_bounds imports this module
 
         def h(t):

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from .deformation import _gamma, _t_value
-from .errors import DomainError, check_positive
+from .errors import DomainError, check_real
 
 __all__ = ["EmpiricalCdfView", "KsResult", "build_ecdf", "ks_to_normal",
            "rescale_cdf", "check_tube_inflation"]
@@ -113,7 +113,7 @@ def ks_to_normal(ecdf: EmpiricalCdfView) -> KsResult:
 
 def rescale_cdf(ecdf: EmpiricalCdfView, lam: float) -> EmpiricalCdfView:
     """View of the sample rescaled by lam > 0 (its CDF maps x to F(x/lam))."""
-    lv = check_positive(lam, "rescale factor")
+    lv = check_real(lam, "rescale factor", 0.0)
     return EmpiricalCdfView(ecdf.sorted_values * lv)
 
 
@@ -125,8 +125,8 @@ def check_tube_inflation(ecdf: EmpiricalCdfView, lam: float, epsilon: float, t,
     epsilon and |1 - lam| <= t), checks that the rescaled sample stays within
     epsilon + gamma(t) + tol.  Returns vacuous True when a hypothesis fails.
     """
-    lv = check_positive(lam, "rescale factor")
-    ev = check_positive(epsilon, "epsilon")
+    lv = check_real(lam, "rescale factor", 0.0)
+    ev = check_real(epsilon, "epsilon", 0.0)
     tv = _t_value(t)
     if ks_to_normal(ecdf).statistic > ev or abs(1.0 - lv) > tv:
         return True

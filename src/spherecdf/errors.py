@@ -1,4 +1,8 @@
-"""Semantic exceptions and the argument validators shared across the package."""
+"""Semantic exceptions and the argument validators shared across the package.
+
+Public functions validate each argument once, on entry, with check_real,
+check_int or check_u64, and refuse one outside its domain with DomainError.
+"""
 
 import math
 
@@ -7,6 +11,31 @@ import numpy as np
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
+
+
+# numbers.Real would also take Fraction and Decimal, and costs twice as much
+_REALS = (int, float, np.integer, np.floating)
+
+
+def check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf,
+               interval: str = "()") -> float:
+    """Validate a finite real between lo and hi and return it as a float.
+
+    Reals are int, float and numpy integer or floating scalars; strings, None,
+    Decimal and other objects are refused, never converted.  interval gives the
+    endpoint brackets, so check_real(v, name, 0.0) asks for v > 0.
+    """
+    try:
+        v = float(value) if isinstance(value, _REALS) else math.nan
+    except OverflowError:  # an int beyond the float range
+        v = math.nan
+    if not math.isfinite(v):
+        raise DomainError(f"{name} must be a finite real, got {value!r}")
+    if not ((lo < v if interval[0] == "(" else lo <= v)
+            and (v < hi if interval[1] == ")" else v <= hi)):
+        raise DomainError(
+            f"{name} must lie in {interval[0]}{lo:g}, {hi:g}{interval[1]}, got {value!r}")
+    return v
 
 
 def check_int(value, name: str, minimum: int = 1) -> int:
@@ -18,22 +47,6 @@ def check_int(value, name: str, minimum: int = 1) -> int:
     if n < minimum or n != value:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return n
-
-
-def check_positive(value, name: str) -> float:
-    """Validate a positive finite real and return it as a float."""
-    v = float(value)
-    if not math.isfinite(v) or v <= 0.0:
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    return v
-
-
-def check_open(value, lo: float, hi: float, name: str) -> float:
-    """Validate a real strictly between lo and hi and return it as a float."""
-    v = float(value)
-    if not lo < v < hi:
-        raise DomainError(f"{name} must lie in ({lo:g}, {hi:g}), got {value!r}")
-    return v
 
 
 def check_u64(value, name: str) -> int:

@@ -33,7 +33,7 @@ from scipy import special
 from . import deformation as dfm
 from . import tail_bounds as tb
 from .empirical import _ks_statistics
-from .errors import DomainError, check_int, check_open, check_positive, check_u64
+from .errors import DomainError, check_int, check_real, check_u64
 from .sampling import RngStream, _gaussian_rows, _norms
 
 __all__ = [
@@ -70,7 +70,7 @@ class TrialConfig:
         object.__setattr__(self, "N", check_int(self.N, "N"))
         object.__setattr__(self, "trials", check_int(self.trials, "trials", _MIN_TRIALS))
         object.__setattr__(self, "seed", check_u64(self.seed, "seed"))
-        object.__setattr__(self, "epsilon", check_positive(self.epsilon, "epsilon"))
+        object.__setattr__(self, "epsilon", check_real(self.epsilon, "epsilon", 0.0))
         object.__setattr__(self, "t", dfm._t_value(self.t))
 
 
@@ -115,7 +115,7 @@ def wilson_interval(count: int, trials: int, confidence: float = 0.95):
         raise DomainError(f"trials must be a positive integer, got {trials!r}")
     if not isinstance(count, (int, np.integer)) or not 0 <= count <= trials:
         raise DomainError(f"count must lie in [0, trials], got {count!r}")
-    conf = check_open(confidence, 0.0, 1.0, "confidence")
+    conf = check_real(confidence, "confidence", 0.0, 1.0)
     z = float(special.ndtri(0.5 * (1.0 + conf)))
     n = float(trials)
     phat = count / n
@@ -179,7 +179,7 @@ def run_dkw_trials(N: int, trials: int, seed: int, epsilon: float) -> MonteCarlo
     n = check_int(N, "N")
     trials = check_int(trials, "trials", _MIN_TRIALS)
     seed = check_u64(seed, "seed")
-    eps = check_positive(epsilon, "epsilon")
+    eps = check_real(epsilon, "epsilon", 0.0)
     count, = _count(n, seed, trials, _ks_statistics, lambda ks: ks > eps)
     return _report(count, trials, tb._dkw_term(n, eps))
 
@@ -262,6 +262,12 @@ def _gamma_grid(ts):
     return np.array([dfm._gamma(t) for t in ts.tolist()])
 
 
+def _scale_draws(gen):
+    """64 pairs (t, lambda): t uniform on (0.01, 0.99), then lambda on (1 - t, 1 + t)."""
+    pairs = [(t := gen.uniform(0.01, 0.99), gen.uniform(1.0 - t, 1.0 + t)) for _ in range(64)]
+    return np.array(pairs).T
+
+
 def _second_diff(vals):
     return vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
 
@@ -286,7 +292,7 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all",
     """
     grid_steps = check_int(grid_steps, "grid_steps", 100)
     if tolerance is not None:
-        tolerance = check_open(tolerance, -math.inf, math.inf, "tolerance")
+        tolerance = check_real(tolerance, "tolerance")
     if scope not in ("lemmas", "appendix", "all"):
         raise DomainError(f"scope must be 'lemmas', 'appendix' or 'all', got {scope!r}")
     gen = RngStream(seed, 0).generator()
@@ -308,13 +314,10 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all",
         # pointwise reflection of the deformed-CDF differences
         xr = gen.uniform(-8.0, 8.0, size=256)
         tr = gen.uniform(0.0, 0.99, size=256)
-        worst = (0.0, 0.0)
-        for xi, ti in zip(xr, tr):
-            lhs = dfm.phi_deformed(xi, ti, "plus") - dfm.std_normal_cdf(xi)
-            rhs = dfm.std_normal_cdf(-xi) - dfm.phi_deformed(-xi, ti, "minus")
-            if abs(lhs - rhs) > worst[0]:
-                worst = (abs(lhs - rhs), xi)
-        add("gap-reflection-pointwise", "lemmas", worst[0], 1e-14, worst[1])
+        lhs = dfm.phi_deformed(xr, tr, "plus") - dfm.std_normal_cdf(xr)
+        rhs = dfm.std_normal_cdf(-xr) - dfm.phi_deformed(-xr, tr, "minus")
+        r, w = _worst(np.abs(lhs - rhs), xr)
+        add("gap-reflection-pointwise", "lemmas", r, 1e-14, w)
 
         # closed form against the brute-force supremum
         to = np.arange(1, 100) / 100.0
@@ -332,17 +335,12 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all",
 
         # envelope ordering for random scale factors inside the window
         xs = np.linspace(-8.0, 8.0, 501)
-        worst = (-math.inf, 0.0)
-        for _ in range(64):
-            ti = float(gen.uniform(0.01, 0.99))
-            li = float(gen.uniform(1.0 - ti, 1.0 + ti))
-            mid = dfm.std_normal_cdf(xs / li)
-            below = dfm.phi_deformed(xs, ti, "minus") - mid
-            above = mid - dfm.phi_deformed(xs, ti, "plus")
-            v = max(float(below.max()), float(above.max()))
-            if v > worst[0]:
-                worst = (v, ti)
-        add("scale-envelope-ordering", "lemmas", worst[0], 1e-14, worst[1])
+        ts, ls = _scale_draws(gen)
+        mid = dfm.std_normal_cdf(xs / ls[:, None])
+        below = dfm.phi_deformed(xs, ts[:, None], "minus") - mid
+        above = mid - dfm.phi_deformed(xs, ts[:, None], "plus")
+        r, w = _worst(np.maximum(below.max(axis=1), above.max(axis=1)), ts)
+        add("scale-envelope-ordering", "lemmas", r, 1e-14, w)
 
         # secant lower bounds and curvature signs of the exponent rates
         gp = tb.g_plus(tg)
@@ -373,17 +371,12 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all",
         add("chisq-lm-equivalence", "lemmas", worst[0], 1e-12, worst[1])
 
         # chained tube inequality Phi(x) - gamma <= Phi(x/lambda) <= Phi(x) + gamma
-        worst = (-math.inf, 0.0)
-        for _ in range(64):
-            ti = float(gen.uniform(0.01, 0.99))
-            li = float(gen.uniform(1.0 - ti, 1.0 + ti))
-            g = dfm.gamma_closed(ti).gamma
-            mid = dfm.std_normal_cdf(xs / li)
-            base = dfm.std_normal_cdf(xs)
-            v = float(np.maximum(base - g - mid, mid - base - g).max())
-            if v > worst[0]:
-                worst = (v, ti)
-        add("tube-chain-pointwise", "lemmas", worst[0], 1e-12, worst[1])
+        ts, ls = _scale_draws(gen)
+        g = _gamma_grid(ts)[:, None]
+        mid = dfm.std_normal_cdf(xs / ls[:, None])
+        base = dfm.std_normal_cdf(xs)
+        r, w = _worst(np.maximum(base - g - mid, mid - base - g).max(axis=1), ts)
+        add("tube-chain-pointwise", "lemmas", r, 1e-12, w)
 
     if scope in ("appendix", "all"):
         h = 1e-5

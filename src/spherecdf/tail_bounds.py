@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .deformation import _bisect, _gamma, _golden_min, _t_array, _t_value
-from .errors import DomainError, check_int, check_positive
+from .errors import DomainError, check_int, check_real
 
 __all__ = [
     "BoundInputs",
@@ -61,7 +61,7 @@ class BoundInputs:
 
     def __post_init__(self):
         object.__setattr__(self, "N", check_int(self.N, "N"))
-        object.__setattr__(self, "epsilon", check_positive(self.epsilon, "epsilon"))
+        object.__setattr__(self, "epsilon", check_real(self.epsilon, "epsilon", 0.0))
         object.__setattr__(self, "t", _t_value(self.t))
 
 
@@ -136,7 +136,7 @@ def _g_minus(t):
 def dkw_bound(N, epsilon) -> float:
     """Two-sided DKW tail 2 exp(-2 N epsilon^2) for an i.i.d. empirical CDF."""
     n = check_int(N, "N")
-    eps = check_positive(epsilon, "epsilon")
+    eps = check_real(epsilon, "epsilon", 0.0)
     return _dkw_term(n, eps)
 
 
@@ -147,7 +147,7 @@ def lm_upper(N, x) -> LaurentMassartBound:
     2 sqrt(N x) + 2 x (Laurent and Massart, 2000).
     """
     n = check_int(N, "N")
-    xv = _lm_x(x)
+    xv = check_real(x, "chi-square deviation x", 0.0, interval="[)")
     return LaurentMassartBound(math.exp(-xv), 2.0 * math.sqrt(n * xv) + 2.0 * xv)
 
 
@@ -158,15 +158,8 @@ def lm_lower(N, x) -> LaurentMassartBound:
     2 sqrt(N x).
     """
     n = check_int(N, "N")
-    xv = _lm_x(x)
+    xv = check_real(x, "chi-square deviation x", 0.0, interval="[)")
     return LaurentMassartBound(math.exp(-xv), 2.0 * math.sqrt(n * xv))
-
-
-def _lm_x(x) -> float:
-    xv = float(x)
-    if not math.isfinite(xv) or xv < 0.0:
-        raise DomainError(f"chi-square deviation x must be >= 0, got {x!r}")
-    return xv
 
 
 def chisq_tail_upper(N, y) -> float:
@@ -176,9 +169,7 @@ def chisq_tail_upper(N, y) -> float:
     y = N + 2 sqrt(N x) + 2 x recovers exp(-x) exactly.
     """
     n = check_int(N, "N")
-    yv = float(y)
-    if not math.isfinite(yv) or yv < n:
-        raise DomainError(f"upper threshold y must satisfy y >= N, got {y!r}")
+    yv = check_real(y, "upper threshold y", n, interval="[)")
     root = math.sqrt(1.0 - 2.0 * (1.0 - yv / n))
     return math.exp(-0.25 * n * (root - 1.0) ** 2)
 
@@ -190,9 +181,7 @@ def chisq_tail_lower(N, y) -> float:
     y = N - 2 sqrt(N x) recovers exp(-x) exactly.
     """
     n = check_int(N, "N")
-    yv = float(y)
-    if not math.isfinite(yv) or not 0.0 <= yv <= n:
-        raise DomainError(f"lower threshold y must satisfy 0 <= y <= N, got {y!r}")
+    yv = check_real(y, "lower threshold y", 0.0, n, "[]")
     return math.exp(-0.25 * n * (yv / n - 1.0) ** 2)
 
 
@@ -250,7 +239,7 @@ def corollary_bound(N, epsilon, t) -> BoundBreakdown:
     Dominates the exact-variant total at every (N, epsilon, t).
     """
     n = check_int(N, "N")
-    eps = check_positive(epsilon, "epsilon")
+    eps = check_real(epsilon, "epsilon", 0.0)
     return _breakdown(n, eps, _t_value(t), "corollary")
 
 
@@ -299,7 +288,7 @@ def optimize_split(N, delta, mode: str = "exact_gamma") -> OptimizedBound:
     the sphere rather than being i.i.d.
     """
     n = check_int(N, "N")
-    dv = check_positive(delta, "delta")
+    dv = check_real(delta, "delta", 0.0)
     if mode not in ("exact_gamma", "corollary"):
         raise DomainError(f"mode must be 'exact_gamma' or 'corollary', got {mode!r}")
     best_eps, best_t, best_total = _best_split(n, dv, mode)
@@ -314,7 +303,5 @@ def p_value_bound(N, observed_ks) -> float:
     and clamps the total at 1.  Monotone nonincreasing in the observed value.
     """
     n = check_int(N, "N")
-    ks = float(observed_ks)
-    if not math.isfinite(ks) or not 0.0 < ks <= 1.0:
-        raise DomainError(f"observed KS statistic must lie in (0, 1], got {observed_ks!r}")
+    ks = check_real(observed_ks, "observed KS statistic", 0.0, 1.0, "(]")
     return min(1.0, _best_split(n, ks, "exact_gamma")[2])

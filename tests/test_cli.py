@@ -300,6 +300,14 @@ class TestUniformity:
         code, _, _ = run_cli(capsys, "test-uniformity", "--input", str(path))
         assert code == 2
 
+    def test_non_utf8_file(self, capsys, tmp_path):
+        # a decoding failure is an input error, not a failed check (exit 1)
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"0.5 0.5\n\xff 1\n")
+        code, out, err = run_cli(capsys, "test-uniformity", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert "cannot read" in err
+
     def test_nonfinite_file(self, capsys, tmp_path):
         path = tmp_path / "nan.txt"
         path.write_text("1.0 nan\n")

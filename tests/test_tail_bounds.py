@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherecdf import (BoundBreakdown, BoundInputs, DomainError,
+from spherecdf import (BoundBreakdown, BoundInputs, DomainError, build_ecdf,
                        chisq_tail_lower, chisq_tail_upper,
-                       corollary_bound, dkw_bound, g_minus, g_plus,
+                       corollary_bound, dkw_bound, f_minus, g_minus, g_plus,
                        gamma_closed, lambda_concentration_bound, lm_lower,
-                       lm_upper, optimize_split, p_value_bound, theorem_bound)
+                       lm_upper, optimize_split, p_value_bound, rescale_cdf,
+                       secant_interval, theorem_bound, wilson_interval, x_plus)
 
 # independent reimplementations of the exponent rates, kept in the suite so a
 # transcription slip in the package cannot hide
@@ -285,6 +286,34 @@ class TestTypes:
         with pytest.raises(DomainError):
             BoundBreakdown(dkw_term=0.1, gplus_term=0.1, gminus_term=0.1,
                            total=0.5, threshold=0.2)
+
+    @pytest.mark.parametrize("bad", ["0.1", None, math.nan, math.inf])
+    def test_real_domain(self, bad):
+        # every real argument is refused alike when it is not a finite number:
+        # strings are never converted and None never escapes as TypeError
+        ecdf = build_ecdf([0.1, 0.2, 0.3])
+        calls = [lambda: dkw_bound(100, bad), lambda: lm_upper(10, bad),
+                 lambda: chisq_tail_lower(10, bad), lambda: p_value_bound(10, bad),
+                 lambda: optimize_split(100, bad), lambda: wilson_interval(5, 10, bad),
+                 lambda: x_plus(bad), lambda: f_minus(bad), lambda: g_plus(bad),
+                 lambda: secant_interval(bad, "gamma_upper"),
+                 lambda: secant_interval(bad, "gplus_lower"),
+                 lambda: rescale_cdf(ecdf, bad)]
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
+
+    def test_real_domain_messages(self):
+        with pytest.raises(DomainError, match=r"^epsilon must be a finite real, got None$"):
+            dkw_bound(100, None)
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\], got 1\.5$"):
+            p_value_bound(10, 1.5)
+        with pytest.raises(DomainError, match=r"must lie in \[10, inf\), got 9$"):
+            chisq_tail_upper(10, 9)
+        # an int beyond the float range is refused, not an OverflowError
+        with pytest.raises(DomainError, match="finite real"):
+            lm_upper(10, 10**400)
+        assert dkw_bound(100, np.float32(0.25)) == dkw_bound(100, 0.25)
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5, "10", math.inf, None])
     def test_dimension_domain(self, bad):
