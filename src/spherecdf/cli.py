@@ -14,10 +14,10 @@ human (default), csv (12 significant digits, LF line endings), and json (one
 top-level object with fields command/inputs/results/seed/version).  All output
 is a pure function of the flags; seeds default to 0 and are echoed.
 
-Each subcommand's handler computes one `_Result` (its inputs, its json
-results, its csv header and rows, its human lines, the seed it echoes and its
-exit code) and writes nothing; `main` renders that record in the requested
-format through `_emit`, the only write to stdout.
+Each subcommand's handler computes one `_Result` (its json results, its csv
+header and rows, its human lines and its exit code) and writes nothing; `main`
+renders that record in the requested format through `_emit`, the only write
+to stdout, which echoes the parsed flags as the json inputs.
 """
 
 import argparse
@@ -58,12 +58,10 @@ _SIMULATE = {
 class _Result(NamedTuple):
     """What one subcommand computed, in the shape of each output format."""
 
-    inputs: dict
     results: dict   # json
     header: list    # csv
     rows: list      # csv
     human: list     # lines
-    seed: object = None
     code: int = 0
 
 
@@ -78,13 +76,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(command, fmt, res, out):
-    if fmt == "json":
-        payload = {"command": command, "inputs": res.inputs, "results": res.results,
-                   "seed": res.seed, "version": __version__}
+def _emit(args, res, out):
+    if args.format == "json":
+        # inputs echo every flag but the presentation-only --format, in parser
+        # order; --seed is the top-level seed, None where a subcommand has none
+        inputs = {k: v for k, v in vars(args).items() if k not in ("command", "format", "seed")}
+        payload = {"command": args.command, "inputs": inputs, "results": res.results,
+                   "seed": getattr(args, "seed", None), "version": __version__}
         out.write(json.dumps(payload, indent=2) + "\n")
         return
-    lines = res.human if fmt == "human" else [
+    lines = res.human if args.format == "human" else [
         ",".join(_fmt(v) for v in row) for row in [res.header, *res.rows]]
     out.write("".join(line + "\n" for line in lines))
 
@@ -177,8 +178,7 @@ def _cmd_bound_eval(args) -> _Result:
                 ("corollary", corollary_bound(args.n, args.epsilon, args.t)))
     results = {name: _breakdown_dict(b) for name, b in variants}
     return _Result(
-        {"n": args.n, "epsilon": args.epsilon, "t": args.t}, results,
-        ["n", "epsilon", "t", "variant", *results["theorem"]],
+        results, ["n", "epsilon", "t", "variant", *results["theorem"]],
         [[args.n, args.epsilon, args.t, name, *d.values()] for name, d in results.items()],
         [f"inputs: n={args.n} epsilon={_fmt(args.epsilon)} t={_fmt(args.t)}"]
         + [f"{name:9s} threshold={_fmt(b.threshold)} dkw={_fmt(b.dkw_term)} "
@@ -190,7 +190,6 @@ def _cmd_bound_optimize(args) -> _Result:
     opt = optimize_split(args.n, args.delta, args.mode)
     br = _breakdown(args.n, opt.best_epsilon, opt.best_t, opt.mode)
     return _Result(
-        {"n": args.n, "delta": args.delta, "mode": args.mode},
         {"delta": opt.delta, "best_epsilon": opt.best_epsilon, "best_t": opt.best_t,
          "best_total": opt.best_total, "mode": opt.mode, "breakdown": _breakdown_dict(br)},
         ["n", "delta", "mode", "best_epsilon", "best_t", "best_total",
@@ -214,7 +213,6 @@ def _cmd_gamma(args) -> _Result:
     rows = [[tv, gamma_closed(tv).gamma, oracle, 0.5 * tv, g_plus(tv), g_minus(tv),
              tv, 0.375 * tv] for tv, oracle in zip(ts.tolist(), gamma_oracle(ts).tolist())]
     return _Result(
-        {"t_min": args.t_min, "t_max": args.t_max, "steps": args.steps},
         {"columns": header, "rows": rows}, header, rows,
         ["  ".join(f"{_fmt(v):>14s}" for v in row) for row in [header, *rows]])
 
@@ -238,8 +236,6 @@ def _cmd_simulate(args) -> _Result:
                      f"wilson=[{_fmt(r.wilson_low)}, {_fmt(r.wilson_high)}] "
                      f"bound={_fmt(r.bound)} dominated={_fmt(r.dominated)}{extra}")
     return _Result(
-        {"kind": args.kind, "n": args.n, "trials": args.trials,
-         "epsilon": args.epsilon, "t": args.t, "x": args.x},
         {side: asdict(r) for side, r in reports.items()},
         ["kind", "n", "trials", "seed", "epsilon", "t", "x", "side", "event_count",
          "upper_count", "lower_count", "frequency", "wilson_low", "wilson_high", "bound",
@@ -248,15 +244,13 @@ def _cmd_simulate(args) -> _Result:
           r.event_count, getattr(r, "upper_count", None), getattr(r, "lower_count", None),
           r.frequency, r.wilson_low, r.wilson_high, r.bound, r.dominated]
          for side, r in reports.items()],
-        human, seed=args.seed,
-        code=0 if all(r.dominated for r in reports.values()) else 1)
+        human, code=0 if all(r.dominated for r in reports.values()) else 1)
 
 
 def _cmd_verify(args) -> _Result:
     report = verify_lemmas(grid_steps=args.grid_steps, tolerance=args.tolerance,
                            scope=args.scope)
     return _Result(
-        {"scope": args.scope, "grid_steps": args.grid_steps, "tolerance": args.tolerance},
         {"checks": [asdict(c) for c in report.checks], "all_passed": report.all_passed},
         ["scope", "check", "residual", "threshold", "where", "passed"],
         [[c.scope, c.name, c.residual, c.threshold, c.where, c.passed]
@@ -285,7 +279,6 @@ def _cmd_test_uniformity(args) -> _Result:
         rows.append(dict(zip(header, (i, n, flag, stat, p, p < args.alpha))))
     rejected = sum(1 for r in rows if r["reject"])
     return _Result(
-        {"input": args.input, "alpha": args.alpha},
         {"rows": rows, "summary": {"rows": len(rows), "rejected": rejected,
                                    "alpha": args.alpha}},
         header, [list(r.values()) for r in rows],
@@ -313,7 +306,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'spherecdf {args.command} --help' for usage", file=sys.stderr)
         return 2
-    _emit(args.command, args.format, res, sys.stdout)
+    _emit(args, res, sys.stdout)
     return res.code
 
 

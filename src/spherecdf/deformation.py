@@ -139,9 +139,14 @@ def phi_deformed(x, t, sign: str):
         s = 1.0
     else:
         raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    arr = np.asarray(x, dtype=np.float64)
-    out = special.ndtr(arr / (1.0 + s * np.sign(arr) * tv))
+    out = _phi_def(np.asarray(x, dtype=np.float64), tv, s)
     return float(out) if out.ndim == 0 else out
+
+
+def _phi_def(x, t, s):
+    # Phi(x / (1 + s sgn(x) t)) on validated arrays: s = -1 is the plus side,
+    # s = 1 the minus side; at x = 0 the quotient is 0 for any t
+    return special.ndtr(x / (1.0 + s * np.sign(x) * t))
 
 
 def _log1p_over(u: float) -> float:
@@ -164,11 +169,6 @@ def _x_plus_ext(t: float) -> float:
     return math.sqrt(2.0 * (1.0 - t) ** 2 / (2.0 - t) * _log1p_over(-t))
 
 
-def _x_minus_ext(t: float) -> float:
-    # negative critical point, smooth continuation over (-1, 1) with value -1 at 0
-    return -math.sqrt(2.0 * (1.0 + t) ** 2 / (2.0 + t) * _log1p_over(t))
-
-
 def x_plus(t: float) -> float:
     """Positive critical point of the plus-deformed difference curve.
 
@@ -181,9 +181,10 @@ def x_plus(t: float) -> float:
 def x_minus(t: float) -> float:
     """Negative critical point of the plus-deformed difference curve.
 
-    Continuous extension -1 as t -> 0.  Requires 0 < t < 1.
+    The reflection t -> -t of x_plus (term by term the same floating-point
+    expression), with continuous extension -1 as t -> 0.  Requires 0 < t < 1.
     """
-    return _x_minus_ext(check_real(t, "t", 0.0, 1.0))
+    return -_x_plus_ext(-check_real(t, "t", 0.0, 1.0))
 
 
 def _plus_peak(t: float):
@@ -204,6 +205,16 @@ def _gamma(t: float) -> float:
     if not gamma < 0.5:
         raise DomainError(f"gap value out of [0, 1/2): {gamma}")
     return gamma
+
+
+def _g_plus(t):
+    # kernel of tail_bounds.g_plus on a validated float or ndarray
+    return 0.5 * (1.0 - 1.0 / (1.0 + t) ** 2)
+
+
+def _g_minus(t):
+    # kernel of tail_bounds.g_minus on a validated float or ndarray
+    return 0.5 * (np.sqrt(2.0 / (1.0 - t) ** 2 - 1.0) - 1.0)
 
 
 def gamma_closed(t) -> GapEvaluation:
@@ -235,15 +246,14 @@ def _bisect(pred, lo: float, hi: float, tol: float):
     return lo, hi
 
 
-def _golden_min(fn, a: float, b: float, tol: float, best=None):
+def _golden_min(fn, a: float, b: float, tol: float, best):
     """Golden-section search for a minimum of fn on [a, b]; returns (x_best, f_best).
 
     The bracket shrinks until it is at most tol wide, or until a step leaves
     it unchanged (a bracket a few ulps wide can shrink no further, whatever
     tol is).  After each shrink the two interior probes, left one first,
     replace the best point only when strictly lower, so ties keep the earlier
-    point.  best is an (x, f) incumbent to beat; without one, the lower
-    opening probe seeds it.
+    point.  best is the (x, f) incumbent to beat.
 
     Serves tail_bounds._best_split, whose objective must keep math.exp (np.exp
     rounds differently on some arguments); a one-lane _golden_lanes search on
@@ -252,8 +262,6 @@ def _golden_min(fn, a: float, b: float, tol: float, best=None):
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fn(c), fn(d)
-    if best is None:
-        best = (d, fd) if fd < fc else (c, fc)
     best_x, best_f = best
     while b - a > tol:
         bracket = (a, b)
@@ -274,12 +282,13 @@ def _golden_min(fn, a: float, b: float, tol: float, best=None):
 
 
 def _golden_lanes(fn, a, b, tol):
-    """_golden_min(fn, a, b, tol)[1] for arrays of brackets [a, b], run in lockstep.
+    """Golden-section minima of fn over arrays of brackets [a, b], run in lockstep.
 
-    Every lane takes exactly the scalar search's steps on its own bracket, so
-    each returned minimum equals the scalar one bit for bit.  fn maps an array
-    holding one probe per lane to their values; a lane that has stopped keeps
-    its state while the others finish.
+    Every lane takes exactly _golden_min's steps on its own bracket, with the
+    lower of its two opening probes as the incumbent, so each returned minimum
+    equals that scalar search's bit for bit.  fn maps an array holding one
+    probe per lane to their values; a lane that has stopped keeps its state
+    while the others finish.
     """
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -335,6 +344,7 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
     """
     tv = _t_array(t)
     grid_points = check_int(grid_points, "grid_points", 1000)
+    refine_tolerance = check_real(refine_tolerance, "refine_tolerance", 0.0, interval="[)")
     if side not in ("plus", "minus"):
         raise DomainError(f"side must be 'plus' or 'minus', got {side!r}")
     ts = np.ravel(tv)
@@ -343,10 +353,9 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
     n, m = len(xs), len(half) - 1  # xs[m] == 0 splits the two half-lines
 
     def diff(x, tt):
-        # at x = 0 the quotient is 0 for any t, so copysign also serves the grid
         if side == "plus":
-            return special.ndtr(x / (1.0 - np.copysign(tt, x))) - special.ndtr(x)
-        return special.ndtr(x) - special.ndtr(x / (1.0 + np.copysign(tt, x)))
+            return _phi_def(x, tt, -1.0) - special.ndtr(x)
+        return special.ndtr(x) - _phi_def(x, tt, 1.0)
 
     best = np.empty(ts.size)
     lo = np.empty((2, ts.size))
@@ -370,7 +379,7 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
 def f_minus(t: float) -> float:
     """Height of the negative-side peak of the deformation gap, smooth on (-1, 1)."""
     tv = check_real(t, "t", -1.0, 1.0)
-    xm = _x_minus_ext(tv)
+    xm = -_x_plus_ext(-tv)
     return float(special.ndtr(xm / (1.0 + tv)) - special.ndtr(xm))
 
 
@@ -432,7 +441,6 @@ def secant_interval(target_slope: float, which: str) -> float:
         inside_sign = -1.0
     elif which == "gplus_lower":
         slope = check_real(target_slope, "gplus_lower slope", 0.375, 1.0, "[)")
-        from .tail_bounds import _g_plus  # deferred: tail_bounds imports this module
 
         def h(t):
             return _g_plus(t) - slope * t

@@ -128,6 +128,7 @@ def check_tube_inflation(ecdf: EmpiricalCdfView, lam: float, epsilon: float, t,
     lv = check_real(lam, "rescale factor", 0.0)
     ev = check_real(epsilon, "epsilon", 0.0)
     tv = _t_value(t)
+    tol = check_real(tol, "tol", 0.0, interval="[)")
     if ks_to_normal(ecdf).statistic > ev or abs(1.0 - lv) > tv:
         return True
     inflated = ks_to_normal(rescale_cdf(ecdf, lv)).statistic

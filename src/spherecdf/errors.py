@@ -15,18 +15,21 @@ class DomainError(ValueError):
 
 # numbers.Real would also take Fraction and Decimal, and costs twice as much
 _REALS = (int, float, np.integer, np.floating)
+# bool subclasses int, yet no validator takes True or False as a number
+_BOOLS = (bool, np.bool_)
 
 
 def check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf,
                interval: str = "()") -> float:
     """Validate a finite real between lo and hi and return it as a float.
 
-    Reals are int, float and numpy integer or floating scalars; strings, None,
-    Decimal and other objects are refused, never converted.  interval gives the
-    endpoint brackets, so check_real(v, name, 0.0) asks for v > 0.
+    Reals are int, float and numpy integer or floating scalars; bools, strings,
+    None, Decimal and other objects are refused, never converted.  interval
+    gives the endpoint brackets, so check_real(v, name, 0.0) asks for v > 0.
     """
+    real = isinstance(value, _REALS) and not isinstance(value, _BOOLS)
     try:
-        v = float(value) if isinstance(value, _REALS) else math.nan
+        v = float(value) if real else math.nan
     except OverflowError:  # an int beyond the float range
         v = math.nan
     if not math.isfinite(v):
@@ -41,16 +44,17 @@ def check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf,
 def check_int(value, name: str, minimum: int = 1) -> int:
     """Validate an integral count of at least minimum and return it as an int."""
     try:
-        n = int(value)
+        n = None if isinstance(value, _BOOLS) else int(value)
     except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}") from None
-    if n < minimum or n != value:
+        n = None
+    if n is None or n < minimum or n != value:
         raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return n
 
 
 def check_u64(value, name: str) -> int:
     """Validate an unsigned 64-bit integer key and return it as an int."""
-    if not isinstance(value, (int, np.integer)) or not 0 <= value < (1 << 64):
+    if isinstance(value, _BOOLS) or not isinstance(value, (int, np.integer)) \
+            or not 0 <= value < (1 << 64):
         raise DomainError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
     return int(value)

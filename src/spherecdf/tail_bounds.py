@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .deformation import _bisect, _gamma, _golden_min, _t_array, _t_value
+from .deformation import _bisect, _g_minus, _g_plus, _gamma, _golden_min, _t_array, _t_value
 from .errors import DomainError, check_int, check_real
 
 __all__ = [
@@ -121,16 +121,6 @@ def g_minus(t):
     """
     out = _g_minus(_t_array(t))
     return float(out) if np.ndim(t) == 0 else out
-
-
-def _g_plus(t):
-    # kernel of g_plus on a validated float or ndarray
-    return 0.5 * (1.0 - 1.0 / (1.0 + t) ** 2)
-
-
-def _g_minus(t):
-    # kernel of g_minus on a validated float or ndarray
-    return 0.5 * (np.sqrt(2.0 / (1.0 - t) ** 2 - 1.0) - 1.0)
 
 
 def dkw_bound(N, epsilon) -> float:
@@ -227,7 +217,7 @@ def theorem_bound(inputs: BoundInputs) -> BoundBreakdown:
     threshold = epsilon + gamma(t); total = DKW term + both scale terms.
     """
     if not isinstance(inputs, BoundInputs):
-        inputs = BoundInputs(*inputs)
+        raise DomainError("theorem_bound expects a BoundInputs")
     return _breakdown(inputs.N, inputs.epsilon, inputs.t, "exact_gamma")
 
 

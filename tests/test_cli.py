@@ -308,6 +308,13 @@ class TestUniformity:
         assert (code, out) == (2, "")
         assert "cannot read" in err
 
+    def test_unparsable_value(self, capsys, tmp_path):
+        path = tmp_path / "abc.txt"
+        path.write_text("0.5 0.5\n0.1 abc\n")
+        code, out, err = run_cli(capsys, "test-uniformity", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert f"{path}:2: unparsable value" in err
+
     def test_nonfinite_file(self, capsys, tmp_path):
         path = tmp_path / "nan.txt"
         path.write_text("1.0 nan\n")

@@ -204,6 +204,16 @@ class TestGamma:
     def test_param_type_accepted(self):
         assert gamma_closed(DeformationParam(0.5)).gamma == gamma_closed(0.5).gamma
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, "0.1", None])
+    def test_oracle_refine_tolerance_domain(self, bad):
+        # a nan tolerance would skip the refinement and return the coarse maximum
+        with pytest.raises(DomainError, match="refine_tolerance"):
+            gamma_oracle(0.5, refine_tolerance=bad)
+
+    def test_oracle_bad_side(self):
+        with pytest.raises(DomainError, match="side must be"):
+            gamma_oracle(0.5, side="up")
+
 
 def _switch_points(signs):
     """The 1e-4 and 1e-3 series switches, +-1 ulp and +-k*1e6 ulp around each."""

@@ -49,6 +49,8 @@ class TestBuildEcdf:
             build_ecdf([1.0, math.nan])
         with pytest.raises(DomainError):
             EmpiricalCdfView(np.array([2.0, 1.0]))
+        with pytest.raises(DomainError, match="1-D sample"):
+            build_ecdf(np.ones((2, 2)))
 
     def test_view_is_immutable(self):
         view = build_ecdf([3.0, 1.0, 2.0])
@@ -150,6 +152,13 @@ class TestTubeInflation:
         eps = ks_to_normal(view).statistic + 1e-12
         assert check_tube_inflation(view, 1.0 + t, eps, t)
         assert check_tube_inflation(view, 1.0 - t, eps, t)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, "0.1", None])
+    def test_tol_domain(self, bad):
+        view = build_ecdf([-0.5, 0.0, 0.5])
+        with pytest.raises(DomainError, match="tol"):
+            check_tube_inflation(view, 1.0, 0.5, 0.1, tol=bad)
+        assert check_tube_inflation(view, 1.0, 0.5, 0.1, tol=0.0)
 
     def test_vacuous_when_hypotheses_fail(self):
         view = build_ecdf([50.0, 60.0])  # nowhere near the Gaussian

@@ -52,6 +52,8 @@ class TestWilson:
             wilson_interval(11, 10)
         with pytest.raises(DomainError):
             wilson_interval(5, 10, confidence=1.0)
+        with pytest.raises(DomainError, match="trials must be a positive integer"):
+            wilson_interval(5, 10.0)
 
 
 class TestTheoremTrials:
@@ -220,6 +222,10 @@ class TestVerifyLemmas:
         assert {c.scope for c in lem.checks} == {"lemmas"}
         both = verify_lemmas(grid_steps=120, scope="all")
         assert len(both.checks) == len(app.checks) + len(lem.checks)
+
+    def test_unknown_scope(self):
+        with pytest.raises(DomainError, match="scope must be"):
+            verify_lemmas(scope="x")
 
     def test_reports_worst_location(self):
         report = verify_lemmas(grid_steps=120)

@@ -7,15 +7,18 @@ delta values cover the KS floor 1/(2N), a mid-range budget and the t_max
 branch (delta >= 0.5).  The tiny-delta and verify pins were recorded from the
 implementation that ran gamma_oracle one t at a time and searched a feasible
 range collapsed to t = 0.  PUBLIC_NAMES pins the package surface, which
-__init__ builds from each module's __all__.
+__init__ builds from each module's __all__.  The x_minus, peak and deformed-CDF
+pins were recorded from the implementation that kept its own negative-side
+critical-point formula and a second copy of the deformed CDF in gamma_oracle;
+they cover both sides of the 1e-4 series switch, t = 0 and x = 0, +-12.
 """
 
 import pytest
 
 import spherecdf
-from spherecdf import (BoundInputs, corollary_bound, gamma_closed, gamma_oracle,
-                       lambda_concentration_bound, optimize_split, p_value_bound,
-                       theorem_bound, verify_lemmas)
+from spherecdf import (BoundInputs, corollary_bound, f_minus, f_plus, gamma_closed,
+                       gamma_oracle, lambda_concentration_bound, optimize_split,
+                       p_value_bound, phi_deformed, theorem_bound, verify_lemmas, x_minus)
 
 PUBLIC_NAMES = [
     'BoundBreakdown', 'BoundInputs', 'CheckResult', 'DeformationParam', 'DomainError',
@@ -108,6 +111,85 @@ BOUND_PINS = [
 ]
 
 
+X_MINUS_PINS = [
+    (1e-12, -1.0000000000005),
+    (1e-06, -1.0000004999997916),
+    (9.9999e-05, -1.0000499974168124),
+    (0.0001, -1.0000499979167707),
+    (0.00010001, -1.0000500029163542),
+    (0.01, -1.0049792702654914),
+    (0.1, -1.0480154377417716),
+    (0.25, -1.1134120513942958),
+    (0.5, -1.2081698511340992),
+    (0.75, -1.2891428585018831),
+    (0.9, -1.3324975912602772),
+    (0.99, -1.3569117167376983),
+    (0.999999999999, -1.3595559868914815),
+]
+
+PEAK_PINS = [
+    # (t, f_minus(t), f_plus(t))
+    (-0.99, -0.4866912819082209, -0.1602574692511165),
+    (-0.9, -0.3991079704561624, -0.15020501032634337),
+    (-0.5, -0.16133728441738432, -0.09679004632150945),
+    (-0.25, -0.06913481601170157, -0.05377136375284153),
+    (-0.1, -0.02547060475563545, -0.02304483222470355),
+    (-0.00010001, -2.4200702315235745e-05, -2.4198282124077153e-05),
+    (-0.0001, -2.419828236605026e-05, -2.4195862658671352e-05),
+    (-9.9999e-05, -2.419804037107065e-05, -2.4195620712097465e-05),
+    (-1e-06, -2.4197084552701753e-07, -2.419706035539093e-07),
+    (0.0, 0.0, 0.0),
+    (1e-06, 2.419706035539093e-07, 2.419708454715064e-07),
+    (9.9999e-05, 2.4195620712208488e-05, 2.419804037101514e-05),
+    (0.0001, 2.4195862658726863e-05, 2.4198282366105772e-05),
+    (0.00010001, 2.4198282124077153e-05, 2.4200702315235745e-05),
+    (0.1, 0.023044832224703604, 0.02547060475563545),
+    (0.25, 0.05377136375284147, 0.06913481601170157),
+    (0.5, 0.09679004632150956, 0.16133728441738426),
+    (0.9, 0.1502050103263433, 0.3991079704561623),
+    (0.99, 0.16025746925111645, 0.486691281908221),
+]
+
+PHI_DEFORMED_PINS = [
+    # (x, t, plus, minus)
+    (-12.0, 0.0, 1.776482112077653e-33, 1.776482112077653e-33),
+    (-12.0, 0.1, 5.214703332852256e-28, 7.40641277190706e-41),
+    (-12.0, 0.5, 6.22096057427174e-16, 1.390392118549624e-127),
+    (-12.0, 0.99, 8.190340113646049e-10, 0.0),
+    (-3.0, 0.0, 0.0013498980316300933, 0.0013498980316300933),
+    (-3.0, 0.1, 0.0031930116413535284, 0.0004290603331968372),
+    (-3.0, 0.5, 0.022750131948179195, 9.865876450376946e-10),
+    (-3.0, 0.99, 0.06583644548598727, 0.0),
+    (-1.0, 0.0, 0.15865525393145707, 0.15865525393145707),
+    (-1.0, 0.1, 0.18165107044344897, 0.13326026290250537),
+    (-1.0, 0.5, 0.2524925375469229, 0.022750131948179195),
+    (-1.0, 0.99, 0.3076535088197053, 0.0),
+    (-0.25, 0.0, 0.4012936743170763, 0.4012936743170763),
+    (-0.25, 0.1, 0.4101058393642264, 0.390591475433575),
+    (-0.25, 0.5, 0.43381616738909634, 0.3085375387259869),
+    (-0.25, 0.99, 0.4500131431842009, 3.056696706383953e-138),
+    (0.0, 0.0, 0.5, 0.5),
+    (0.0, 0.1, 0.5, 0.5),
+    (0.0, 0.5, 0.5, 0.5),
+    (0.0, 0.99, 0.5, 0.5),
+    (0.25, 0.0, 0.5987063256829237, 0.5987063256829237),
+    (0.25, 0.1, 0.609408524566425, 0.5898941606357736),
+    (0.25, 0.5, 0.6914624612740131, 0.5661838326109037),
+    (0.25, 0.99, 1.0, 0.5499868568157991),
+    (1.0, 0.0, 0.8413447460685429, 0.8413447460685429),
+    (1.0, 0.1, 0.8667397370974946, 0.818348929556551),
+    (1.0, 0.5, 0.9772498680518208, 0.7475074624530771),
+    (1.0, 0.99, 1.0, 0.6923464911802947),
+    (3.0, 0.0, 0.9986501019683699, 0.9986501019683699),
+    (3.0, 0.1, 0.9995709396668032, 0.9968069883586465),
+    (3.0, 0.5, 0.9999999990134123, 0.9772498680518208),
+    (3.0, 0.99, 1.0, 0.9341635545140128),
+    (12.0, 0.0, 1.0, 1.0),
+    (12.0, 0.1, 1.0, 1.0),
+    (12.0, 0.5, 1.0, 0.9999999999999993),
+    (12.0, 0.99, 1.0, 0.9999999991809659),
+]
+
 @pytest.mark.parametrize("N, delta, mode, eps, t, total", OPTIMIZE_PINS)
 def test_optimize_split(N, delta, mode, eps, t, total):
     opt = optimize_split(N, delta, mode)
@@ -157,3 +239,25 @@ def test_public_surface():
     assert len(set(spherecdf.__all__)) == len(spherecdf.__all__)
     for name in spherecdf.__all__:
         assert hasattr(spherecdf, name), name
+
+
+@pytest.mark.parametrize("t, value", X_MINUS_PINS)
+def test_x_minus(t, value):
+    assert x_minus(t) == value
+
+
+@pytest.mark.parametrize("t, minus, plus", PEAK_PINS)
+def test_peak_heights(t, minus, plus):
+    assert (f_minus(t), f_plus(t)) == (minus, plus)
+
+
+@pytest.mark.parametrize("x, t, plus, minus", PHI_DEFORMED_PINS)
+def test_phi_deformed(x, t, plus, minus):
+    assert (phi_deformed(x, t, "plus"), phi_deformed(x, t, "minus")) == (plus, minus)
+
+
+def test_phi_deformed_grid():
+    # the array path broadcasts one (x, t) grid and must equal the scalar pins
+    x, t, plus, minus = (list(col) for col in zip(*PHI_DEFORMED_PINS))
+    assert phi_deformed(x, t, "plus").tolist() == plus
+    assert phi_deformed(x, t, "minus").tolist() == minus

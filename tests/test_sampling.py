@@ -199,6 +199,10 @@ class TestLambdaOf:
         with pytest.raises(DomainError):
             lambda_of(np.zeros(3))
 
+    def test_matrix_rejected(self):
+        with pytest.raises(DomainError, match="1-D vector"):
+            lambda_of(np.ones((2, 2)))
+
     def test_matches_mpmath_at_1e5(self):
         mpmath = pytest.importorskip("mpmath")
         z = gaussian_vector(100_000, RngStream(seed=4))

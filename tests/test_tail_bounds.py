@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherecdf import (BoundBreakdown, BoundInputs, DomainError, build_ecdf,
-                       chisq_tail_lower, chisq_tail_upper,
+from spherecdf import (BoundBreakdown, BoundInputs, DeformationParam, DomainError,
+                       RngStream, build_ecdf, chisq_tail_lower, chisq_tail_upper,
                        corollary_bound, dkw_bound, f_minus, g_minus, g_plus,
                        gamma_closed, lambda_concentration_bound, lm_lower,
                        lm_upper, optimize_split, p_value_bound, rescale_cdf,
                        secant_interval, theorem_bound, wilson_interval, x_plus)
+from spherecdf.errors import check_int
 
 # independent reimplementations of the exponent rates, kept in the suite so a
 # transcription slip in the package cannot hide
@@ -162,6 +163,10 @@ class TestTheoremBound:
         assert abs(b.threshold - (0.1 + gamma_closed(0.2).gamma)) <= 1e-15
         assert abs(b.threshold - 0.15377136375284147) <= 1e-14
         assert abs(b.total - (b.dkw_term + b.gplus_term + b.gminus_term)) <= 1e-15
+
+    def test_only_bound_inputs(self):
+        with pytest.raises(DomainError, match="expects a BoundInputs"):
+            theorem_bound((100, 0.1, 0.2))
 
     def test_vacuous_limit(self):
         b = theorem_bound(BoundInputs(100, 1e-12, 0.0))
@@ -314,6 +319,18 @@ class TestTypes:
         with pytest.raises(DomainError, match="finite real"):
             lm_upper(10, 10**400)
         assert dkw_bound(100, np.float32(0.25)) == dkw_bound(100, 0.25)
+
+    # a bool is refused for its type, never read as 0 or 1
+    @pytest.mark.parametrize("call", [
+        lambda b: DeformationParam(b), lambda b: dkw_bound(100, b),
+        lambda b: check_int(b, "N", 0), lambda b: RngStream(b), lambda b: RngStream(0, b),
+        lambda b: g_plus(b)], ids=["DeformationParam", "dkw_bound", "check_int",
+                                   "RngStream.seed", "RngStream.stream_id", "g_plus"])
+    @pytest.mark.parametrize("b", [True, False, np.True_, np.False_],
+                             ids=["True", "False", "np.True_", "np.False_"])
+    def test_bools_refused(self, call, b):
+        with pytest.raises(DomainError):
+            call(b)
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5, "10", math.inf, None])
     def test_dimension_domain(self, bad):
