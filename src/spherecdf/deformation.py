@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, check_int, check_real
+from .errors import DomainError, check_int, check_real, check_reals
 
 __all__ = [
     "DeformationParam",
@@ -97,13 +97,7 @@ def _t_value(t) -> float:
 
 def _t_array(t):
     """Validate a float, ndarray or DeformationParam of t values in [0, 1)."""
-    if isinstance(t, DeformationParam):
-        return t.t
-    arr = np.asarray(t)
-    # check_real's type rule; NaN fails both comparisons, so it is refused with +-inf
-    if arr.dtype.kind not in "iuf" or not ((arr >= 0.0) & (arr < 1.0)).all():
-        raise DomainError(f"t must lie in [0, 1), got {t!r}")
-    return arr.astype(np.float64, copy=False)
+    return t.t if isinstance(t, DeformationParam) else check_reals(t, "t", 0.0, 1.0, "[)")
 
 
 def std_normal_cdf(x):
@@ -115,13 +109,8 @@ def std_normal_cdf(x):
 
     Raises DomainError on non-finite input.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("std_normal_cdf requires finite input")
-    out = special.ndtr(arr)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    out = special.ndtr(check_reals(x, "x"))
+    return float(out) if out.ndim == 0 else out
 
 
 def phi_deformed(x, t, sign: str):
@@ -139,7 +128,7 @@ def phi_deformed(x, t, sign: str):
         s = 1.0
     else:
         raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    out = _phi_def(np.asarray(x, dtype=np.float64), tv, s)
+    out = _phi_def(check_reals(x, "x"), tv, s)
     return float(out) if out.ndim == 0 else out
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from .deformation import _gamma, _t_value
-from .errors import DomainError, check_real
+from .errors import DomainError, check_real, check_reals
 
 __all__ = ["EmpiricalCdfView", "KsResult", "build_ecdf", "ks_to_normal",
            "rescale_cdf", "check_tube_inflation"]
@@ -30,11 +30,9 @@ class EmpiricalCdfView:
     sorted_values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.sorted_values, dtype=np.float64, copy=True)
+        v = np.array(check_reals(self.sorted_values, "sample values"))
         if v.ndim != 1 or v.size == 0:
             raise DomainError("an empirical CDF needs a nonempty 1-D sample")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("sample values must be finite")
         if np.any(np.diff(v) < 0.0):
             raise DomainError("values must be sorted ascending; use build_ecdf")
         v.setflags(write=False)
@@ -46,11 +44,8 @@ class EmpiricalCdfView:
 
     def evaluate(self, x):
         """Fraction of sample values <= x; scalar in, scalar out."""
-        arr = np.asarray(x, dtype=np.float64)
-        out = np.searchsorted(self.sorted_values, arr, side="right") / self.n
-        if arr.ndim == 0:
-            return float(out)
-        return out
+        out = np.searchsorted(self.sorted_values, check_reals(x, "x"), side="right") / self.n
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -68,10 +63,9 @@ class KsResult:
 
 def build_ecdf(values) -> EmpiricalCdfView:
     """Sort a copy of the sample into an empirical CDF view; ties stack."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise DomainError("build_ecdf needs a nonempty 1-D sample")
-    return EmpiricalCdfView(np.sort(v))
+    v = check_reals(values, "sample values")
+    # the view refuses any shape but a nonempty 1-D sample
+    return EmpiricalCdfView(np.sort(v) if v.ndim == 1 else v)
 
 
 def _sorted_ks_gaps(sorted_values: np.ndarray):

@@ -1,7 +1,9 @@
-"""Semantic exceptions and the argument validators shared across the package.
+"""Semantic exceptions and the argument validators, the one home of every argument rule.
 
-Public functions validate each argument once, on entry, with check_real,
-check_int or check_u64, and refuse one outside its domain with DomainError.
+Public functions validate each argument once, on entry, and refuse one outside
+its domain with DomainError.  A real, scalar or array, is an int or a float,
+finite and inside its bracket (check_real, check_reals); a count or a stream
+key is an int inside its range (check_int).
 """
 
 import math
@@ -13,10 +15,20 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
+U64_MAX = (1 << 64) - 1  # the largest seed or stream id
 # numbers.Real would also take Fraction and Decimal, and costs twice as much
 _REALS = (int, float, np.integer, np.floating)
 # bool subclasses int, yet no validator takes True or False as a number
 _BOOLS = (bool, np.bool_)
+
+
+def _check_bracket(least, most, value, name: str, lo, hi, interval: str):
+    """The bracket rule on the least and most entries; NaN, which min and max keep, fails."""
+    if not ((lo < least if interval[0] == "(" else lo <= least)
+            and (most < hi if interval[1] == ")" else most <= hi)):
+        lo, hi = (f"{b:g}" if isinstance(b, float) else b for b in (lo, hi))
+        raise DomainError(
+            f"{name} must lie in {interval[0]}{lo}, {hi}{interval[1]}, got {value!r}")
 
 
 def check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf,
@@ -27,34 +39,41 @@ def check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf,
     None, Decimal and other objects are refused, never converted.  interval
     gives the endpoint brackets, so check_real(v, name, 0.0) asks for v > 0.
     """
-    real = isinstance(value, _REALS) and not isinstance(value, _BOOLS)
+    # a float, the common case, skips the two isinstance tests
+    real = type(value) is float or isinstance(value, _REALS) and not isinstance(value, _BOOLS)
     try:
         v = float(value) if real else math.nan
     except OverflowError:  # an int beyond the float range
         v = math.nan
     if not math.isfinite(v):
         raise DomainError(f"{name} must be a finite real, got {value!r}")
-    if not ((lo < v if interval[0] == "(" else lo <= v)
-            and (v < hi if interval[1] == ")" else v <= hi)):
-        raise DomainError(
-            f"{name} must lie in {interval[0]}{lo:g}, {hi:g}{interval[1]}, got {value!r}")
+    _check_bracket(v, v, value, name, lo, hi, interval)
     return v
 
 
-def check_int(value, name: str, minimum: int = 1) -> int:
-    """Validate an integral count of at least minimum and return it as an int."""
-    try:
-        n = None if isinstance(value, _BOOLS) else int(value)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is None or n < minimum or n != value:
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return n
+def check_reals(value, name: str, lo: float = -math.inf, hi: float = math.inf,
+                interval: str = "()") -> np.ndarray:
+    """check_real for a scalar or an array; returns a float64 ndarray, 0-d for a scalar.
+
+    The dtype must be integer or floating: bool, string and object arrays are
+    refused, never converted.  NaN always fails the bracket, +-inf at an open end.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must hold finite reals, got {value!r}")
+    v = arr.astype(np.float64, copy=False)
+    _check_bracket(v.min(initial=math.inf), v.max(initial=-math.inf), value, name, lo, hi,
+                   interval)
+    return v
 
 
-def check_u64(value, name: str) -> int:
-    """Validate an unsigned 64-bit integer key and return it as an int."""
-    if isinstance(value, _BOOLS) or not isinstance(value, (int, np.integer)) \
-            or not 0 <= value < (1 << 64):
-        raise DomainError(f"{name} must be an unsigned 64-bit integer, got {value!r}")
+def check_int(value, name: str, lo: int = 1, hi: float = math.inf) -> int:
+    """Validate a count or key in [lo, hi] and return it as an int.
+
+    Only int and numpy integer scalars are taken; bools, floats (even integral
+    ones such as 10.0), strings and None are refused, never converted.
+    """
+    if isinstance(value, _BOOLS) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    _check_bracket(value, value, value, name, lo, hi, "[]" if hi < math.inf else "[)")
     return int(value)

@@ -33,7 +33,7 @@ from scipy import special
 from . import deformation as dfm
 from . import tail_bounds as tb
 from .empirical import _ks_statistics
-from .errors import DomainError, check_int, check_real, check_u64
+from .errors import U64_MAX, DomainError, check_int, check_real
 from .sampling import RngStream, _gaussian_rows, _norms
 
 __all__ = [
@@ -56,6 +56,12 @@ _CHUNK_ELEMENTS = 1 << 22
 _MIN_TRIALS = 100  # below this a Wilson verdict is meaningless
 
 
+def _trial_keys(N, trials, seed):
+    """N, trials and seed of a Monte Carlo run, validated."""
+    return (check_int(N, "N"), check_int(trials, "trials", _MIN_TRIALS),
+            check_int(seed, "seed", 0, U64_MAX))
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """One Monte Carlo configuration for the three-term bound."""
@@ -67,11 +73,10 @@ class TrialConfig:
     t: float
 
     def __post_init__(self):
-        object.__setattr__(self, "N", check_int(self.N, "N"))
-        object.__setattr__(self, "trials", check_int(self.trials, "trials", _MIN_TRIALS))
-        object.__setattr__(self, "seed", check_u64(self.seed, "seed"))
-        object.__setattr__(self, "epsilon", check_real(self.epsilon, "epsilon", 0.0))
-        object.__setattr__(self, "t", dfm._t_value(self.t))
+        checked = (*_trial_keys(self.N, self.trials, self.seed),
+                   check_real(self.epsilon, "epsilon", 0.0), dfm._t_value(self.t))
+        for field, value in zip(("N", "trials", "seed", "epsilon", "t"), checked):
+            object.__setattr__(self, field, value)
 
 
 @dataclass(frozen=True)
@@ -111,10 +116,8 @@ def wilson_interval(count: int, trials: int, confidence: float = 0.95):
     Returns:
       (low, high) with low = 0 at count = 0 and high = 1 at count = trials.
     """
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
-        raise DomainError(f"trials must be a positive integer, got {trials!r}")
-    if not isinstance(count, (int, np.integer)) or not 0 <= count <= trials:
-        raise DomainError(f"count must lie in [0, trials], got {count!r}")
+    trials = check_int(trials, "trials")
+    count = check_int(count, "count", 0, trials)
     conf = check_real(confidence, "confidence", 0.0, 1.0)
     z = float(special.ndtri(0.5 * (1.0 + conf)))
     n = float(trials)
@@ -176,9 +179,7 @@ def run_dkw_trials(N: int, trials: int, seed: int, epsilon: float) -> MonteCarlo
     Counts KS deviations of the raw (unnormalized) Gaussian sample exceeding
     epsilon; the bound is 2 exp(-2 N epsilon^2).
     """
-    n = check_int(N, "N")
-    trials = check_int(trials, "trials", _MIN_TRIALS)
-    seed = check_u64(seed, "seed")
+    n, trials, seed = _trial_keys(N, trials, seed)
     eps = check_real(epsilon, "epsilon", 0.0)
     count, = _count(n, seed, trials, _ks_statistics, lambda ks: ks > eps)
     return _report(count, trials, tb._dkw_term(n, eps))
@@ -190,9 +191,7 @@ def run_lambda_trials(N: int, trials: int, seed: int, t) -> LambdaTrialReport:
     The two one-sided events lambda > 1+t and lambda < 1-t are disjoint, so
     their counts always sum to the two-sided count; both are reported.
     """
-    n = check_int(N, "N")
-    trials = check_int(trials, "trials", _MIN_TRIALS)
-    seed = check_u64(seed, "seed")
+    n, trials, seed = _trial_keys(N, trials, seed)
     tv = dfm._t_value(t)
     sqrt_n = math.sqrt(n)
     upper, lower = _count(n, seed, trials, lambda z: sqrt_n / _norms(z) - 1.0,
@@ -208,9 +207,7 @@ def run_chisq_trials(N: int, trials: int, seed: int, x: float):
     Counts U - N >= 2 sqrt(N x) + 2 x and N - U >= 2 sqrt(N x) separately;
     each is bounded by exp(-x).  Returns (upper_report, lower_report).
     """
-    n = check_int(N, "N")
-    trials = check_int(trials, "trials", _MIN_TRIALS)
-    seed = check_u64(seed, "seed")
+    n, trials, seed = _trial_keys(N, trials, seed)
     up = tb.lm_upper(n, x)
     lo = tb.lm_lower(n, x)
     upper, lower = _count(n, seed, trials, lambda z: _norms(z) ** 2,

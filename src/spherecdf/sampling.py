@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, check_int, check_u64
+from .errors import U64_MAX, DomainError, check_int, check_real, check_reals
 
 __all__ = ["RngStream", "SphereSample", "gaussian_vector", "sphere_sample", "lambda_of"]
 
@@ -31,8 +31,8 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        check_u64(self.seed, "seed")
-        check_u64(self.stream_id, "stream_id")
+        check_int(self.seed, "seed", 0, U64_MAX)
+        check_int(self.stream_id, "stream_id", 0, U64_MAX)
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
@@ -108,15 +108,16 @@ class SphereSample:
     gaussian_norm: float
 
     def __post_init__(self):
-        n = self.coords.shape[0]
-        unit = float(_norms(self.coords))
-        if abs(unit - 1.0) > 1e-12:
-            raise DomainError(f"coords must have unit norm, got {unit!r}")
-        if not self.lam > 0.0 or not self.gaussian_norm > 0.0:
-            raise DomainError("scale factor and norm must be positive")
-        if abs(self.lam * self.gaussian_norm - math.sqrt(n)) > 1e-12 * math.sqrt(n):
+        x = check_reals(self.coords, "coords")
+        unit = float(_norms(x)) if x.ndim == 1 else math.nan
+        if not abs(unit - 1.0) <= 1e-12:
+            raise DomainError(f"coords must be a 1-D vector of unit norm, got norm {unit!r}")
+        lam = check_real(self.lam, "scale factor", 0.0)
+        nrm = check_real(self.gaussian_norm, "gaussian_norm", 0.0)
+        if abs(lam * nrm - math.sqrt(x.size)) > 1e-12 * math.sqrt(x.size):
             raise DomainError("lam * gaussian_norm must equal sqrt(N)")
-        self.coords.setflags(write=False)
+        x.setflags(write=False)
+        object.__setattr__(self, "coords", x)
 
 
 def sphere_sample(N: int, rng: RngStream) -> SphereSample:
@@ -133,7 +134,7 @@ def sphere_sample(N: int, rng: RngStream) -> SphereSample:
 
 def lambda_of(Z: np.ndarray) -> float:
     """Scale factor sqrt(N) / |Z| of a nonzero vector; equals sphere_sample's lam for Z."""
-    z = np.asarray(Z, dtype=np.float64)
+    z = check_reals(Z, "Z")
     if z.ndim != 1 or z.size == 0:
         raise DomainError("lambda_of expects a nonempty 1-D vector")
     nrm = float(_norms(z))

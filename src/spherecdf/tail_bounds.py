@@ -228,9 +228,8 @@ def corollary_bound(N, epsilon, t) -> BoundBreakdown:
     total = 2 exp(-2 N eps^2) + exp(-(9/64) N t^2) + exp(-N t^2).
     Dominates the exact-variant total at every (N, epsilon, t).
     """
-    n = check_int(N, "N")
-    eps = check_real(epsilon, "epsilon", 0.0)
-    return _breakdown(n, eps, _t_value(t), "corollary")
+    b = BoundInputs(N, epsilon, t)
+    return _breakdown(b.N, b.epsilon, b.t, "corollary")
 
 
 def _best_split(n: int, dv: float, mode: str):

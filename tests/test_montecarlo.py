@@ -52,8 +52,14 @@ class TestWilson:
             wilson_interval(11, 10)
         with pytest.raises(DomainError):
             wilson_interval(5, 10, confidence=1.0)
-        with pytest.raises(DomainError, match="trials must be a positive integer"):
+        with pytest.raises(DomainError, match=r"^trials must be an integer, got 10\.0$"):
             wilson_interval(5, 10.0)
+
+    def test_numpy_integers(self):
+        # numpy integer counts give the same Python floats as int counts
+        got = wilson_interval(np.int64(5), np.int64(10))
+        assert got == wilson_interval(5, 10)
+        assert all(type(edge) is float for edge in got)
 
 
 class TestTheoremTrials:

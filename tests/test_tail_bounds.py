@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spherecdf import (BoundBreakdown, BoundInputs, DeformationParam, DomainError,
-                       RngStream, build_ecdf, chisq_tail_lower, chisq_tail_upper,
+                       EmpiricalCdfView, RngStream, SphereSample, TrialConfig,
+                       build_ecdf, chisq_tail_lower, chisq_tail_upper,
                        corollary_bound, dkw_bound, f_minus, g_minus, g_plus,
-                       gamma_closed, lambda_concentration_bound, lm_lower,
-                       lm_upper, optimize_split, p_value_bound, rescale_cdf,
-                       secant_interval, theorem_bound, wilson_interval, x_plus)
+                       gamma_closed, gamma_oracle, gaussian_vector,
+                       lambda_concentration_bound, lambda_of, lm_lower, lm_upper,
+                       optimize_split, p_value_bound, phi_deformed, rescale_cdf,
+                       run_dkw_trials, secant_interval, std_normal_cdf, theorem_bound,
+                       verify_lemmas, wilson_interval, x_plus)
 from spherecdf.errors import check_int
 
 # independent reimplementations of the exponent rates, kept in the suite so a
@@ -278,6 +281,34 @@ class TestPValueBound:
             p_value_bound(100, bad)
 
 
+# every count and key, as (call, an in-range int)
+COUNTS = {
+    "N": (lambda v: lm_upper(v, 1.0), 10),
+    "trials": (lambda v: run_dkw_trials(10, v, 0, 0.5), 100),
+    "seed": (lambda v: run_dkw_trials(10, 100, v, 0.5), 10),
+    "stream_id": (lambda v: gaussian_vector(3, RngStream(0, v)), 10),
+    "grid_steps": (lambda v: verify_lemmas(grid_steps=v, scope="lemmas"), 100),
+    "grid_points": (lambda v: gamma_oracle(0.5, grid_points=v), 1000),
+    "wilson_interval.count": (lambda v: wilson_interval(v, 10), 5),
+    "wilson_interval.trials": (lambda v: wilson_interval(5, v), 10),
+}
+
+# every array entry point, as (call, an accepted int array)
+ARRAYS = {
+    "std_normal_cdf": (std_normal_cdf, [-1, 0, 2]),
+    "phi_deformed.x": (lambda a: phi_deformed(a, 0.5, "plus"), [-1, 0, 2]),
+    "phi_deformed.t": (lambda a: phi_deformed(0.5, a, "plus"), [0, 0]),
+    "g_plus": (g_plus, [0, 0]),
+    "g_minus": (g_minus, [0, 0]),
+    "gamma_oracle": (gamma_oracle, [0, 0]),
+    "lambda_of": (lambda_of, [1, -2, 3]),
+    "build_ecdf": (build_ecdf, [3, -1, 2]),
+    "EmpiricalCdfView": (EmpiricalCdfView, [-1, 2, 3]),
+    "EmpiricalCdfView.evaluate": (build_ecdf([0.5, 1.5]).evaluate, [-1, 0, 2]),
+    "SphereSample": (lambda a: SphereSample(a, 1.0, 1.0), [1]),
+}
+
+
 class TestTypes:
     def test_bound_inputs_validation(self):
         with pytest.raises(DomainError):
@@ -324,17 +355,53 @@ class TestTypes:
     @pytest.mark.parametrize("call", [
         lambda b: DeformationParam(b), lambda b: dkw_bound(100, b),
         lambda b: check_int(b, "N", 0), lambda b: RngStream(b), lambda b: RngStream(0, b),
-        lambda b: g_plus(b)], ids=["DeformationParam", "dkw_bound", "check_int",
-                                   "RngStream.seed", "RngStream.stream_id", "g_plus"])
+        lambda b: g_plus(b), *(COUNTS[name][0] for name in COUNTS)],
+        ids=["DeformationParam", "dkw_bound", "check_int", "RngStream.seed",
+             "RngStream.stream_id", "g_plus", *COUNTS])
     @pytest.mark.parametrize("b", [True, False, np.True_, np.False_],
                              ids=["True", "False", "np.True_", "np.False_"])
     def test_bools_refused(self, call, b):
         with pytest.raises(DomainError):
             call(b)
 
-    @pytest.mark.parametrize("bad", [0, -1, 1.5, "10", math.inf, None])
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, "10", math.inf, None, 10.0, True])
     def test_dimension_domain(self, bad):
+        calls = [lambda: dkw_bound(bad, 0.1), lambda: optimize_split(bad, 0.1),
+                 lambda: gaussian_vector(bad, RngStream(0)),
+                 lambda: TrialConfig(bad, 100, 0, 0.1, 0.1)]
+        for call in calls:
+            with pytest.raises(DomainError):
+                call()
+
+    @pytest.mark.parametrize("name", list(COUNTS))
+    def test_count_and_key_domain(self, name):
+        # counts and keys take ints only: an integral float such as 10.0 is
+        # refused even where its value is in range, as are bools and strings
+        call, ok = COUNTS[name]
+        call(ok)
+        call(np.int64(ok))
+        for bad in (-1, 10.0, float(ok), True, "10", None, math.inf):
+            with pytest.raises(DomainError):
+                call(bad)
+
+    @pytest.mark.parametrize("name", list(ARRAYS))
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "str", "str array", "None",
+                                     "bool array", "object array"])
+    def test_array_domain(self, name, bad):
+        # every array argument follows check_real's rule entry by entry
+        call, ok = ARRAYS[name]
+        value = {"str": "0.5", "str array": np.array(ok).astype(str), "None": None,
+                 "bool array": np.array(ok, dtype=bool),
+                 "object array": np.array(ok, dtype=object)}.get(bad, np.array(ok, dtype=float))
+        if bad in ("nan", "inf", "-inf"):
+            value[0 if bad == "-inf" else -1] = float(bad)  # a sorted sample stays sorted
         with pytest.raises(DomainError):
-            dkw_bound(bad, 0.1)
-        with pytest.raises(DomainError):
-            optimize_split(bad, 0.1)
+            call(value)
+
+    @pytest.mark.parametrize("name", list(ARRAYS))
+    def test_array_dtypes_accepted(self, name):
+        # int and float32 arrays are read as the float64 values they hold
+        call, ok = ARRAYS[name]
+        want = repr(call(np.array(ok, dtype=np.float64)))
+        assert repr(call(np.array(ok))) == want
+        assert repr(call(np.array(ok, dtype=np.float32))) == want
