@@ -82,10 +82,20 @@ def _sorted_ks_gaps(sorted_values: np.ndarray):
 
 
 def _ks_statistics(values: np.ndarray):
-    """Exact KS statistic of a sample or of each matrix row; sorts values in place."""
+    """Exact KS statistic of a float64 sample or of each matrix row.
+
+    Overwrites values: each row is sorted and then replaced by Phi of it, so a
+    caller passes a matrix it owns and does not read afterwards.  The gaps are
+    those of _sorted_ks_gaps, formed one side at a time in one scratch buffer;
+    max is exact, so the statistics equal ks_to_normal's bit for bit.
+    """
     values.sort(axis=-1)
-    upper, lower = _sorted_ks_gaps(values)
-    return np.maximum(upper.max(axis=-1), lower.max(axis=-1))
+    n = values.shape[-1]
+    p = special.ndtr(values, out=values)
+    gap = np.arange(1, n + 1) / n - p
+    stat = gap.max(axis=-1)
+    np.subtract(p, np.arange(0, n) / n, out=gap)
+    return np.maximum(stat, gap.max(axis=-1))
 
 
 def ks_to_normal(ecdf: EmpiricalCdfView) -> KsResult:

@@ -12,6 +12,9 @@ runners estimate the probabilities that the bounds dominate:
 
 Each runner names only its per-trial statistic and its event tests; _count is
 the one trial loop, which draws, blocks and counts the trials for all four.
+It cuts a run into cache-sized blocks of trials and, for long rows, runs the
+blocks on up to two threads; since every trial is keyed, the counts depend on
+neither the block size, nor the block order, nor the number of threads.
 
 A Wilson score interval accompanies every frequency.  A configuration is
 dominated when the observed frequency does not exceed the bound; the Wilson
@@ -24,7 +27,9 @@ rate curvature, the auxiliary-function sandwich, derivative identities) and
 reports the worst residual of each check; failures are data, not exceptions.
 """
 
+import concurrent.futures
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +55,18 @@ __all__ = [
     "verify_lemmas",
 ]
 
-# elements per working matrix before a run is split into chunks
-_CHUNK_ELEMENTS = 1 << 22
+# elements per block of trials (1 MiB of float64): one block's working
+# matrices stay near the caches, and a call at N <= 100 and 1000 trials is
+# still one block
+_CHUNK_ELEMENTS = 1 << 17
+
+# threads for a call that spans two or more blocks of rows of length at least
+# _THREAD_MIN_N.  Per row, the stream set-up holds the GIL for about 8 us and
+# ndtri, sort and ndtr release it for about 0.05 us per entry, so two threads
+# lost 37% at N = 50, tied at N = 100-128 and won from N = 160 on (2-core VM;
+# two is also the most that was measured)
+_WORKERS = min(2, len(os.sched_getaffinity(0)))
+_THREAD_MIN_N = 160
 
 _MIN_TRIALS = 100  # below this a Wilson verdict is meaningless
 
@@ -141,19 +156,27 @@ def _count(n: int, seed: int, trials: int, stat, *events):
     """Counts, one int per event, of the trials 0..trials-1 where event(stat(row)) holds.
 
     Rows come in blocks of at most _CHUNK_ELEMENTS entries; row i is bit-identical
-    to gaussian_vector(n, RngStream(seed, i)), so the blocking never shows.
+    to gaussian_vector(n, RngStream(seed, i)), so the blocking never shows.  Each
+    block draws its own rows, computes its statistic and counts its own events,
+    and the result is the integer sum over blocks, so neither block size nor
+    block order can change it.  A call spanning two or more blocks with
+    n >= _THREAD_MIN_N runs its blocks on _WORKERS threads (the draws, ndtri,
+    sort and ndtr release the GIL); an exception raised in a block reaches the
+    caller.  stat may overwrite its argument: each block's matrix is its own.
     """
     rows = max(1, min(trials, _CHUNK_ELEMENTS // n))
-    counts = [0] * len(events)
-    for first in range(0, trials, rows):
-        # z holds the block until the next one is drawn: freeing it first (as
-        # stat(_gaussian_rows(...)) does) doubled the minor page faults of an
-        # N = 10^4 call and made mc-large-n 3-7% slower
-        z = _gaussian_rows(n, seed, first, min(rows, trials - first))
-        s = stat(z)
-        for k, event in enumerate(events):
-            counts[k] += int(np.count_nonzero(event(s)))
-    return counts
+
+    def block(first):
+        s = stat(_gaussian_rows(n, seed, first, min(rows, trials - first)))
+        return [int(np.count_nonzero(event(s))) for event in events]
+
+    firsts = range(0, trials, rows)
+    if _WORKERS > 1 and len(firsts) > 1 and n >= _THREAD_MIN_N:
+        with concurrent.futures.ThreadPoolExecutor(_WORKERS) as pool:
+            per_block = list(pool.map(block, firsts))
+    else:
+        per_block = map(block, firsts)
+    return [sum(c) for c in zip(*per_block)]
 
 
 def run_theorem_trials(config: TrialConfig) -> MonteCarloReport:

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from spherecdf import (DomainError, EmpiricalCdfView, build_ecdf,
                        check_tube_inflation, gamma_closed, gaussian_vector,
                        ks_to_normal, rescale_cdf, std_normal_cdf, RngStream)
+from spherecdf.empirical import _ks_statistics
 
 # pinned against mpmath.ncdf at 40 digits: 0.5 - Phi(-1)
 PM1_STAT = 0.3413447460685429
@@ -99,6 +101,39 @@ class TestKsToNormal:
         a = ks_to_normal(build_ecdf(base))
         b = ks_to_normal(build_ecdf(np.sort(base)))
         assert a == b
+
+
+class TestBatchedKs:
+    @staticmethod
+    def check(matrix):
+        # the kernel overwrites its argument with Phi of the row-sorted sample
+        values = matrix.copy()
+        stats = _ks_statistics(values)
+        expected = [ks_to_normal(build_ecdf(row)).statistic for row in matrix]
+        assert stats.tolist() == expected
+        assert np.array_equal(values, special.ndtr(np.sort(matrix, axis=-1)))
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(4)
+        for n in (2, 7, 100, 1000):
+            self.check(rng.normal(size=(9, n)) * rng.uniform(0.5, 2.0, size=(9, 1)))
+
+    def test_ties(self):
+        self.check(np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 1.0], [-3.0, 2.0, -3.0],
+                             [0.5, 0.5, 0.5]]))
+
+    def test_single_sample(self):
+        # N = 1: statistic max(1 - Phi(x), Phi(x)), 1/2 at the origin
+        self.check(np.array([[0.0], [-2.5], [1.0], [40.0], [-40.0]]))
+        assert _ks_statistics(np.array([[0.0]])).tolist() == [0.5]
+
+    def test_rows_at_the_floor(self):
+        # Phi(x_(i)) = (i - 1/2)/N up to rounding puts the statistic at 1/(2N)
+        for n in (1, 10, 1000, 10_000):
+            row = special.ndtri((np.arange(1, n + 1) - 0.5) / n)
+            stats = _ks_statistics(np.stack([row[::-1], row]))
+            assert abs(stats[0] - 0.5 / n) <= 1e-15 and stats[0] == stats[1]
+            self.check(np.stack([row[::-1], row]))
 
 
 class TestRescale:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -92,12 +93,55 @@ class TestTheoremTrials:
         before = [run() for run in runs]
         draw, blocks = mc._gaussian_rows, []
         monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", chunk)
+        # N = 30 takes the threaded path too, wherever the machine has 2 CPUs
+        monkeypatch.setattr(mc, "_THREAD_MIN_N", 1)
         monkeypatch.setattr(mc, "_gaussian_rows",
-                            lambda *a: blocks.append(a[3]) or draw(*a))
-        assert [run() for run in runs] == before
+                            lambda *a: blocks.append(a[2:]) or draw(*a))
         rows = max(1, chunk // 30)
-        per_run = [rows] * (300 // rows) + ([300 % rows] if 300 % rows else [])
-        assert blocks == per_run * len(runs)
+        partition = [(first, min(rows, 300 - first)) for first in range(0, 300, rows)]
+        for run, report in zip(runs, before):
+            blocks.clear()
+            assert run() == report
+            # (first, count) per block; threads may finish in any order
+            assert sorted(blocks) == partition
+
+    def test_thread_count_is_invisible(self, monkeypatch):
+        # 7-row blocks: 14 full blocks and a ragged 2-row one (100 = 14 * 7 + 2)
+        n, trials, seed = mc._THREAD_MIN_N, 100, 2 ** 63 + 11
+        cfg = TrialConfig(N=n, trials=trials, seed=seed, epsilon=0.05, t=0.1)
+        runs = (lambda: run_theorem_trials(cfg),
+                lambda: run_dkw_trials(n, trials, seed, 0.05),
+                lambda: run_lambda_trials(n, trials, seed, 0.05),
+                lambda: run_chisq_trials(n, trials, seed, 1.0))
+        draw, on_main = mc._gaussian_rows, []
+        monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * n)
+        monkeypatch.setattr(
+            mc, "_gaussian_rows",
+            lambda *a: on_main.append(threading.current_thread() is threading.main_thread())
+            or draw(*a))
+        reports = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(mc, "_WORKERS", workers)
+            on_main.clear()
+            reports[workers] = [run() for run in runs]
+            # 15 blocks per runner, all on the main thread exactly when unthreaded
+            assert on_main == [workers == 1] * (4 * 15)
+        assert reports[1] == reports[2]
+
+    def test_block_exception_reaches_caller(self, monkeypatch):
+        draw = mc._gaussian_rows
+
+        def failing(n, seed, first, count):
+            if first == 140:
+                raise RuntimeError("planted block failure")
+            return draw(n, seed, first, count)
+
+        monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * 30)
+        monkeypatch.setattr(mc, "_WORKERS", 2)
+        monkeypatch.setattr(mc, "_THREAD_MIN_N", 1)
+        monkeypatch.setattr(mc, "_gaussian_rows", failing)
+        with pytest.raises(RuntimeError, match="^planted block failure$"):
+            run_dkw_trials(30, 300, 7, 0.1)
 
     def test_impossible_threshold(self):
         # epsilon + gamma(t) > 1 cannot be exceeded by a KS distance
