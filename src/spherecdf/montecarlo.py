@@ -61,11 +61,14 @@ __all__ = [
 _CHUNK_ELEMENTS = 1 << 17
 
 # threads for a call that spans two or more blocks of rows of length at least
-# _THREAD_MIN_N.  Per row, the stream set-up holds the GIL for about 8 us and
-# ndtri, sort and ndtr release it for about 0.05 us per entry, so two threads
-# lost 37% at N = 50, tied at N = 100-128 and won from N = 160 on (2-core VM;
-# two is also the most that was measured)
-_WORKERS = min(2, len(os.sched_getaffinity(0)))
+# _THREAD_MIN_N (the CPUs this process may use where the OS says, else all of
+# them; two is the most that was measured).  Per row, the stream set-up holds
+# the GIL for about 8 us and ndtri, sort and ndtr release it for about 0.05 us
+# per entry, so two threads lost 37% at N = 50, tied at N = 100-128 and won
+# from N = 160 on (in-process A/B on a 2-core VM; no benchmark workload has a
+# multi-block call below N = 160)
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
 _THREAD_MIN_N = 160
 
 _MIN_TRIALS = 100  # below this a Wilson verdict is meaningless

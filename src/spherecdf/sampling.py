@@ -57,14 +57,13 @@ def _keyed_uniforms(seed: int, first: int, count: int, n: int) -> np.ndarray:
     """
     bg = np.random.Philox(key=_key(seed, first))
     # a fresh generator's state: counter 0 and an empty buffer (buffer_pos 4),
-    # so restoring it with a new key starts that key's stream; row 0 needs no
-    # restore, because bg starts there
-    state = bg.state if count > 1 else None
+    # so restoring it with a new key starts that key's stream
+    state = bg.state
+    key = state["state"]["key"]
     out = np.empty((count, n))
     for j in range(count):
-        if j:
-            state["state"]["key"][1] = first + j
-            bg.state = state
+        key[1] = first + j
+        bg.state = state
         out[j] = bg.random_raw(n) >> 11
     out += 0.5
     out *= 2.0 ** -53

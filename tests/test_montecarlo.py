@@ -2,7 +2,12 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +147,25 @@ class TestTheoremTrials:
         monkeypatch.setattr(mc, "_gaussian_rows", failing)
         with pytest.raises(RuntimeError, match="^planted block failure$"):
             run_dkw_trials(30, 300, 7, 0.1)
+
+    def test_worker_count_without_affinity_call(self):
+        # os.sched_getaffinity is Linux-only; elsewhere the package must still
+        # import and count the CPUs with os.cpu_count
+        script = textwrap.dedent("""
+            import importlib, os
+            if hasattr(os, "sched_getaffinity"):
+                del os.sched_getaffinity
+            os.cpu_count = lambda: None
+            import spherecdf.cli, spherecdf.montecarlo as m
+            print(m._WORKERS)
+            os.cpu_count = lambda: 8
+            print(importlib.reload(m)._WORKERS)
+        """)
+        paths = [str(Path(mc.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout.split()) == (0, ["1", "2"]), proc.stderr
 
     def test_impossible_threshold(self):
         # epsilon + gamma(t) > 1 cannot be exceeded by a KS distance
