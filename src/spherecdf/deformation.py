@@ -176,23 +176,39 @@ def x_minus(t: float) -> float:
     return -_x_plus_ext(-check_real(t, "t", 0.0, 1.0))
 
 
-def _plus_peak(t: float):
-    """Location x_plus(t) and height of the positive-side peak, for -1 < t < 1."""
-    xp = _x_plus_ext(t)
-    return xp, float(special.ndtr(xp / (1.0 - t)) - special.ndtr(xp))
+def _plus_peak(t):
+    """Location x_plus(t) and height of the positive-side peak, for -1 < t < 1.
+
+    t is a float or a 1-D float array.  An array maps _x_plus_ext over its
+    entries with math (np.log1p and numpy's x**2 round differently on some
+    arguments) and makes one ndtr pair over all of them, so each entry equals
+    the float call bit for bit.
+    """
+    if isinstance(t, float):
+        xp = _x_plus_ext(t)
+        return xp, float(special.ndtr(xp / (1.0 - t)) - special.ndtr(xp))
+    xp = np.array([_x_plus_ext(v) for v in t.tolist()])
+    return xp, special.ndtr(xp / (1.0 - t)) - special.ndtr(xp)
 
 
-def _gamma(t: float) -> float:
-    """gamma(t) as a bare float, for inner loops whose t values skip _t_value.
+def _gamma(t):
+    """gamma(t) on a bare float or 1-D array, for inner loops whose t values skip _t_value.
 
     Keeps gamma_closed's invariants, 0 <= t < 1 and 0 <= gamma < 1/2, as
-    scalar compares instead of DeformationParam and GapEvaluation objects.
+    compares instead of DeformationParam and GapEvaluation objects.  An array
+    returns an array whose entries equal the float calls bit for bit.
     """
-    if not 0.0 <= t < 1.0:
-        raise DomainError(f"deformation parameter must lie in [0, 1), got {t}")
-    gamma = max(_plus_peak(t)[1], 0.0) if t > 0.0 else 0.0
-    if not gamma < 0.5:
-        raise DomainError(f"gap value out of [0, 1/2): {gamma}")
+    if isinstance(t, float):
+        if not 0.0 <= t < 1.0:
+            raise DomainError(f"deformation parameter must lie in [0, 1), got {t}")
+        gamma = top = max(_plus_peak(t)[1], 0.0) if t > 0.0 else 0.0
+    else:
+        if not (0.0 <= t.min() and t.max() < 1.0):
+            raise DomainError(f"deformation parameters must lie in [0, 1), got {t}")
+        gamma = np.where(t > 0.0, np.maximum(_plus_peak(t)[1], 0.0), 0.0)
+        top = gamma.max()
+    if not top < 0.5:
+        raise DomainError(f"gap value out of [0, 1/2): {top}")
     return gamma
 
 
@@ -202,8 +218,10 @@ def _g_plus(t):
 
 
 def _g_minus(t):
-    # kernel of tail_bounds.g_minus on a validated float or ndarray
-    return 0.5 * (np.sqrt(2.0 / (1.0 - t) ** 2 - 1.0) - 1.0)
+    # kernel of tail_bounds.g_minus on a validated float or ndarray; math.sqrt
+    # and np.sqrt both round correctly, and math.sqrt is far cheaper on a float
+    sqrt = math.sqrt if isinstance(t, float) else np.sqrt
+    return 0.5 * (sqrt(2.0 / (1.0 - t) ** 2 - 1.0) - 1.0)
 
 
 def gamma_closed(t) -> GapEvaluation:

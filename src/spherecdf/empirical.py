@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from .deformation import _gamma, _t_value
-from .errors import DomainError, check_real, check_reals
+from .errors import DomainError, check_real, check_reals, prevalidated
 
 __all__ = ["EmpiricalCdfView", "KsResult", "build_ecdf", "ks_to_normal",
            "rescale_cdf", "check_tube_inflation"]
@@ -31,8 +31,7 @@ class EmpiricalCdfView:
 
     def __post_init__(self):
         v = np.array(check_reals(self.sorted_values, "sample values"))
-        if v.ndim != 1 or v.size == 0:
-            raise DomainError("an empirical CDF needs a nonempty 1-D sample")
+        _check_sample_shape(v)
         if np.any(np.diff(v) < 0.0):
             raise DomainError("values must be sorted ascending; use build_ecdf")
         v.setflags(write=False)
@@ -61,11 +60,18 @@ class KsResult:
     side: str
 
 
+def _check_sample_shape(v: np.ndarray):
+    if v.ndim != 1 or v.size == 0:
+        raise DomainError("an empirical CDF needs a nonempty 1-D sample")
+
+
 def build_ecdf(values) -> EmpiricalCdfView:
     """Sort a copy of the sample into an empirical CDF view; ties stack."""
     v = check_reals(values, "sample values")
-    # the view refuses any shape but a nonempty 1-D sample
-    return EmpiricalCdfView(np.sort(v) if v.ndim == 1 else v)
+    _check_sample_shape(v)
+    v = np.sort(v)
+    v.setflags(write=False)
+    return prevalidated(EmpiricalCdfView, sorted_values=v)
 
 
 def _sorted_ks_gaps(sorted_values: np.ndarray):

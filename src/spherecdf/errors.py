@@ -1,9 +1,11 @@
 """Semantic exceptions and the argument validators, the one home of every argument rule.
 
 Public functions validate each argument once, on entry, and refuse one outside
-its domain with DomainError.  A real, scalar or array, is an int or a float,
-finite and inside its bracket (check_real, check_reals); a count or a stream
-key is an int inside its range (check_int).
+its domain with DomainError.  A real, scalar or array, is a float or an int
+that numpy stores in 64 bits, finite and inside its bracket (check_real,
+check_reals); a count or a stream key is an int inside its range
+(check_int).  A value built from validated arguments is not checked again:
+prevalidated makes a record without its __post_init__ checks.
 """
 
 import math
@@ -16,6 +18,7 @@ class DomainError(ValueError):
 
 
 U64_MAX = (1 << 64) - 1  # the largest seed or stream id
+_INT_MIN = -(1 << 63)  # the least int numpy stores in an integer dtype
 # numbers.Real would also take Fraction and Decimal, and costs twice as much
 _REALS = (int, float, np.integer, np.floating)
 # bool subclasses int, yet no validator takes True or False as a number
@@ -31,20 +34,26 @@ def _check_bracket(least, most, value, name: str, lo, hi, interval: str):
             f"{name} must lie in {interval[0]}{lo}, {hi}{interval[1]}, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    if isinstance(value, int):
+        # numpy stores an int outside [-2^63, 2^64) only in an object array,
+        # which check_reals refuses, so check_real refuses it too
+        return not isinstance(value, bool) and _INT_MIN <= value <= U64_MAX
+    return isinstance(value, _REALS)  # np.bool_ is no np.integer
+
+
 def check_real(value, name: str, lo: float = -math.inf, hi: float = math.inf,
                interval: str = "()") -> float:
     """Validate a finite real between lo and hi and return it as a float.
 
-    Reals are int, float and numpy integer or floating scalars; bools, strings,
-    None, Decimal and other objects are refused, never converted.  interval
-    gives the endpoint brackets, so check_real(v, name, 0.0) asks for v > 0.
+    Reals are float, numpy integer or floating scalars, and ints in
+    [-2^63, 2^64), the range numpy stores as an integer array; bools, strings,
+    None, Decimal, larger ints and other objects are refused, never converted.
+    interval gives the endpoint brackets, so check_real(v, name, 0.0) asks for
+    v > 0.
     """
-    # a float, the common case, skips the two isinstance tests
-    real = type(value) is float or isinstance(value, _REALS) and not isinstance(value, _BOOLS)
-    try:
-        v = float(value) if real else math.nan
-    except OverflowError:  # an int beyond the float range
-        v = math.nan
+    # a float, the common case, skips the type tests
+    v = float(value) if type(value) is float or _is_real(value) else math.nan
     if not math.isfinite(v):
         raise DomainError(f"{name} must be a finite real, got {value!r}")
     _check_bracket(v, v, value, name, lo, hi, interval)
@@ -77,3 +86,15 @@ def check_int(value, name: str, lo: int = 1, hi: float = math.inf) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}")
     _check_bracket(value, value, value, name, lo, hi, "[]" if hi < math.inf else "[)")
     return int(value)
+
+
+def prevalidated(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields its caller has validated.
+
+    Skips cls.__post_init__, so a public function that validated its
+    arguments does not check the values it built from them a second time.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj

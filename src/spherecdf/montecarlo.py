@@ -281,10 +281,6 @@ def _worst(values, grid):
     return float(values[k]), float(grid[k])
 
 
-def _gamma_grid(ts):
-    return np.array([dfm._gamma(t) for t in ts.tolist()])
-
-
 def _scale_draws(gen):
     """64 pairs (t, lambda): t uniform on (0.01, 0.99), then lambda on (1 - t, 1 + t)."""
     pairs = [(t := gen.uniform(0.01, 0.99), gen.uniform(1.0 - t, 1.0 + t)) for _ in range(64)]
@@ -344,16 +340,16 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all",
 
         # closed form against the brute-force supremum
         to = np.arange(1, 100) / 100.0
-        r, w = _worst(np.abs(_gamma_grid(to) - dfm.gamma_oracle(to)), to)
+        r, w = _worst(np.abs(dfm._gamma(to) - dfm.gamma_oracle(to)), to)
         add("gamma-closed-vs-oracle", "lemmas", r, 1e-7, w)
 
         # secant bound gamma(t) <= t/2 and convexity of gamma
         tg = np.linspace(0.0, 0.999, max(grid_steps, 1000))
-        gam = _gamma_grid(tg)
+        gam = dfm._gamma(tg)
         r, w = _worst(gam - 0.5 * tg, tg)
         add("gamma-secant-upper", "lemmas", r, 1e-12, w)
         tc = np.linspace(0.0, 0.99, grid_steps)
-        r, w = _worst(-_second_diff(_gamma_grid(tc)), tc[1:-1])
+        r, w = _worst(-_second_diff(dfm._gamma(tc)), tc[1:-1])
         add("gamma-convexity", "lemmas", r, 1e-9, w)
 
         # envelope ordering for random scale factors inside the window
@@ -395,7 +391,7 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all",
 
         # chained tube inequality Phi(x) - gamma <= Phi(x/lambda) <= Phi(x) + gamma
         ts, ls = _scale_draws(gen)
-        g = _gamma_grid(ts)[:, None]
+        g = dfm._gamma(ts)[:, None]
         mid = dfm.std_normal_cdf(xs / ls[:, None])
         base = dfm.std_normal_cdf(xs)
         r, w = _worst(np.maximum(base - g - mid, mid - base - g).max(axis=1), ts)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import U64_MAX, DomainError, check_int, check_real, check_reals
+from .errors import U64_MAX, DomainError, check_int, check_real, check_reals, prevalidated
 
 __all__ = ["RngStream", "SphereSample", "gaussian_vector", "sphere_sample", "lambda_of"]
 
@@ -57,9 +57,11 @@ def _keyed_uniforms(seed: int, first: int, count: int, n: int) -> np.ndarray:
     """
     bg = np.random.Philox(key=_key(seed, first))
     # a fresh generator's state: counter 0 and an empty buffer (buffer_pos 4),
-    # so restoring it with a new key starts that key's stream
-    state = bg.state
-    key = state["state"]["key"]
+    # so restoring it with a new key starts that key's stream; the setter reads
+    # Python ints and lists at half the cost of the uint64 arrays bg.state holds
+    key = [seed, first]
+    state = {"bit_generator": type(bg).__name__, "state": {"counter": [0] * 4, "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     out = np.empty((count, n))
     for j in range(count):
         key[1] = first + j
@@ -129,7 +131,10 @@ def sphere_sample(N: int, rng: RngStream) -> SphereSample:
     """
     z = gaussian_vector(N, rng)
     nrm = float(_norms(z))
-    return SphereSample(coords=z / nrm, lam=math.sqrt(z.size) / nrm, gaussian_norm=nrm)
+    coords = z / nrm
+    coords.setflags(write=False)
+    return prevalidated(SphereSample, coords=coords, lam=math.sqrt(z.size) / nrm,
+                        gaussian_norm=nrm)
 
 
 def lambda_of(Z: np.ndarray) -> float:

@@ -186,8 +186,11 @@ def _scale_terms(n: int, t: float, mode: str):
     return math.exp(-(9.0 / 64.0) * n * t * t), math.exp(-n * t * t)
 
 
-def _cost(t: float, mode: str) -> float:
-    """Threshold price of the scale window t: gamma(t), or its secant bound t/2."""
+def _cost(t, mode: str):
+    """Threshold price of the scale window t: gamma(t), or its secant bound t/2.
+
+    t is a float or a 1-D array, whose entries equal the float calls bit for bit.
+    """
     return _gamma(t) if mode == "exact_gamma" else 0.5 * t
 
 
@@ -243,8 +246,12 @@ def _best_split(n: int, dv: float, mode: str):
         # the feasible range is {0} (dv below about 2.4e-13 in exact_gamma mode)
         return dv, 0.0, _total(n, dv, 0.0, mode)
 
-    ts = np.linspace(0.0, t_max, 512, endpoint=False).tolist()
-    totals = [_total(n, dv - _cost(t, mode), t, mode) for t in ts]
+    grid = np.linspace(0.0, t_max, 512, endpoint=False)
+    ts = grid.tolist()
+    # one array call prices the whole grid; the totals stay scalar, since np.exp
+    # and numpy's x**2 round differently from math.exp and libm pow
+    costs = _cost(grid, mode).tolist()
+    totals = [_total(n, dv - c, t, mode) for t, c in zip(ts, costs)]
     k = int(np.argmin(totals))
     a = ts[max(k - 1, 0)]
     b = ts[k + 1] if k + 1 < len(ts) else t_max

@@ -17,7 +17,7 @@ from spherecdf import (BoundInputs, DeformationParam, DomainError,
                        gamma_oracle, lambda_concentration_bound, phi_deformed,
                        run_lambda_trials, secant_interval, std_normal_cdf,
                        x_minus, x_plus)
-from spherecdf.deformation import _log1p_over, _log1p_over_prime
+from spherecdf.deformation import _g_minus, _gamma, _log1p_over, _log1p_over_prime
 
 # pinned against mpmath.ncdf at 40 digits
 PHI_1 = 0.8413447460685429
@@ -213,6 +213,48 @@ class TestGamma:
     def test_oracle_bad_side(self):
         with pytest.raises(DomainError, match="side must be"):
             gamma_oracle(0.5, side="up")
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+# t = 0, the 1e-4 series window of log1p(-t)/(-t) and both sides of its
+# edge, and the top of the feasible range
+GAMMA_EDGES = [0.0, 5e-324, 1e-12, 5e-5, 1e-4 - 1e-20, 1e-4, 0.5, 1.0 - 1e-12]
+unit_t = st.one_of(st.floats(0.0, 1e-4), st.floats(0.0, 1.0 - 1e-12))
+
+
+class TestGammaKernel:
+    """The array path of the private gap kernel against its float path."""
+
+    @given(st.lists(unit_t, max_size=64))
+    def test_array_entries_equal_float_calls(self, ts):
+        t = np.array(GAMMA_EDGES + ts)
+        got = _gamma(t)
+        assert got.shape == t.shape
+        assert _hex(got) == _hex(_gamma(v) for v in t.tolist())
+
+    @pytest.mark.parametrize("bad", [-1e-300, 1.0, math.nan])
+    def test_domain(self, bad):
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\)"):
+            _gamma(bad)
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\)"):
+            _gamma(np.array([0.2, bad]))
+
+    @given(st.lists(unit_t, min_size=1, max_size=64))
+    def test_g_minus_float_equals_array_entry(self, ts):
+        # math.sqrt (float) and np.sqrt (array) both round correctly; the two
+        # paths differ only where libm's pow(1 - t, 2) and numpy's (1 - t)**2,
+        # which is (1 - t) * (1 - t), round apart (about 9 in 10^4 uniform t)
+        arr = _g_minus(np.array(ts)).tolist()
+        for t, a in zip(ts, arr):
+            g = _g_minus(t)
+            assert type(g) is float
+            # the float path equals the np.sqrt form it replaced
+            assert g.hex() == float(0.5 * (np.sqrt(2.0 / (1.0 - t) ** 2 - 1.0) - 1.0)).hex()
+            if (1.0 - t) ** 2 == (1.0 - t) * (1.0 - t):
+                assert g.hex() == a.hex()
 
 
 def _switch_points(signs):

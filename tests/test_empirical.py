@@ -10,6 +10,7 @@ from scipy import special
 from spherecdf import (DomainError, EmpiricalCdfView, build_ecdf,
                        check_tube_inflation, gamma_closed, gaussian_vector,
                        ks_to_normal, rescale_cdf, std_normal_cdf, RngStream)
+from spherecdf import empirical
 from spherecdf.empirical import _ks_statistics
 
 # pinned against mpmath.ncdf at 40 digits: 0.5 - Phi(-1)
@@ -45,14 +46,26 @@ class TestBuildEcdf:
             assert view.evaluate(float(x)) == np.mean(values <= x)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^an empirical CDF needs a nonempty 1-D sample$"):
             build_ecdf([])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^sample values must lie in \(-inf, inf\)"):
             build_ecdf([1.0, math.nan])
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^sample values must hold finite reals"):
+            build_ecdf(["1.0"])
+        with pytest.raises(DomainError, match=r"^values must be sorted ascending"):
             EmpiricalCdfView(np.array([2.0, 1.0]))
         with pytest.raises(DomainError, match="1-D sample"):
             build_ecdf(np.ones((2, 2)))
+
+    def test_sample_validated_once(self, monkeypatch):
+        # the sorted copy build_ecdf makes is not checked a second time
+        seen = []
+        real = empirical.check_reals
+        monkeypatch.setattr(empirical, "check_reals", lambda *a: seen.append(a[1]) or real(*a))
+        view = build_ecdf([3, 1, 2])
+        assert seen == ["sample values"]
+        assert view.sorted_values.tolist() == [1.0, 2.0, 3.0]
+        assert view.sorted_values.dtype == np.float64
 
     def test_view_is_immutable(self):
         view = build_ecdf([3.0, 1.0, 2.0])

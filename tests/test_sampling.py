@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.special import ndtri
 
-from spherecdf import (DomainError, RngStream, chisq_tail_lower,
-                       chisq_tail_upper, gaussian_vector, lambda_of,
+from spherecdf import (DomainError, RngStream, SphereSample, chisq_tail_lower,
+                       chisq_tail_upper, gaussian_vector, lambda_of, sampling,
                        sphere_sample, std_normal_cdf)
 from spherecdf.sampling import _gaussian_rows, _keyed_uniforms, _norms
 
@@ -73,6 +73,18 @@ class TestKeyedUniforms:
         for j in range(6):
             assert np.array_equal(batch[j], _keyed_uniforms(seed, first + j, 1, 37)[0])
 
+    @pytest.mark.parametrize("seed", [2 ** 63, 2 ** 64 - 1])
+    def test_rows_up_to_the_last_stream_id(self, seed):
+        # the restored state holds Python ints; the keys past 2^63 and the last
+        # stream id 2^64 - 1 must reach the bit generator exactly
+        first = 2 ** 64 - 6
+        batch = _keyed_uniforms(seed, first, 6, 19)
+        for j in range(6):
+            gen = np.random.Generator(np.random.Philox(
+                key=np.array([seed, first + j], dtype=np.uint64)))
+            raw = gen.integers(0, 1 << 53, size=19, dtype=np.uint64)
+            assert np.array_equal(batch[j], (raw.astype(np.float64) + 0.5) * 2.0 ** -53)
+
     def test_top_draw_stays_below_one(self, monkeypatch):
         # k = 2^53 - 1 would round (k + 1/2) 2^-53 up to 1.0, and ndtri(1.0) = inf
         class AllOnes(np.random.Philox):
@@ -126,6 +138,24 @@ class TestSphereSample:
     def test_unit_norm(self):
         s = sphere_sample(1000, RngStream(seed=3, stream_id=9))
         assert abs(math.sqrt(float(np.dot(s.coords, s.coords))) - 1.0) <= 1e-12
+
+    def test_built_vector_not_checked_again(self, monkeypatch):
+        # sphere_sample normalizes a vector it drew itself; only a SphereSample
+        # built by hand runs the unit-norm and scale checks
+        def refuse(*args):
+            raise AssertionError("sphere_sample validated its own vector")
+
+        monkeypatch.setattr(sampling, "check_reals", refuse)
+        monkeypatch.setattr(sampling, "check_real", refuse)
+        s = sphere_sample(50, RngStream(seed=3, stream_id=1))
+        assert not s.coords.flags.writeable
+        assert type(s.lam) is float and type(s.gaussian_norm) is float
+
+    def test_hand_built_sample_checked(self):
+        with pytest.raises(DomainError, match="unit norm"):
+            SphereSample(np.array([1.0, 1.0]), 1.0, math.sqrt(2.0))
+        with pytest.raises(DomainError, match=r"sqrt\(N\)"):
+            SphereSample(np.array([1.0, 0.0]), 1.0, 1.0)
 
     def test_one_dimension_is_sign(self):
         for sid in range(8):

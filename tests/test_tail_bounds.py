@@ -15,7 +15,9 @@ from spherecdf import (BoundBreakdown, BoundInputs, DeformationParam, DomainErro
                        optimize_split, p_value_bound, phi_deformed, rescale_cdf,
                        run_dkw_trials, secant_interval, std_normal_cdf, theorem_bound,
                        verify_lemmas, wilson_interval, x_plus)
-from spherecdf.errors import check_int
+from spherecdf import tail_bounds as tb
+from spherecdf.deformation import _bisect, _golden_min
+from spherecdf.errors import check_int, check_real
 
 # independent reimplementations of the exponent rates, kept in the suite so a
 # transcription slip in the package cannot hide
@@ -251,6 +253,63 @@ class TestOptimizeSplit:
             optimize_split(100, 0.1, mode="fast")
 
 
+def _per_point_best_split(n, dv, mode):
+    """_best_split with its coarse grid priced one scalar _cost and _total call per point.
+
+    A copy of the search as it stood before the grid became one array call;
+    the package must return the same split bit for bit.
+    """
+    if dv < 0.5:
+        t_max = _bisect(lambda t: tb._cost(t, mode) < dv, 0.0, 1.0 - 1e-12, 1e-12)[0]
+    else:
+        t_max = 1.0 - 1e-12
+    if t_max == 0.0:
+        return dv, 0.0, tb._total(n, dv, 0.0, mode)
+    ts = np.linspace(0.0, t_max, 512, endpoint=False).tolist()
+    totals = [tb._total(n, dv - tb._cost(t, mode), t, mode) for t in ts]
+    k = int(np.argmin(totals))
+    a = ts[max(k - 1, 0)]
+    b = ts[k + 1] if k + 1 < len(ts) else t_max
+
+    def objective(t):
+        eps = dv - tb._cost(t, mode)
+        return math.inf if eps <= 0.0 else tb._total(n, eps, t, mode)
+
+    best_t, best_total = _golden_min(objective, a, b, 1e-12, (ts[k], totals[k]))
+    best_eps = dv - tb._cost(best_t, mode)
+    if best_eps <= 0.0:
+        return dv, 0.0, tb._total(n, dv, 0.0, mode)
+    return best_eps, best_t, best_total
+
+
+class TestBestSplitGrid:
+    # budgets below 2.4e-13 leave t_max == 0 in exact_gamma mode; 0.5 and up
+    # take the whole t range
+    @pytest.mark.parametrize("mode", ["exact_gamma", "corollary"])
+    @pytest.mark.parametrize("n", [1, 2, 10**3, 10**9])
+    @pytest.mark.parametrize("dv", [1e-14, 1e-13, 2e-13, 1e-11, 3e-10, 5e-9, 1e-6, 1e-3,
+                                    0.02, 0.1, 0.3, 0.4999, 0.5, 0.75, 1.0])
+    def test_equals_per_point_search(self, mode, n, dv):
+        self._check(n, dv, mode)
+
+    # budgets below about 1e-8 leave the totals flat near their vacuous ceiling,
+    # where a grid total one ulp off moves the chosen bracket
+    @settings(max_examples=60)
+    @given(st.integers(1, 10**9), st.floats(-14.0, 0.0), st.sampled_from(["exact_gamma",
+                                                                          "corollary"]))
+    def test_equals_per_point_search_random(self, n, log_dv, mode):
+        self._check(n, 10.0 ** log_dv, mode)
+
+    @staticmethod
+    def _check(n, dv, mode):
+        got = tb._best_split(n, dv, mode)
+        assert [float(v).hex() for v in got] == \
+            [float(v).hex() for v in _per_point_best_split(n, dv, mode)]
+
+    def test_t_max_zero_branch_is_reached(self):
+        assert tb._best_split(1000, 1e-13, "exact_gamma")[1] == 0.0
+
+
 class TestPValueBound:
     def test_strong_rejection_regime(self):
         assert p_value_bound(10_000, 0.05) <= 0.01
@@ -350,6 +409,21 @@ class TestTypes:
         with pytest.raises(DomainError, match="finite real"):
             lm_upper(10, 10**400)
         assert dkw_bound(100, np.float32(0.25)) == dkw_bound(100, 0.25)
+
+    def test_ints_beyond_64_bits_refused_alike(self):
+        # numpy stores an int outside [-2^63, 2^64) only in an object array, which
+        # array arguments refuse, so scalar arguments refuse it too
+        for call in (lambda: std_normal_cdf(10**20), lambda: phi_deformed(10**20, 0.5, "plus"),
+                     lambda: dkw_bound(100, 10**20), lambda: check_real(-2**63 - 1, "x")):
+            with pytest.raises(DomainError, match="finite real"):
+                call()
+        with pytest.raises(DomainError, match="must be a finite real"):
+            dkw_bound(100, 10**400)
+        with pytest.raises(DomainError, match="must hold finite reals"):
+            std_normal_cdf(10**400)
+        # both ends of the 64-bit range are taken by both rules
+        assert dkw_bound(100, 2**64 - 1) == 0.0 and std_normal_cdf(2**64 - 1) == 1.0
+        assert check_real(-2**63, "x") == -2.0**63 and std_normal_cdf(-2**63) == 0.0
 
     # a bool is refused for its type, never read as 0 or 1
     @pytest.mark.parametrize("call", [
