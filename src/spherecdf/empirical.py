@@ -23,7 +23,7 @@ __all__ = ["EmpiricalCdfView", "KsResult", "build_ecdf", "ks_to_normal",
            "rescale_cdf", "check_tube_inflation"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalCdfView:
     """Sorted sample values; evaluation counts entries <= x (right-continuous)."""
 
@@ -87,17 +87,19 @@ def _sorted_ks_gaps(sorted_values: np.ndarray):
     return hi - p, p - lo
 
 
-def _ks_statistics(values: np.ndarray):
+def _ks_statistics(values: np.ndarray, cdf=special.ndtr):
     """Exact KS statistic of a float64 sample or of each matrix row.
 
     Overwrites values: each row is sorted and then replaced by Phi of it, so a
     caller passes a matrix it owns and does not read afterwards.  The gaps are
     those of _sorted_ks_gaps, formed one side at a time in one scratch buffer;
-    max is exact, so the statistics equal ks_to_normal's bit for bit.
+    max is exact, so the statistics equal ks_to_normal's bit for bit.  With
+    cdf=None the CDF step is skipped: the values are probabilities, scored
+    against the uniform CDF, and are left sorted.
     """
     values.sort(axis=-1)
     n = values.shape[-1]
-    p = special.ndtr(values, out=values)
+    p = values if cdf is None else cdf(values, out=values)
     gap = np.arange(1, n + 1) / n - p
     stat = gap.max(axis=-1)
     np.subtract(p, np.arange(0, n) / n, out=gap)

@@ -16,6 +16,21 @@ It cuts a run into cache-sized blocks of trials and, for long rows, runs the
 blocks on up to two threads; since every trial is keyed, the counts depend on
 neither the block size, nor the block order, nor the number of threads.
 
+A block is a matrix of keyed uniforms u; its Gaussian rows are ndtri(u).  The
+two KS runners count KS > threshold, which needs only the side of the
+threshold a row falls on, so they mostly skip the normal CDF.  Order
+statistics are 1-Lipschitz in the sup norm; |ndtr(ndtri(u)) - u| is at most
+2.8e-16 (over keyed draws, a dense grid of [0, 1] and the extremes 2^-k and
+1 - 2^-k), ndtr steps down by at most 2.2e-16 between consecutive doubles,
+and gap rounding adds about 2.2e-16 (scipy 1.17.1), so a statistic formed
+without Phi lies within 1e-15 of the exact one, 1000 times inside the _BAND
+of 1e-12.  The DKW runner scores its sorted uniforms against i/N and (i-1)/N and
+recomputes exactly every row within _BAND of epsilon; the theorem runner
+compares its sorted rows with inverse-CDF edges widened by 2 _BAND and
+computes the exact statistic of flagged rows only, a superset of its events.
+_ks_statistics therefore decides every event that could go either way, and
+the counts equal those of the exact statistic of every row.
+
 A Wilson score interval accompanies every frequency.  A configuration is
 dominated when the observed frequency does not exceed the bound; the Wilson
 upper edge is reported for context and checked with slack only where a bound
@@ -39,7 +54,7 @@ from . import deformation as dfm
 from . import tail_bounds as tb
 from .empirical import _ks_statistics
 from .errors import U64_MAX, DomainError, check_int, check_real
-from .sampling import RngStream, _gaussian_rows, _norms
+from .sampling import RngStream, _keyed_uniforms, _norms
 
 __all__ = [
     "TrialConfig",
@@ -72,6 +87,11 @@ _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 _THREAD_MIN_N = 160
 
 _MIN_TRIALS = 100  # below this a Wilson verdict is meaningless
+
+# a KS statistic formed without the normal CDF may differ from the exact one
+# by at most 1e-15 (module docstring); rows this close to the threshold are
+# left to _ks_statistics
+_BAND = 1e-12
 
 
 def _trial_keys(N, trials, seed):
@@ -156,13 +176,16 @@ def _report(count: int, trials: int, bound: float, cls=MonteCarloReport, **count
 
 
 def _count(n: int, seed: int, trials: int, stat, *events):
-    """Counts, one int per event, of the trials 0..trials-1 where event(stat(row)) holds.
+    """Counts, one int per event, of the trials 0..trials-1 where event(stat(rows)) holds.
 
-    Rows come in blocks of at most _CHUNK_ELEMENTS entries; row i is bit-identical
-    to gaussian_vector(n, RngStream(seed, i)), so the blocking never shows.  Each
-    block draws its own rows, computes its statistic and counts its own events,
-    and the result is the integer sum over blocks, so neither block size nor
-    block order can change it.  A call spanning two or more blocks with
+    Rows come in blocks of at most _CHUNK_ELEMENTS entries of keyed uniforms:
+    row i is bit-identical to _keyed_uniforms(seed, i, 1, n)[0], whose ndtri is
+    gaussian_vector(n, RngStream(seed, i)), so the blocking never shows.  stat
+    maps a block to an array of per-trial statistics (it may drop trials that
+    cannot be events), and each event maps that array to booleans.  Each block
+    draws its own rows, computes its statistic and counts its own events, and
+    the result is the integer sum over blocks, so neither block size nor block
+    order can change it.  A call spanning two or more blocks with
     n >= _THREAD_MIN_N runs its blocks on _WORKERS threads (the draws, ndtri,
     sort and ndtr release the GIL); an exception raised in a block reaches the
     caller.  stat may overwrite its argument: each block's matrix is its own.
@@ -170,7 +193,7 @@ def _count(n: int, seed: int, trials: int, stat, *events):
     rows = max(1, min(trials, _CHUNK_ELEMENTS // n))
 
     def block(first):
-        s = stat(_gaussian_rows(n, seed, first, min(rows, trials - first)))
+        s = stat(_keyed_uniforms(seed, first, min(rows, trials - first), n))
         return [int(np.count_nonzero(event(s))) for event in events]
 
     firsts = range(0, trials, rows)
@@ -188,14 +211,30 @@ def run_theorem_trials(config: TrialConfig) -> MonteCarloReport:
     Each trial draws a uniform sphere point, forms the scaled sample
     sqrt(N) X, and counts KS deviations from the Gaussian CDF exceeding
     epsilon + gamma(t).  The bound is the corresponding three-term total.
+
+    KS > thr needs some sorted entry with Phi(x_(i)) < i/N - thr or
+    Phi(x_(i)) > (i-1)/N + thr.  Each row is compared with the inverse-CDF
+    edges of those two conditions, widened by 2 _BAND, and only the rows that
+    cross an edge get their exact statistic.
     """
     if not isinstance(config, TrialConfig):
         raise DomainError("run_theorem_trials expects a TrialConfig")
-    bound = tb._breakdown(config.N, config.epsilon, config.t, "exact_gamma")
-    sqrt_n = math.sqrt(config.N)
-    count, = _count(config.N, config.seed, config.trials,
-                    lambda z: _ks_statistics((z / _norms(z)[:, None]) * sqrt_n),
-                    lambda ks: ks > bound.threshold)
+    n = config.N
+    bound = tb._breakdown(n, config.epsilon, config.t, "exact_gamma")
+    thr = bound.threshold
+    lo_x = special.ndtri(np.clip(np.arange(1, n + 1) / n - thr + 2 * _BAND, 0.0, 1.0))
+    hi_x = special.ndtri(np.clip(np.arange(0, n) / n + thr - 2 * _BAND, 0.0, 1.0))
+    sqrt_n = math.sqrt(n)
+
+    def flagged_statistics(u):
+        x = special.ndtri(u, out=u)
+        x /= _norms(x)[:, None]
+        x *= sqrt_n
+        x.sort(axis=-1)
+        flagged = (x < lo_x).any(axis=-1) | (x > hi_x).any(axis=-1)
+        return _ks_statistics(x[flagged])
+
+    count, = _count(n, config.seed, config.trials, flagged_statistics, lambda ks: ks > thr)
     return _report(count, config.trials, bound.total)
 
 
@@ -203,11 +242,20 @@ def run_dkw_trials(N: int, trials: int, seed: int, epsilon: float) -> MonteCarlo
     """Estimate the DKW-bounded probability for i.i.d. Gaussian samples.
 
     Counts KS deviations of the raw (unnormalized) Gaussian sample exceeding
-    epsilon; the bound is 2 exp(-2 N epsilon^2).
+    epsilon; the bound is 2 exp(-2 N epsilon^2).  Phi(ndtri(u)) is u up to
+    rounding, so each row's sorted uniforms are scored against the uniform CDF,
+    and the rows within _BAND of epsilon get their exact statistic.
     """
     n, trials, seed = _trial_keys(N, trials, seed)
     eps = check_real(epsilon, "epsilon", 0.0)
-    count, = _count(n, seed, trials, _ks_statistics, lambda ks: ks > eps)
+
+    def statistics(u):
+        ks = _ks_statistics(u, cdf=None)
+        near = np.abs(ks - eps) <= _BAND
+        ks[near] = _ks_statistics(special.ndtri(u[near]))
+        return ks
+
+    count, = _count(n, seed, trials, statistics, lambda ks: ks > eps)
     return _report(count, trials, tb._dkw_term(n, eps))
 
 
@@ -220,7 +268,8 @@ def run_lambda_trials(N: int, trials: int, seed: int, t) -> LambdaTrialReport:
     n, trials, seed = _trial_keys(N, trials, seed)
     tv = dfm._t_value(t)
     sqrt_n = math.sqrt(n)
-    upper, lower = _count(n, seed, trials, lambda z: sqrt_n / _norms(z) - 1.0,
+    upper, lower = _count(n, seed, trials,
+                          lambda u: sqrt_n / _norms(special.ndtri(u, out=u)) - 1.0,
                           lambda d: d > tv, lambda d: d < -tv)
     gp, gm = tb._scale_terms(n, tv, "exact_gamma")
     return _report(upper + lower, trials, gp + gm, LambdaTrialReport,
@@ -236,7 +285,7 @@ def run_chisq_trials(N: int, trials: int, seed: int, x: float):
     n, trials, seed = _trial_keys(N, trials, seed)
     up = tb.lm_upper(n, x)
     lo = tb.lm_lower(n, x)
-    upper, lower = _count(n, seed, trials, lambda z: _norms(z) ** 2,
+    upper, lower = _count(n, seed, trials, lambda u: _norms(special.ndtri(u, out=u)) ** 2,
                           lambda u: u - n >= up.threshold,
                           lambda u: n - u >= lo.threshold)
     return _report(upper, trials, up.bound), _report(lower, trials, lo.bound)

@@ -13,6 +13,7 @@ the 53-bit grid; one kernel draws these rows for vectors and trial batches.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ def _key(seed: int, stream_id: int) -> np.ndarray:
     return np.array([seed, stream_id], dtype=np.uint64)
 
 
+# one Philox bit generator per thread; _keyed_uniforms re-keys it for every row
+_philox = threading.local()
+
+
 def _keyed_uniforms(seed: int, first: int, count: int, n: int) -> np.ndarray:
     """Row j holds the first n uniforms of stream (seed, first + j), shape (count, n).
 
@@ -53,9 +58,12 @@ def _keyed_uniforms(seed: int, first: int, count: int, n: int) -> np.ndarray:
     inverse normal CDF is inf.  raw >> 11 equals Generator.integers(0, 2**53),
     whose bounded method never rejects on a power-of-two range, so each row
     matches a fresh generator of its stream while one bit generator serves the
-    whole call.
+    whole call, and one per thread serves every call on that thread (building
+    a Philox costs about as much as drawing a row of 100).
     """
-    bg = np.random.Philox(key=_key(seed, first))
+    bg = getattr(_philox, "bg", None)
+    if type(bg) is not np.random.Philox:  # first call on this thread, or a substituted class
+        bg = _philox.bg = np.random.Philox(key=0)
     # a fresh generator's state: counter 0 and an empty buffer (buffer_pos 4),
     # so restoring it with a new key starts that key's stream; the setter reads
     # Python ints and lists at half the cost of the uint64 arrays bg.state holds
@@ -75,7 +83,8 @@ def _keyed_uniforms(seed: int, first: int, count: int, n: int) -> np.ndarray:
 
 def _gaussian_rows(N: int, seed: int, first: int, count: int) -> np.ndarray:
     """Row j is the first N normal variates of stream (seed, first + j), shape (count, N)."""
-    return special.ndtri(_keyed_uniforms(seed, first, count, N))
+    u = _keyed_uniforms(seed, first, count, N)
+    return special.ndtri(u, out=u)
 
 
 def gaussian_vector(N: int, rng: RngStream) -> np.ndarray:
@@ -97,7 +106,7 @@ def _norms(z: np.ndarray):
     return np.sqrt(np.vecdot(z, z))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereSample:
     """A unit-sphere point with the scale factor linking it to its Gaussian source.
 

@@ -67,6 +67,12 @@ class TestBuildEcdf:
         assert view.sorted_values.tolist() == [1.0, 2.0, 3.0]
         assert view.sorted_values.dtype == np.float64
 
+    def test_equality_is_identity(self):
+        # the generated field-by-field == compared ndarrays and raised
+        a, b = build_ecdf([1.0, 3.0]), build_ecdf([1.0, 3.0])
+        assert (a == b) is False and (a == a) is True
+        assert len({a, b}) == 2
+
     def test_view_is_immutable(self):
         view = build_ecdf([3.0, 1.0, 2.0])
         with pytest.raises(ValueError):

@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import special
 
 import spherecdf.montecarlo as mc
 from spherecdf import (DomainError, RngStream, TrialConfig, build_ecdf,
-                       dkw_bound, gaussian_vector, ks_to_normal,
+                       dkw_bound, gamma_closed, gaussian_vector, ks_to_normal,
                        lambda_concentration_bound, run_chisq_trials,
                        run_dkw_trials, run_lambda_trials, run_theorem_trials,
                        sphere_sample, verify_lemmas, wilson_interval)
@@ -96,12 +97,12 @@ class TestTheoremTrials:
                 lambda: run_lambda_trials(30, 300, 7, 0.15),
                 lambda: run_chisq_trials(30, 300, 7, 1.0))
         before = [run() for run in runs]
-        draw, blocks = mc._gaussian_rows, []
+        draw, blocks = mc._keyed_uniforms, []
         monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", chunk)
         # N = 30 takes the threaded path too, wherever the machine has 2 CPUs
         monkeypatch.setattr(mc, "_THREAD_MIN_N", 1)
-        monkeypatch.setattr(mc, "_gaussian_rows",
-                            lambda *a: blocks.append(a[2:]) or draw(*a))
+        monkeypatch.setattr(mc, "_keyed_uniforms",
+                            lambda *a: blocks.append(a[1:3]) or draw(*a))
         rows = max(1, chunk // 30)
         partition = [(first, min(rows, 300 - first)) for first in range(0, 300, rows)]
         for run, report in zip(runs, before):
@@ -118,10 +119,10 @@ class TestTheoremTrials:
                 lambda: run_dkw_trials(n, trials, seed, 0.05),
                 lambda: run_lambda_trials(n, trials, seed, 0.05),
                 lambda: run_chisq_trials(n, trials, seed, 1.0))
-        draw, on_main = mc._gaussian_rows, []
+        draw, on_main = mc._keyed_uniforms, []
         monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * n)
         monkeypatch.setattr(
-            mc, "_gaussian_rows",
+            mc, "_keyed_uniforms",
             lambda *a: on_main.append(threading.current_thread() is threading.main_thread())
             or draw(*a))
         reports = {}
@@ -134,17 +135,17 @@ class TestTheoremTrials:
         assert reports[1] == reports[2]
 
     def test_block_exception_reaches_caller(self, monkeypatch):
-        draw = mc._gaussian_rows
+        draw = mc._keyed_uniforms
 
-        def failing(n, seed, first, count):
+        def failing(seed, first, count, n):
             if first == 140:
                 raise RuntimeError("planted block failure")
-            return draw(n, seed, first, count)
+            return draw(seed, first, count, n)
 
         monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * 30)
         monkeypatch.setattr(mc, "_WORKERS", 2)
         monkeypatch.setattr(mc, "_THREAD_MIN_N", 1)
-        monkeypatch.setattr(mc, "_gaussian_rows", failing)
+        monkeypatch.setattr(mc, "_keyed_uniforms", failing)
         with pytest.raises(RuntimeError, match="^planted block failure$"):
             run_dkw_trials(30, 300, 7, 0.1)
 
@@ -200,6 +201,68 @@ class TestDkwTrials:
 
     def test_epsilon_above_one_gives_zero(self):
         assert run_dkw_trials(20, 150, 0, 1.0).event_count == 0
+
+
+class TestPlantedThresholds:
+    """Thresholds planted on a trial's exact KS statistic and one ulp either side.
+
+    The two KS runners decide most rows without the normal CDF; the planted
+    rows sit inside the band where _ks_statistics must decide, so the counts
+    must still equal the one-trial-at-a-time pipeline's.
+    """
+
+    TRIALS = 100
+    SHAPES = [(1, 0), (7, 3), (50, 2 ** 63 + 5), (200, 11)]
+
+    @classmethod
+    def planted(cls, values):
+        """(threshold, expected count) for thresholds at and around every 10th statistic."""
+        stats = np.array([ks_to_normal(build_ecdf(v)).statistic for v in values])
+        for k in range(0, cls.TRIALS, 10):
+            for thr in (np.nextafter(stats[k], 0.0), stats[k], np.nextafter(stats[k], 2.0)):
+                yield float(thr), int(np.count_nonzero(stats > thr))
+
+    @pytest.mark.parametrize("n, seed", SHAPES)
+    def test_dkw_planted_threshold(self, n, seed):
+        rows = [gaussian_vector(n, RngStream(seed, i)) for i in range(self.TRIALS)]
+        for eps, expected in self.planted(rows):
+            assert run_dkw_trials(n, self.TRIALS, seed, eps).event_count == expected, eps
+
+    @pytest.mark.parametrize("n, seed", SHAPES)
+    def test_theorem_planted_threshold(self, n, seed):
+        # gamma(0) = 0, so at t = 0 the runner's threshold is epsilon itself
+        assert gamma_closed(0.0).gamma == 0.0
+        rows = [sphere_sample(n, RngStream(seed, i)).coords * math.sqrt(n)
+                for i in range(self.TRIALS)]
+        for eps, expected in self.planted(rows):
+            cfg = TrialConfig(N=n, trials=self.TRIALS, seed=seed, epsilon=eps, t=0.0)
+            assert run_theorem_trials(cfg).event_count == expected, eps
+
+
+class TestBandAssumption:
+    """Pins the scipy behaviour the KS runners' 1e-12 band rests on."""
+
+    def test_cdf_inverts_the_inverse_cdf(self):
+        k = np.arange(1, 1075)
+        u = np.concatenate([
+            mc._keyed_uniforms(2 ** 63 + 5, 0, 50, 4000).ravel(),
+            np.ldexp(1.0, -k),  # down to the smallest subnormal 2^-1074
+            1.0 - np.ldexp(1.0, -k[:53]),  # up to the cap 1 - 2^-53
+            [5e-324, 1e-310, 2.2250738585072014e-308, 0.5],
+            np.linspace(0.0, 1.0, 200_001),
+        ])
+        assert np.abs(special.ndtr(special.ndtri(u)) - u).max() <= 1e-14
+
+    def test_cdf_never_decreases(self):
+        dense = np.linspace(-40.0, 10.0, 2_000_001)
+        assert np.all(np.diff(special.ndtr(dense)) >= 0.0)
+        # along consecutive doubles ndtr wobbles by one ulp (near -1 and 0.5 it
+        # steps down by 5.6e-17 and 1.1e-16), which the band must absorb
+        starts = np.array([-38.4, -8.0, -1.0, -1e-300, 1e-300, 0.5, 3.0, 8.2])
+        runs = np.sort((starts.view(np.int64)[:, None]
+                        + np.arange(-5000, 5000)).view(np.float64), axis=-1)
+        p = special.ndtr(runs)
+        assert (np.maximum.accumulate(p, axis=-1) - p).max() <= 1e-15
 
 
 class TestLambdaTrials:

@@ -5,6 +5,8 @@ keyed, so an in-band value stays in band on every run.
 """
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -85,6 +87,32 @@ class TestKeyedUniforms:
             raw = gen.integers(0, 1 << 53, size=19, dtype=np.uint64)
             assert np.array_equal(batch[j], (raw.astype(np.float64) + 0.5) * 2.0 ** -53)
 
+    def test_threads_share_no_bit_generator(self):
+        # each thread re-keys its own Philox; two threads drawing interleaved
+        # keys must get the rows one thread gets
+        seed, rows, block, n = 2 ** 63 + 5, 800, 8, 33
+        expected = _keyed_uniforms(seed, 0, rows, n)
+        got = np.empty_like(expected)
+        turn = threading.Barrier(2, timeout=30)
+
+        def draw(parity):
+            for first in range(parity * block, rows, 2 * block):
+                got[first:first + block] = _keyed_uniforms(seed, first, block, n)
+                turn.wait()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(p,)) for p in (0, 1)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert np.array_equal(got, expected)
+
     def test_top_draw_stays_below_one(self, monkeypatch):
         # k = 2^53 - 1 would round (k + 1/2) 2^-53 up to 1.0, and ndtri(1.0) = inf
         class AllOnes(np.random.Philox):
@@ -150,6 +178,11 @@ class TestSphereSample:
         s = sphere_sample(50, RngStream(seed=3, stream_id=1))
         assert not s.coords.flags.writeable
         assert type(s.lam) is float and type(s.gaussian_norm) is float
+
+    def test_equality_is_identity(self):
+        # the generated field-by-field == compared ndarrays and raised
+        a, b = (sphere_sample(5, RngStream(seed=3, stream_id=1)) for _ in range(2))
+        assert (a == b) is False and (a == a) is True
 
     def test_hand_built_sample_checked(self):
         with pytest.raises(DomainError, match="unit norm"):
