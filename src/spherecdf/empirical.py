@@ -87,23 +87,14 @@ def _sorted_ks_gaps(sorted_values: np.ndarray):
     return hi - p, p - lo
 
 
-def _ks_statistics(values: np.ndarray, cdf=special.ndtr):
+def _ks_statistics(values: np.ndarray):
     """Exact KS statistic of a float64 sample or of each matrix row.
 
-    Overwrites values: each row is sorted and then replaced by Phi of it, so a
-    caller passes a matrix it owns and does not read afterwards.  The gaps are
-    those of _sorted_ks_gaps, formed one side at a time in one scratch buffer;
-    max is exact, so the statistics equal ks_to_normal's bit for bit.  With
-    cdf=None the CDF step is skipped: the values are probabilities, scored
-    against the uniform CDF, and are left sorted.
+    The gap maxima of _sorted_ks_gaps on a row-sorted copy; max is exact, so
+    the statistics equal ks_to_normal's bit for bit.
     """
-    values.sort(axis=-1)
-    n = values.shape[-1]
-    p = values if cdf is None else cdf(values, out=values)
-    gap = np.arange(1, n + 1) / n - p
-    stat = gap.max(axis=-1)
-    np.subtract(p, np.arange(0, n) / n, out=gap)
-    return np.maximum(stat, gap.max(axis=-1))
+    upper, lower = _sorted_ks_gaps(np.sort(values, axis=-1))
+    return np.maximum(upper.max(axis=-1), lower.max(axis=-1))
 
 
 def ks_to_normal(ecdf: EmpiricalCdfView) -> KsResult:

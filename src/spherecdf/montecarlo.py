@@ -17,18 +17,17 @@ blocks on up to two threads; since every trial is keyed, the counts depend on
 neither the block size, nor the block order, nor the number of threads.
 
 A block is a matrix of keyed uniforms u; its Gaussian rows are ndtri(u).  The
-two KS runners count KS > threshold, which needs only the side of the
-threshold a row falls on, so they mostly skip the normal CDF.  Order
+two KS runners count KS > thr through one edge rule, _ks_exceeds: sorted CDF
+values p have KS > s exactly when some p_i < i/N - s or p_i > (i-1)/N + s.  A
+row that crosses the edges of s = thr + 2 _BAND is an event, a row inside those
+of s = thr - 2 _BAND is not, and only the rows in between reach
+_ks_statistics.  The DKW runner tests its sorted uniforms against these edges,
+the theorem runner its sorted rows against their ndtri images.  Order
 statistics are 1-Lipschitz in the sup norm; |ndtr(ndtri(u)) - u| is at most
 2.8e-16 (over keyed draws, a dense grid of [0, 1] and the extremes 2^-k and
-1 - 2^-k), ndtr steps down by at most 2.2e-16 between consecutive doubles,
-and gap rounding adds about 2.2e-16 (scipy 1.17.1), so a statistic formed
-without Phi lies within 1e-15 of the exact one, 1000 times inside the _BAND
-of 1e-12.  The DKW runner scores its sorted uniforms against i/N and (i-1)/N and
-recomputes exactly every row within _BAND of epsilon; the theorem runner
-compares its sorted rows with inverse-CDF edges widened by 2 _BAND and
-computes the exact statistic of flagged rows only, a superset of its events.
-_ks_statistics therefore decides every event that could go either way, and
+1 - 2^-k), ndtr steps down by at most 2.2e-16 between consecutive doubles, and
+edge and gap rounding add about 2.2e-16 each (scipy 1.17.1), so an edge test
+misplaces a row by less than 1e-15, 2000 times inside the 2 _BAND margin, and
 the counts equal those of the exact statistic of every row.
 
 A Wilson score interval accompanies every frequency.  A configuration is
@@ -78,20 +77,43 @@ _CHUNK_ELEMENTS = 1 << 17
 # threads for a call that spans two or more blocks of rows of length at least
 # _THREAD_MIN_N (the CPUs this process may use where the OS says, else all of
 # them; two is the most that was measured).  Per row, the stream set-up holds
-# the GIL for about 8 us and ndtri, sort and ndtr release it for about 0.05 us
-# per entry, so two threads lost 37% at N = 50, tied at N = 100-128 and won
-# from N = 160 on (in-process A/B on a 2-core VM; no benchmark workload has a
-# multi-block call below N = 160)
+# the GIL for about 3 us (timeit, 2-core VM: a whole _keyed_uniforms call takes
+# 3.3-3.6 us per row at N = 50) and ndtri, sort and ndtr release it for about
+# 0.06 us per entry.  When the set-up held it for about 8 us, two threads lost
+# 37% at N = 50, tied at N = 100-128 and won from N = 160 on (in-process A/B;
+# no benchmark workload has a multi-block call below N = 160)
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 _THREAD_MIN_N = 160
 
 _MIN_TRIALS = 100  # below this a Wilson verdict is meaningless
 
-# a KS statistic formed without the normal CDF may differ from the exact one
-# by at most 1e-15 (module docstring); rows this close to the threshold are
-# left to _ks_statistics
+# an edge test misplaces a row by less than 1e-15 (module docstring), so only
+# rows within 2 _BAND of the threshold are left to _ks_statistics
 _BAND = 1e-12
+
+
+def _ks_edges(n: int, thr: float) -> np.ndarray:
+    """Edges of KS > thr + 2 _BAND (rows 0, 1, inner) and of KS > thr - 2 _BAND (rows 2, 3).
+
+    Rows 0 and 2 are i/N - s, rows 1 and 3 are (i-1)/N + s, clipped to [0, 1].
+    """
+    grid = np.arange(n + 1) / n
+    return np.clip([e for s in (thr + 2 * _BAND, thr - 2 * _BAND)
+                    for e in (grid[1:] - s, grid[:-1] + s)], 0.0, 1.0)
+
+
+def _ks_exceeds(rows: np.ndarray, edges, thr: float, exact) -> np.ndarray:
+    """Whether each sorted row's KS statistic exceeds thr; edges are _ks_edges in its scale.
+
+    A row that crosses an inner edge is an event, a row inside both outer edges
+    is not; exact maps the rows in between to their exact statistics.
+    """
+    below_in, above_in, below_out, above_out = edges
+    hit = (rows < below_in).any(axis=-1) | (rows > above_in).any(axis=-1)
+    near = ~hit & ((rows < below_out).any(axis=-1) | (rows > above_out).any(axis=-1))
+    hit[near] = exact(rows[near]) > thr
+    return hit
 
 
 def _trial_keys(N, trials, seed):
@@ -181,8 +203,8 @@ def _count(n: int, seed: int, trials: int, stat, *events):
     Rows come in blocks of at most _CHUNK_ELEMENTS entries of keyed uniforms:
     row i is bit-identical to _keyed_uniforms(seed, i, 1, n)[0], whose ndtri is
     gaussian_vector(n, RngStream(seed, i)), so the blocking never shows.  stat
-    maps a block to an array of per-trial statistics (it may drop trials that
-    cannot be events), and each event maps that array to booleans.  Each block
+    maps a block to one entry per trial (a statistic, or the verdict of
+    _ks_exceeds), and each event maps those entries to booleans.  Each block
     draws its own rows, computes its statistic and counts its own events, and
     the result is the integer sum over blocks, so neither block size nor block
     order can change it.  A call spanning two or more blocks with
@@ -212,29 +234,24 @@ def run_theorem_trials(config: TrialConfig) -> MonteCarloReport:
     sqrt(N) X, and counts KS deviations from the Gaussian CDF exceeding
     epsilon + gamma(t).  The bound is the corresponding three-term total.
 
-    KS > thr needs some sorted entry with Phi(x_(i)) < i/N - thr or
-    Phi(x_(i)) > (i-1)/N + thr.  Each row is compared with the inverse-CDF
-    edges of those two conditions, widened by 2 _BAND, and only the rows that
-    cross an edge get their exact statistic.
+    _ks_exceeds decides each sorted row against the ndtri images of _ks_edges.
     """
     if not isinstance(config, TrialConfig):
         raise DomainError("run_theorem_trials expects a TrialConfig")
     n = config.N
     bound = tb._breakdown(n, config.epsilon, config.t, "exact_gamma")
     thr = bound.threshold
-    lo_x = special.ndtri(np.clip(np.arange(1, n + 1) / n - thr + 2 * _BAND, 0.0, 1.0))
-    hi_x = special.ndtri(np.clip(np.arange(0, n) / n + thr - 2 * _BAND, 0.0, 1.0))
+    edges = special.ndtri(_ks_edges(n, thr))
     sqrt_n = math.sqrt(n)
 
-    def flagged_statistics(u):
+    def exceeds(u):
         x = special.ndtri(u, out=u)
         x /= _norms(x)[:, None]
         x *= sqrt_n
         x.sort(axis=-1)
-        flagged = (x < lo_x).any(axis=-1) | (x > hi_x).any(axis=-1)
-        return _ks_statistics(x[flagged])
+        return _ks_exceeds(x, edges, thr, _ks_statistics)
 
-    count, = _count(n, config.seed, config.trials, flagged_statistics, lambda ks: ks > thr)
+    count, = _count(n, config.seed, config.trials, exceeds, lambda hit: hit)
     return _report(count, config.trials, bound.total)
 
 
@@ -243,19 +260,18 @@ def run_dkw_trials(N: int, trials: int, seed: int, epsilon: float) -> MonteCarlo
 
     Counts KS deviations of the raw (unnormalized) Gaussian sample exceeding
     epsilon; the bound is 2 exp(-2 N epsilon^2).  Phi(ndtri(u)) is u up to
-    rounding, so each row's sorted uniforms are scored against the uniform CDF,
-    and the rows within _BAND of epsilon get their exact statistic.
+    rounding, so _ks_exceeds compares each row's sorted uniforms with the edges
+    of _ks_edges as they are.
     """
     n, trials, seed = _trial_keys(N, trials, seed)
     eps = check_real(epsilon, "epsilon", 0.0)
+    edges = _ks_edges(n, eps)
 
-    def statistics(u):
-        ks = _ks_statistics(u, cdf=None)
-        near = np.abs(ks - eps) <= _BAND
-        ks[near] = _ks_statistics(special.ndtri(u[near]))
-        return ks
+    def exceeds(u):
+        u.sort(axis=-1)
+        return _ks_exceeds(u, edges, eps, lambda near: _ks_statistics(special.ndtri(near)))
 
-    count, = _count(n, seed, trials, statistics, lambda ks: ks > eps)
+    count, = _count(n, seed, trials, exceeds, lambda hit: hit)
     return _report(count, trials, tb._dkw_term(n, eps))
 
 
@@ -271,9 +287,8 @@ def run_lambda_trials(N: int, trials: int, seed: int, t) -> LambdaTrialReport:
     upper, lower = _count(n, seed, trials,
                           lambda u: sqrt_n / _norms(special.ndtri(u, out=u)) - 1.0,
                           lambda d: d > tv, lambda d: d < -tv)
-    gp, gm = tb._scale_terms(n, tv, "exact_gamma")
-    return _report(upper + lower, trials, gp + gm, LambdaTrialReport,
-                   upper_count=upper, lower_count=lower)
+    return _report(upper + lower, trials, tb.lambda_concentration_bound(n, tv),
+                   LambdaTrialReport, upper_count=upper, lower_count=lower)
 
 
 def run_chisq_trials(N: int, trials: int, seed: int, x: float):

@@ -7,9 +7,11 @@ ties the scaled sphere point to the Gaussian sample it came from.
 Randomness comes from counter-based Philox streams keyed by the exact
 unsigned 64-bit pair (seed, stream_id): identical keys reproduce identical
 output bit for bit, distinct stream ids are independent, and no jump-ahead
-bookkeeping is needed for parallel trials.  A stream's k-th normal variate is
-the inverse CDF of the top 53 bits of its k-th raw Philox word, centered on
-the 53-bit grid; one kernel draws these rows for vectors and trial batches.
+bookkeeping is needed for parallel trials.  A stream's j-th normal variate is
+ndtri((k + 1/2) 2^-53), where k is the top 53 bits of its j-th raw Philox word;
+one kernel draws these rows for vectors and trial batches.  The grid is centered
+only for k < 2^52: above, k + 1/2 rounds to an even integer in double, so draws
+2m + 1 and 2m + 2 share one value and k = 2^52 gives exactly 1/2.
 """
 
 import math
@@ -37,13 +39,10 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""
-        return np.random.Generator(np.random.Philox(key=_key(self.seed, self.stream_id)))
-
-
-def _key(seed: int, stream_id: int) -> np.ndarray:
-    # numpy turns a plain list holding a value >= 2^63 into float64, which
-    # merges neighbouring keys and wraps 2^64 - 1 to 0
-    return np.array([seed, stream_id], dtype=np.uint64)
+        # numpy turns a plain list holding a value >= 2^63 into float64, which
+        # merges neighbouring keys and wraps 2^64 - 1 to 0
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 # one Philox bit generator per thread; _keyed_uniforms re-keys it for every row
@@ -81,20 +80,14 @@ def _keyed_uniforms(seed: int, first: int, count: int, n: int) -> np.ndarray:
     return out
 
 
-def _gaussian_rows(N: int, seed: int, first: int, count: int) -> np.ndarray:
-    """Row j is the first N normal variates of stream (seed, first + j), shape (count, N)."""
-    u = _keyed_uniforms(seed, first, count, N)
-    return special.ndtri(u, out=u)
-
-
 def gaussian_vector(N: int, rng: RngStream) -> np.ndarray:
     """N i.i.d. standard normal variates from the given stream.
 
     Deterministic per (seed, stream_id): the same stream always yields the
     same vector.
     """
-    n = check_int(N, "N")
-    return _gaussian_rows(n, rng.seed, rng.stream_id, 1)[0]
+    u = _keyed_uniforms(rng.seed, rng.stream_id, 1, check_int(N, "N"))[0]
+    return special.ndtri(u, out=u)
 
 
 def _norms(z: np.ndarray):

@@ -206,7 +206,7 @@ class TestDkwTrials:
 class TestPlantedThresholds:
     """Thresholds planted on a trial's exact KS statistic and one ulp either side.
 
-    The two KS runners decide most rows without the normal CDF; the planted
+    The two KS runners decide most rows by the edges of _ks_exceeds; the planted
     rows sit inside the band where _ks_statistics must decide, so the counts
     must still equal the one-trial-at-a-time pipeline's.
     """
@@ -237,6 +237,55 @@ class TestPlantedThresholds:
         for eps, expected in self.planted(rows):
             cfg = TrialConfig(N=n, trials=self.TRIALS, seed=seed, epsilon=eps, t=0.0)
             assert run_theorem_trials(cfg).event_count == expected, eps
+
+
+class TestKsExceeds:
+    """The edge rule decides every row as the exact statistic does.
+
+    Thresholds sit on each row's exact statistic and at 1 ulp, 1e-13 and 1e-6
+    either side; only rows within 1e-11 of the threshold may reach exact.
+    """
+
+    @staticmethod
+    def cases(rng):
+        """(sorted rows, edge scale, exact kernel) in the uniform and the x scale."""
+        for n in (1, 7, 100, 1000):
+            u = np.sort(rng.random((12, n)), axis=-1)
+            yield u, lambda e: e, lambda r: mc._ks_statistics(special.ndtri(r))
+            x = np.sort(rng.normal(size=(12, n)) * rng.uniform(0.8, 1.25, (12, 1)), axis=-1)
+            yield x, special.ndtri, mc._ks_statistics
+
+    def test_matches_exact_statistic(self):
+        for rows, scale, exact in self.cases(np.random.default_rng(8)):
+            stats = exact(rows)
+            for stat in stats:
+                for thr in (stat, np.nextafter(stat, 0.0), np.nextafter(stat, 2.0),
+                            stat - 1e-13, stat + 1e-13, stat - 1e-6, stat + 1e-6):
+                    seen = []
+
+                    def spy(near):
+                        got = exact(near)
+                        seen.extend(got.tolist())
+                        return got
+
+                    edges = scale(mc._ks_edges(rows.shape[1], thr))
+                    hit = mc._ks_exceeds(rows, edges, thr, spy)
+                    assert hit.tolist() == (stats > thr).tolist(), thr
+                    assert all(abs(v - thr) <= 1e-11 for v in seen), (thr, seen)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 63 + 5])
+    def test_exact_kernel_sees_few_rows(self, monkeypatch, seed):
+        # at the acceptance shapes no row lies near the threshold, so the exact
+        # kernel sees at most one row per 1,000 trials
+        seen, kernel = [], mc._ks_statistics
+        monkeypatch.setattr(mc, "_ks_statistics",
+                            lambda values: seen.append(len(values)) or kernel(values))
+        runs = [lambda n=n, e=e, t=t: run_theorem_trials(TrialConfig(n, 1000, seed, e, t))
+                for n, e, t in ((50, 0.08, 0.15), (100, 0.05, 0.1), (200, 0.05, 0.1))]
+        for run in runs + [lambda: run_dkw_trials(100, 1000, seed, 0.05)]:
+            seen.clear()
+            run()
+            assert sum(seen) <= 1, seen
 
 
 class TestBandAssumption:
