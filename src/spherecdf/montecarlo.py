@@ -77,11 +77,14 @@ _CHUNK_ELEMENTS = 1 << 17
 # threads for a call that spans two or more blocks of rows of length at least
 # _THREAD_MIN_N (the CPUs this process may use where the OS says, else all of
 # them; two is the most that was measured).  Per row, the stream set-up holds
-# the GIL for about 3 us (timeit, 2-core VM: a whole _keyed_uniforms call takes
-# 3.3-3.6 us per row at N = 50) and ndtri, sort and ndtr release it for about
-# 0.06 us per entry.  When the set-up held it for about 8 us, two threads lost
-# 37% at N = 50, tied at N = 100-128 and won from N = 160 on (in-process A/B;
-# no benchmark workload has a multi-block call below N = 160)
+# the GIL for about 1.5 us (timeit, 2-core VM: a whole _keyed_uniforms call
+# takes 1.5 us per row at N = 1, 0.55 us of it the state restore and 0.9 us
+# the Generator.random call) and the uniform fill, ndtri, sort and ndtr
+# release it for about 0.06 us per entry.  When the set-up held it for about
+# 8 us, two threads lost 37% at N = 50, tied at N = 100-128 and won from
+# N = 160 on (in-process A/B); at 1.5 us they still lost 34% at N = 50 and 12%
+# at N = 100 (dkw plus chisq runs, 16 alternating in-process pairs).  No
+# benchmark workload has a multi-block call below N = 160
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 _THREAD_MIN_N = 160
@@ -200,30 +203,33 @@ def _report(count: int, trials: int, bound: float, cls=MonteCarloReport, **count
 def _count(n: int, seed: int, trials: int, stat, *events):
     """Counts, one int per event, of the trials 0..trials-1 where event(stat(rows)) holds.
 
-    Rows come in blocks of at most _CHUNK_ELEMENTS entries of keyed uniforms:
-    row i is bit-identical to _keyed_uniforms(seed, i, 1, n)[0], whose ndtri is
-    gaussian_vector(n, RngStream(seed, i)), so the blocking never shows.  stat
-    maps a block to one entry per trial (a statistic, or the verdict of
-    _ks_exceeds), and each event maps those entries to booleans.  Each block
-    draws its own rows, computes its statistic and counts its own events, and
-    the result is the integer sum over blocks, so neither block size nor block
-    order can change it.  A call spanning two or more blocks with
-    n >= _THREAD_MIN_N runs its blocks on _WORKERS threads (the draws, ndtri,
-    sort and ndtr release the GIL); an exception raised in a block reaches the
-    caller.  stat may overwrite its argument: each block's matrix is its own.
+    Rows come in the fewest blocks of at most _CHUNK_ELEMENTS entries of keyed
+    uniforms (at least one row each), spread evenly: block sizes differ by at
+    most one row, the larger blocks first.  Row i is bit-identical to
+    _keyed_uniforms(seed, i, 1, n)[0], whose ndtri is gaussian_vector(n,
+    RngStream(seed, i)), so the blocking never shows.  stat maps a block to one
+    entry per trial (a statistic, or the verdict of _ks_exceeds), and each
+    event maps those entries to booleans.  Each block draws its own rows,
+    computes its statistic and counts its own events, and the result is the
+    integer sum over blocks, so neither block size nor block order can change
+    it.  A call spanning two or more blocks with n >= _THREAD_MIN_N runs its
+    blocks on _WORKERS threads (the draws, ndtri, sort and ndtr release the
+    GIL); an exception raised in a block reaches the caller.  stat may
+    overwrite its argument: each block's matrix is its own.
     """
-    rows = max(1, min(trials, _CHUNK_ELEMENTS // n))
+    blocks = -(-trials // max(1, _CHUNK_ELEMENTS // n))
+    rows, extra = divmod(trials, blocks)
 
-    def block(first):
-        s = stat(_keyed_uniforms(seed, first, min(rows, trials - first), n))
+    def block(b):
+        first = b * rows + min(b, extra)
+        s = stat(_keyed_uniforms(seed, first, rows + (b < extra), n))
         return [int(np.count_nonzero(event(s))) for event in events]
 
-    firsts = range(0, trials, rows)
-    if _WORKERS > 1 and len(firsts) > 1 and n >= _THREAD_MIN_N:
+    if _WORKERS > 1 and blocks > 1 and n >= _THREAD_MIN_N:
         with concurrent.futures.ThreadPoolExecutor(_WORKERS) as pool:
-            per_block = list(pool.map(block, firsts))
+            per_block = list(pool.map(block, range(blocks)))
     else:
-        per_block = map(block, firsts)
+        per_block = map(block, range(blocks))
     return [sum(c) for c in zip(*per_block)]
 
 

@@ -9,9 +9,12 @@ unsigned 64-bit pair (seed, stream_id): identical keys reproduce identical
 output bit for bit, distinct stream ids are independent, and no jump-ahead
 bookkeeping is needed for parallel trials.  A stream's j-th normal variate is
 ndtri((k + 1/2) 2^-53), where k is the top 53 bits of its j-th raw Philox word;
-one kernel draws these rows for vectors and trial batches.  The grid is centered
-only for k < 2^52: above, k + 1/2 rounds to an even integer in double, so draws
-2m + 1 and 2m + 2 share one value and k = 2^52 gives exactly 1/2.
+one kernel draws these rows for vectors and trial batches, writing each row's
+k 2^-53 in place with Generator.random and adding 2^-54 once per block (the
+same double, since scaling by a power of two commutes with rounding).  The
+grid is centered only for k < 2^52: above, k + 1/2 rounds to an even integer
+in double, so draws 2m + 1 and 2m + 2 share one value and k = 2^52 gives
+exactly 1/2.
 """
 
 import math
@@ -45,7 +48,8 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-# one Philox bit generator per thread; _keyed_uniforms re-keys it for every row
+# one Generator over a Philox bit generator per thread; _keyed_uniforms
+# re-keys the bit generator for every row
 _philox = threading.local()
 
 
@@ -54,15 +58,21 @@ def _keyed_uniforms(seed: int, first: int, count: int, n: int) -> np.ndarray:
 
     The values are (k + 1/2) 2^-53 rounded to double, for the 53-bit draws k,
     capped at 1 - 2^-53: k = 2^53 - 1 alone would round up to 1.0, whose
-    inverse normal CDF is inf.  raw >> 11 equals Generator.integers(0, 2**53),
-    whose bounded method never rejects on a power-of-two range, so each row
-    matches a fresh generator of its stream while one bit generator serves the
-    whole call, and one per thread serves every call on that thread (building
-    a Philox costs about as much as drawing a row of 100).
+    inverse normal CDF is inf.  Generator.random writes k 2^-53 (k the top 53
+    bits of each raw word) straight into the row in a C loop that releases the
+    GIL; one pass over the block then adds 2^-54, which gives the same double
+    as (k + 1/2) 2^-53 because scaling by a power of two commutes with
+    rounding.  k is also Generator.integers(0, 2**53), whose bounded method
+    never rejects on a power-of-two range, so each row matches a fresh
+    generator of its stream while one bit generator serves the whole call, and
+    one per thread serves every call on that thread (building a Philox costs
+    about as much as drawing a row of 100).
     """
-    bg = getattr(_philox, "bg", None)
-    if type(bg) is not np.random.Philox:  # first call on this thread, or a substituted class
-        bg = _philox.bg = np.random.Philox(key=0)
+    gen = getattr(_philox, "gen", None)
+    if gen is None or type(gen.bit_generator) is not np.random.Philox:
+        # first call on this thread, or a substituted class
+        gen = _philox.gen = np.random.Generator(np.random.Philox(key=0))
+    bg = gen.bit_generator
     # a fresh generator's state: counter 0 and an empty buffer (buffer_pos 4),
     # so restoring it with a new key starts that key's stream; the setter reads
     # Python ints and lists at half the cost of the uint64 arrays bg.state holds
@@ -73,9 +83,8 @@ def _keyed_uniforms(seed: int, first: int, count: int, n: int) -> np.ndarray:
     for j in range(count):
         key[1] = first + j
         bg.state = state
-        out[j] = bg.random_raw(n) >> 11
-    out += 0.5
-    out *= 2.0 ** -53
+        gen.random(out=out[j])
+    out += 2.0 ** -54
     np.minimum(out, 1.0 - 2.0 ** -53, out=out)
     return out
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from spherecdf import cli
 from spherecdf.cli import main
 
 GOLDEN = Path(__file__).resolve().with_name("cli_golden.json")
@@ -103,6 +104,37 @@ def test_cases_match_command_list(golden):
 def test_golden_output(golden, workdir, index):
     case = golden["cases"][index]
     assert run(case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+# subcommands in several formats, argparse usage errors, a library error and
+# --help, in one order
+SESSION = [
+    ["bound-eval", "--n", "100", "--epsilon", "0.1", "--t", "0.2", "--format", "csv"],
+    ["bound-eval", "--t", "1.0"],
+    ["simulate", "--kind", "dkw", "--n", "50", "--trials", "500", "--epsilon", "0.1",
+     "--format", "json"],
+    ["simulate", "--kind", "dkw", "--x", "1"],
+    ["test-uniformity", "--input", "vectors.txt", "--alpha", "0.7", "--format", "human"],
+    ["bound-eval", "--n", "100", "--epsilon", "0.1", "--t", "1.0"],
+    ["simulate", "--help"],
+    ["gamma", "--t-min", "0", "--t-max", "0.9", "--steps", "10", "--format", "json"],
+    ["bound-eval", "--n", "100", "--epsilon", "0.1", "--t", "0.2", "--format", "csv"],
+]
+
+
+def test_one_parser_serves_every_call(golden, workdir, monkeypatch):
+    # main builds its parser on the first call of a process and reuses it, so
+    # an earlier call, a usage error included, must not change a later output
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cases = {tuple(case["argv"]): case for case in golden["cases"]}
+    for argv in SESSION:
+        case = cases[tuple(argv)]
+        assert run(argv) == (case["code"], case["stdout"], case["stderr"])
+    assert len(builds) == 1
+    assert build() is not cli._PARSER  # build_parser still returns a fresh parser
 
 
 if __name__ == "__main__":

@@ -7,10 +7,11 @@ keyed, so an in-band value stays in band on every run.
 import math
 import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.special import ndtri
 
 from spherecdf import (DomainError, RngStream, SphereSample, chisq_tail_lower,
@@ -114,15 +115,41 @@ class TestKeyedUniforms:
         assert np.array_equal(got, expected)
 
     def test_top_draw_stays_below_one(self, monkeypatch):
-        # k = 2^53 - 1 would round (k + 1/2) 2^-53 up to 1.0, and ndtri(1.0) = inf
-        class AllOnes(np.random.Philox):
-            def random_raw(self, size=None, output=True):
-                return np.full(size, 2 ** 64 - 1, dtype=np.uint64)
+        # k = 2^53 - 1 would round (k + 1/2) 2^-53 up to 1.0, and ndtri(1.0) = inf.
+        # Every restore of this Philox leaves four all-ones words buffered, so
+        # the first four draws of each row come from the C fill with that k
+        base = np.random.Philox
+
+        class AllOnes(base):
+            @property
+            def state(self):
+                return base.state.__get__(self)
+
+            @state.setter
+            def state(self, value):
+                base.state.__set__(self, {**value, "buffer": [2 ** 64 - 1] * 4,
+                                          "buffer_pos": 0})
 
         monkeypatch.setattr(np.random, "Philox", AllOnes)
-        u = _keyed_uniforms(0, 0, 2, 5)
+        u = _keyed_uniforms(0, 0, 2, 4)
         assert np.all(u == 1.0 - 2.0 ** -53)
-        assert np.all(np.isfinite(gaussian_vector(5, RngStream(0))))
+        assert np.all(np.isfinite(gaussian_vector(4, RngStream(0))))
+
+    @given(st.integers(0, 2 ** 53 - 1))
+    @example(0)
+    @example(1)
+    @example(2 ** 52 - 1)
+    @example(2 ** 52)
+    @example(2 ** 52 + 1)
+    @example(2 ** 53 - 2)
+    @example(2 ** 53 - 1)
+    def test_half_step_added_after_scaling(self, k):
+        # the kernel adds 2^-54 to k 2^-53; scaling by a power of two commutes
+        # with rounding, so this is (k + 1/2) 2^-53 rounded once, round-to-even
+        # upper half (k >= 2^52) and the capped k = 2^53 - 1 included
+        u = np.float64(k) * 2.0 ** -53 + 2.0 ** -54
+        assert u == (float(k) + 0.5) * 2.0 ** -53
+        assert u == float(Fraction(2 * k + 1, 2 ** 54))
 
 
 class TestNorms:
