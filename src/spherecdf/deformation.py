@@ -320,10 +320,37 @@ def _golden_lanes(fn, a, b, tol):
     return best
 
 
-# t values per coarse-scan matrix: (16, grid_points) blocks keep the scan
-# vectorised and add under 1% to the peak memory of verify_lemmas(1000);
-# 64-t blocks add 5%
+# t values per coarse-scan matrix: a 1000-t call at grid_points 2001 peaks at 0.8 MiB of
+# numpy memory (64-t blocks: 2.6 MiB, and slower, as each cap then serves more rows)
 _ORACLE_BLOCK = 16
+_ORACLE_CORE = 0.05  # the scan always evaluates the columns whose gap bound is at least this
+
+
+def _oracle_scan(diff, ts, grid_points):
+    """gamma_oracle's scan of diff over a 1-D t array: grid maxima, (lo, hi) per half-line."""
+    half = np.linspace(0.0, SUP_WINDOW, grid_points // 2 + 1)
+    xs = np.concatenate([-half[:0:-1], half])
+    n, m = len(xs), len(half) - 1  # xs[m] == 0 splits the two half-lines
+    bound = special.ndtr(-0.5 * np.abs(xs)) + 1e-12  # Phi(-|x|/2) plus ndtr's error
+    core = bound >= _ORACLE_CORE
+    best = np.empty(ts.size)
+    lo, hi = np.empty((2, 2, ts.size))
+    for s in range(0, ts.size, _ORACLE_BLOCK):
+        tb = ts[s:s + _ORACLE_BLOCK, None]
+        vals = np.full((len(tb), n), -np.inf)
+        vals[:, core] = diff(xs[core], tb)
+        # a column whose bound is at most cap holds no maximum (see gamma_oracle)
+        caps = [vals[:, :m].max(axis=1).min(), vals[:, m + 1:].max(axis=1).min()]
+        more = ~core & (bound > np.where(xs < 0.0, *caps))
+        vals[:, more] = diff(xs[more], tb)
+        best[s:s + _ORACLE_BLOCK] = vals.max(axis=1)
+        # refine both half-lines: the two humps are nearly equal at small t, so the
+        # coarse global argmax alone could land on the slightly lower one
+        for h, (start, stop) in enumerate(((0, m), (m + 1, n))):
+            k = start + np.argmax(vals[:, start:stop], axis=1)
+            lo[h, s:s + _ORACLE_BLOCK] = xs[np.maximum(k - 1, 0)]
+            hi[h, s:s + _ORACLE_BLOCK] = xs[np.minimum(k + 1, n - 1)]
+    return best, lo, hi
 
 
 def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
@@ -337,6 +364,13 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
 
     side="plus" maximizes Phi_plus - Phi; side="minus" maximizes Phi - Phi_minus.
     The two agree by the reflection symmetry of the deformation family.
+
+    The scan skips the x that cannot hold a half-line's maximum.  For t in
+    [0, 1) the divisor 1 -/+ sgn(x) t lies in (0, 2], also after rounding, so
+    both Phi arguments have the sign of x and size at least |x|/2: the gap is
+    at most Phi(-|x|/2) in size.  Each block of t evaluates the x where this
+    bound is large, then on each half-line the x whose bound exceeds T, the
+    least row maximum found there; a skipped x is below every row's maximum.
 
     A scalar t returns a float; an array of t returns an array of the same
     shape whose entries equal the scalar calls bit for bit.  Pass a whole t
@@ -355,27 +389,13 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
     if side not in ("plus", "minus"):
         raise DomainError(f"side must be 'plus' or 'minus', got {side!r}")
     ts = np.ravel(tv)
-    half = np.linspace(0.0, SUP_WINDOW, grid_points // 2 + 1)
-    xs = np.concatenate([-half[:0:-1], half])
-    n, m = len(xs), len(half) - 1  # xs[m] == 0 splits the two half-lines
 
     def diff(x, tt):
         if side == "plus":
             return _phi_def(x, tt, -1.0) - special.ndtr(x)
         return special.ndtr(x) - _phi_def(x, tt, 1.0)
 
-    best = np.empty(ts.size)
-    lo = np.empty((2, ts.size))
-    hi = np.empty((2, ts.size))
-    for s in range(0, ts.size, _ORACLE_BLOCK):
-        vals = diff(xs, ts[s:s + _ORACLE_BLOCK, None])
-        best[s:s + _ORACLE_BLOCK] = vals.max(axis=1)
-        # refine both half-lines: the two humps are nearly equal at small t, so the
-        # coarse global argmax alone could land on the slightly lower one
-        for h, (start, stop) in enumerate(((0, m), (m + 1, n))):
-            k = start + np.argmax(vals[:, start:stop], axis=1)
-            lo[h, s:s + _ORACLE_BLOCK] = xs[np.maximum(k - 1, 0)]
-            hi[h, s:s + _ORACLE_BLOCK] = xs[np.minimum(k + 1, n - 1)]
+    best, lo, hi = _oracle_scan(diff, ts, grid_points)
     lane_t = np.concatenate([ts, ts])
     f = _golden_lanes(lambda x: -diff(x, lane_t), lo.ravel(), hi.ravel(), refine_tolerance)
     for peak in -f.reshape(2, -1):  # negative half-line first, as max(best, peak)
@@ -383,11 +403,28 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
     return float(best[0]) if np.ndim(t) == 0 else best.reshape(np.shape(tv))
 
 
+# float kernels of the peak functions below, for t known to lie in (-1, 1)
+def _f_minus(t: float) -> float:
+    xm = -_x_plus_ext(-t)
+    return float(special.ndtr(xm / (1.0 + t)) - special.ndtr(xm))
+
+
+def _alpha(t: float) -> float:
+    return _log1p_over(t) / (2.0 + t)
+
+
+def _alpha_prime(t: float) -> float:
+    return _log1p_over_prime(t) / (2.0 + t) - _log1p_over(t) / (2.0 + t) ** 2
+
+
+def _f_minus_prime(t: float) -> float:
+    a = _alpha(t)
+    return math.exp(-a) * math.sqrt(2.0 * a) / (math.sqrt(2.0 * math.pi) * (1.0 + t))
+
+
 def f_minus(t: float) -> float:
     """Height of the negative-side peak of the deformation gap, smooth on (-1, 1)."""
-    tv = check_real(t, "t", -1.0, 1.0)
-    xm = -_x_plus_ext(-tv)
-    return float(special.ndtr(xm / (1.0 + tv)) - special.ndtr(xm))
+    return _f_minus(check_real(t, "t", -1.0, 1.0))
 
 
 def f_plus(t: float) -> float:
@@ -401,16 +438,12 @@ def alpha(t: float) -> float:
     Writing x_minus(t) = -(1+t) sqrt(2 alpha(t)) turns the peak-height algebra
     for f_minus into expressions in alpha alone.
     """
-    tv = check_real(t, "t", -1.0, 1.0)
-    return _log1p_over(tv) / (2.0 + tv)
+    return _alpha(check_real(t, "t", -1.0, 1.0))
 
 
 def alpha_prime(t: float) -> float:
     """Derivative of alpha, differentiated in closed form with a series near 0."""
-    tv = check_real(t, "t", -1.0, 1.0)
-    lv = _log1p_over(tv)
-    lp = _log1p_over_prime(tv)
-    return lp / (2.0 + tv) - lv / (2.0 + tv) ** 2
+    return _alpha_prime(check_real(t, "t", -1.0, 1.0))
 
 
 def f_minus_prime(t: float) -> float:
@@ -418,9 +451,7 @@ def f_minus_prime(t: float) -> float:
 
     Strictly positive on (-1, 1); equals 1/sqrt(2 pi e) at t = 0.
     """
-    tv = check_real(t, "t", -1.0, 1.0)
-    a = alpha(tv)
-    return math.exp(-a) * math.sqrt(2.0 * a) / (math.sqrt(2.0 * math.pi) * (1.0 + tv))
+    return _f_minus_prime(check_real(t, "t", -1.0, 1.0))
 
 
 def secant_interval(target_slope: float, which: str) -> float:

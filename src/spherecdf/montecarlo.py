@@ -361,6 +361,12 @@ def _second_diff(vals):
     return vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
 
 
+def _fd_rel(fn, dfn, t: float, h: float) -> float:
+    # relative error of fn's central difference at t against its derivative dfn
+    closed = dfn(t)
+    return abs((fn(t + h) - fn(t - h)) / (2.0 * h) - closed) / abs(closed)
+
+
 def _richardson_forward(fn, h: float) -> float:
     # 2 f(h)/h - f(2h)/(2h) kills the O(h) term of the one-sided ratio
     return 2.0 * fn(h) / h - fn(2.0 * h) / (2.0 * h)
@@ -468,56 +474,48 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all",
         add("tube-chain-pointwise", "lemmas", r, 1e-12, w)
 
     if scope in ("appendix", "all"):
+        # every t below lies in (-1, 1), so the unvalidated kernels take floats
         h = 1e-5
         slope = dfm.TANGENT_SLOPE
         gamma_fd = _richardson_forward(lambda t: dfm.gamma_closed(t).gamma, h)
-        fm_fd = (dfm.f_minus(h) - dfm.f_minus(-h)) / (2.0 * h)
+        fm_fd = (dfm._f_minus(h) - dfm._f_minus(-h)) / (2.0 * h)
         add("shared-tangent-slope", "appendix",
             max(abs(gamma_fd - slope), abs(fm_fd - slope)), 1e-6, 0.0)
 
         spots = [-0.9, -0.5, 0.0, 0.3, 0.8]
-        rel = []
-        for t in spots:
-            fd = (dfm.f_minus(t + h) - dfm.f_minus(t - h)) / (2.0 * h)
-            closed = dfm.f_minus_prime(t)
-            rel.append(abs(fd - closed) / abs(closed))
-        r, w = _worst(rel, spots)
+        r, w = _worst([_fd_rel(dfm._f_minus, dfm._f_minus_prime, t, h) for t in spots], spots)
         add("f-minus-prime-vs-fd", "appendix", r, 1e-6, w)
 
         ta = np.linspace(-0.99, 0.99, max(grid_steps, 1000))
-        fmp = np.array([dfm.f_minus_prime(t) for t in ta])
+        fmp = np.array([dfm._f_minus_prime(t) for t in ta.tolist()])
         r, w = _worst(-fmp, ta)
         add("f-minus-prime-positive", "appendix", r, 0.0, w)
 
         tcc = np.linspace(-0.9, 0.9, grid_steps)
-        fm = np.array([dfm.f_minus(t) for t in tcc])
+        fm = np.array([dfm._f_minus(t) for t in tcc.tolist()])
         r, w = _worst(_second_diff(fm), tcc[1:-1])
         add("f-minus-concavity", "appendix", r, 1e-9, w)
 
-        refl = np.array([abs(dfm.f_plus(t) + dfm.f_minus(-t)) for t in ta])
+        refl = np.array([abs(dfm._plus_peak(t)[1] + dfm._f_minus(-t)) for t in ta.tolist()])
         r, w = _worst(refl, ta)
         add("f-reflection-identity", "appendix", r, 1e-12, w)
 
-        dom = np.array([dfm.f_minus(t) - dfm.f_plus(t) for t in ta])
+        dom = np.array([dfm._f_minus(t) - dfm._plus_peak(t)[1] for t in ta.tolist()])
         r, w = _worst(dom, ta)
         add("f-plus-dominates", "appendix", r, 1e-12, w)
 
         add("alpha-zero-values", "appendix",
-            max(abs(dfm.alpha(0.0) - 0.5), abs(-dfm.alpha_prime(0.0) - 0.5)),
+            max(abs(dfm._alpha(0.0) - 0.5), abs(-dfm._alpha_prime(0.0) - 0.5)),
             1e-12, 0.0)
 
         # sandwich 0 < -(1+t) alpha'(t) < 1; residual is the negated margin to
         # the nearest endpoint, so passing needs at least 1e-12 of room
-        s = np.array([-(1.0 + t) * dfm.alpha_prime(t) for t in ta])
+        s = np.array([-(1.0 + t) * dfm._alpha_prime(t) for t in ta.tolist()])
         margin = np.minimum(s, 1.0 - s)
         k = int(np.argmin(margin))
         add("alpha-prime-sandwich", "appendix", -margin[k], -1e-12, ta[k])
 
-        rel = []
-        for t in tcc:
-            fd = (dfm.alpha(t + h) - dfm.alpha(t - h)) / (2.0 * h)
-            closed = dfm.alpha_prime(t)
-            rel.append(abs(fd - closed) / abs(closed))
+        rel = [_fd_rel(dfm._alpha, dfm._alpha_prime, t, h) for t in tcc.tolist()]
         r, w = _worst(rel, tcc)
         add("alpha-prime-vs-fd", "appendix", r, 1e-6, w)
 

@@ -6,17 +6,20 @@ derivatives are checked against finite differences computed here.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import special
 
 from spherecdf import (BoundInputs, DeformationParam, DomainError,
                        GapEvaluation, TANGENT_SLOPE, alpha, alpha_prime,
                        f_minus, f_minus_prime, f_plus, gamma_closed,
                        gamma_oracle, lambda_concentration_bound, phi_deformed,
                        run_lambda_trials, secant_interval, std_normal_cdf,
-                       x_minus, x_plus)
+                       verify_lemmas, x_minus, x_plus)
+from spherecdf import deformation as dfm
 from spherecdf.deformation import _g_minus, _gamma, _log1p_over, _log1p_over_prime
 
 # pinned against mpmath.ncdf at 40 digits
@@ -219,6 +222,99 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
+# the gap gamma_oracle maximizes on each side, as its scan evaluates it
+GAPS = {"plus": lambda x, t: dfm._phi_def(x, t, -1.0) - special.ndtr(x),
+        "minus": lambda x, t: special.ndtr(x) - dfm._phi_def(x, t, 1.0)}
+
+
+def _full_scan(diff, ts, grid_points):
+    """The oracle's coarse scan over every grid column: the reference for _oracle_scan."""
+    half = np.linspace(0.0, dfm.SUP_WINDOW, grid_points // 2 + 1)
+    xs = np.concatenate([-half[:0:-1], half])
+    n, m = len(xs), len(half) - 1
+    vals = diff(xs, ts[:, None])
+    lo, hi = np.empty((2, 2, ts.size))
+    for h, (start, stop) in enumerate(((0, m), (m + 1, n))):
+        k = start + np.argmax(vals[:, start:stop], axis=1)
+        lo[h], hi[h] = xs[np.maximum(k - 1, 0)], xs[np.minimum(k + 1, n - 1)]
+    return vals.max(axis=1), lo, hi
+
+
+# the default core and patched ones: from 0.3 up a hump's grid maximum can lie outside it
+CORES = [dfm._ORACLE_CORE, 0.1, 0.2, 0.3, 0.45]
+ORACLE_EDGES = [0.0, 5e-324, 1e-12, 1.0 - 2.0 ** -53]
+# one 16-t block mixing t = 0 with t near 0.99, then a sorted and a reversed block
+MIXED_BLOCKS = np.concatenate([[0.0], np.linspace(0.985, 0.999, 15),
+                               np.linspace(0.5, 0.99, 16), np.linspace(0.99, 0.02, 16)])
+
+
+def _assert_scan_exact(ts, side, grid_points, core):
+    """_oracle_scan and gamma_oracle equal the full scan's results bit for bit."""
+    with mock.patch.object(dfm, "_ORACLE_CORE", core):
+        got = dfm._oracle_scan(GAPS[side], ts, grid_points)
+        fast = gamma_oracle(ts, grid_points=grid_points, side=side)
+    want = _full_scan(GAPS[side], ts, grid_points)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and _hex(g.ravel()) == _hex(w.ravel())
+    with mock.patch.object(dfm, "_oracle_scan", _full_scan):
+        assert _hex(fast) == _hex(gamma_oracle(ts, grid_points=grid_points, side=side))
+
+
+class TestOracleScan:
+    """The pruned coarse scan against the scan of every grid column.
+
+    Outputs alone would miss a wrong bracket: the maximum nearly always comes
+    from the positive hump, so each half-line's bracket is compared too.
+    """
+
+    @pytest.mark.parametrize("core", CORES)
+    @pytest.mark.parametrize("grid_points", [1000, 1001, 2001, 4001])
+    def test_grids_match_full_scan(self, grid_points, core):
+        ts = np.concatenate([ORACLE_EDGES, MIXED_BLOCKS, np.linspace(0.0, 0.99, 100)])
+        for side in ("plus", "minus"):
+            _assert_scan_exact(ts, side, grid_points, core)
+
+    @settings(max_examples=60)
+    @given(st.lists(st.one_of(st.sampled_from(ORACLE_EDGES),
+                              st.floats(0.0, 1.0, exclude_max=True)), min_size=1, max_size=40),
+           st.sampled_from(["plus", "minus"]), st.sampled_from([1000, 1001, 2001, 4001]),
+           st.sampled_from(CORES))
+    @example([0.0] + np.linspace(0.985, 0.999, 15).tolist(), "plus", 2001, 0.45)
+    @example(np.linspace(0.78, 0.99, 16).tolist(), "plus", 2001, 0.45)
+    def test_unsorted_t_with_repeats(self, ts, side, grid_points, core):
+        _assert_scan_exact(np.array(ts + ts[::3]), side, grid_points, core)
+
+    def test_scan_skips_most_of_the_grid(self):
+        # on verify's 1000-t grid the scan evaluates under 40% of the
+        # (t, x) points of the default 2001-point grid
+        ts = np.linspace(0.0, 0.99, 1000)
+        calls = []
+
+        def counted(x, t):
+            calls.append(np.broadcast(x, t).size)
+            return GAPS["plus"](x, t)
+
+        dfm._oracle_scan(counted, ts, 2001)
+        assert sum(calls) < 0.4 * ts.size * 2001
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_tail_bound(self, side):
+        # |gap(x, t)| <= Phi(-|x|/2) for t in [0, 1): the scan's skip rule.
+        # The 1e-15 is ndtr's absolute error (test_ndtr_absolute_error)
+        x = np.linspace(-12.0, 12.0, 4801)
+        t = np.concatenate([np.linspace(0.0, 0.999, 1000), ORACLE_EDGES, [1.0 - 1e-12]])
+        gap = GAPS[side](x, t[:, None])
+        assert (np.abs(gap) <= special.ndtr(-0.5 * np.abs(x)) + 1e-15).all()
+
+    def test_ndtr_absolute_error(self):
+        # the scan's 1e-12 slack must cover ndtr's absolute error on the window
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            err = max(abs(float(special.ndtr(v)) - mpmath.ncdf(v))
+                      for v in np.linspace(-12.0, 12.0, 2401).tolist())
+        assert err < 1e-15
+
+
 # t = 0, the 1e-4 series window of log1p(-t)/(-t) and both sides of its
 # edge, and the top of the feasible range
 GAMMA_EDGES = [0.0, 5e-324, 1e-12, 5e-5, 1e-4 - 1e-20, 1e-4, 0.5, 1.0 - 1e-12]
@@ -335,6 +431,28 @@ class TestPeakFunctions:
             f_minus(bad)
         with pytest.raises(DomainError):
             f_plus(bad)
+
+
+class TestKernels:
+    """verify's appendix loops call the unvalidated kernels of the peak functions."""
+
+    @given(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(0.0)
+    @example(1e-4)
+    @example(-1e-3)
+    def test_kernels_equal_public_functions(self, t):
+        for kernel, public in ((dfm._f_minus, f_minus), (dfm._alpha, alpha),
+                               (dfm._alpha_prime, alpha_prime),
+                               (dfm._f_minus_prime, f_minus_prime)):
+            assert kernel(t).hex() == public(t).hex()
+        assert dfm._plus_peak(t)[1].hex() == f_plus(t).hex()
+
+    def test_appendix_loops_skip_validation(self):
+        # only the two gamma_closed calls of the tangent-slope check validate;
+        # each grid point used to cost one to three check_real calls
+        with mock.patch.object(dfm, "check_real", wraps=dfm.check_real) as check:
+            report = verify_lemmas(100, scope="appendix")
+        assert report.all_passed and check.call_count == 2
 
 
 class TestAlpha:
