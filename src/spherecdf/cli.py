@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .deformation import gamma_closed, gamma_oracle
+from .deformation import _gamma, gamma_oracle
 from .empirical import _ks_statistics
 from .errors import DomainError, check_int, check_real
 from .montecarlo import (TrialConfig, run_chisq_trials, run_dkw_trials,
@@ -210,8 +210,10 @@ def _cmd_gamma(args) -> _Result:
     ts = np.linspace(args.t_min, args.t_max, args.steps)
     header = ["t", "gamma", "gamma_oracle", "half_t", "g_plus", "g_minus",
               "g_minus_lb", "g_plus_lb"]
-    rows = [[tv, gamma_closed(tv).gamma, oracle, 0.5 * tv, g_plus(tv), g_minus(tv),
-             tv, 0.375 * tv] for tv, oracle in zip(ts.tolist(), gamma_oracle(ts).tolist())]
+    # g_plus and g_minus stay scalar: their array forms round differently on some t
+    rows = [[tv, gamma, oracle, 0.5 * tv, g_plus(tv), g_minus(tv), tv, 0.375 * tv]
+            for tv, gamma, oracle in zip(ts.tolist(), _gamma(ts).tolist(),
+                                         gamma_oracle(ts).tolist())]
     return _Result(
         {"columns": header, "rows": rows}, header, rows,
         ["  ".join(f"{_fmt(v):>14s}" for v in row) for row in [header, *rows]])

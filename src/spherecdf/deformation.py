@@ -52,9 +52,10 @@ __all__ = [
 # Common slope of f_minus and f_plus at t = 0: 1/sqrt(2*pi*e).
 TANGENT_SLOPE = 1.0 / math.sqrt(2.0 * math.pi * math.e)
 
-# Supremum search window.  Beyond |x| = 12 both CDFs in the difference are tail
-# values below ~1e-30 (for t <= 0.99 the inner argument still exceeds 12/1.99),
-# so the difference cannot host the maximum, which is of order t.
+# Supremum search window.  Beyond |x| = 12 the gap is below Phi(-12) ~ 2e-33 on
+# the half-line whose divisor is 1 - t, and below 6 phi(6) t ~ 4e-8 t on the
+# other (gamma_oracle's mean-value bound, as |x| / (1 + t) > 6 there), while
+# its supremum gamma(t) is at least t / sqrt(2 pi e) ~ 0.24 t.
 SUP_WINDOW = 12.0
 
 # Removable singularities such as log(1+u)/u switch to a 6-term series here.
@@ -320,36 +321,56 @@ def _golden_lanes(fn, a, b, tol):
     return best
 
 
-# t values per coarse-scan matrix: a 1000-t call at grid_points 2001 peaks at 0.8 MiB of
-# numpy memory (64-t blocks: 2.6 MiB, and slower, as each cap then serves more rows)
-_ORACLE_BLOCK = 16
-_ORACLE_CORE = 0.05  # the scan always evaluates the columns whose gap bound is at least this
+# t values per flat evaluation of the scan's windows: bounds its memory whatever the t count
+_ORACLE_CHUNK = 64
 
 
-def _oracle_scan(diff, ts, grid_points):
-    """gamma_oracle's scan of diff over a 1-D t array: grid maxima, (lo, hi) per half-line."""
+def _gap_bound(b, c):
+    # the mean-value bound min(Phi(-b), c b phi(b)) on gamma_oracle's gap
+    return np.minimum(special.ndtr(-b), c * b * np.exp(-0.5 * b * b) / math.sqrt(2.0 * math.pi))
+
+
+def _oracle_scan(diff, ts, grid_points, near, probes=(0.1, 0.25, 0.5, 0.75, 1.0, 1.25)):
+    """gamma_oracle's scan of diff over a 1-D t array: grid maxima, (lo, hi) per half-line.
+
+    near is the sign of x where the divisor is 1 - t.  The caps come from the
+    grid points at or just beyond the |x| in probes, which set the speed, never
+    the results (see gamma_oracle).
+    """
     half = np.linspace(0.0, SUP_WINDOW, grid_points // 2 + 1)
     xs = np.concatenate([-half[:0:-1], half])
-    n, m = len(xs), len(half) - 1  # xs[m] == 0 splits the two half-lines
-    bound = special.ndtr(-0.5 * np.abs(xs)) + 1e-12  # Phi(-|x|/2) plus ndtr's error
-    core = bound >= _ORACLE_CORE
+    n, m = len(xs), len(half) - 1  # xs[m - j] == -half[j] and xs[m + j] == half[j]
+    sgn = np.array([[-1.0], [1.0]])  # half-line h: 0 negative, 1 positive
+    # the bound's argument is half[j] / div and its factor c, per half-line and t
+    div = np.where(sgn == near, 1.0, 1.0 + ts)
+    c = np.where(sgn == near, ts / (1.0 - ts), ts)
+    pj = np.searchsorted(half, probes)  # each probe's j
+    vals = diff(sgn[..., None] * half[pj], ts[:, None])
+    thr = vals.max(axis=2) - 1e-12
+    # widen each window from its cap's probe by binary steps: the bound is unimodal
+    ends = np.stack([pj[vals.argmax(axis=2)]] * 2)
+    outward = np.array([-1, 1])[:, None, None]
+    for step in 2 ** np.arange(m.bit_length())[::-1]:
+        out = np.clip(ends + outward * step, 1, m)
+        ends = np.where(_gap_bound(half[out] / div, c) > thr, out, ends)
+    lens = ends[1] - ends[0] + 1
+    starts = np.stack([m - ends[1, 0], m + ends[0, 1]])
     best = np.empty(ts.size)
     lo, hi = np.empty((2, 2, ts.size))
-    for s in range(0, ts.size, _ORACLE_BLOCK):
-        tb = ts[s:s + _ORACLE_BLOCK, None]
-        vals = np.full((len(tb), n), -np.inf)
-        vals[:, core] = diff(xs[core], tb)
-        # a column whose bound is at most cap holds no maximum (see gamma_oracle)
-        caps = [vals[:, :m].max(axis=1).min(), vals[:, m + 1:].max(axis=1).min()]
-        more = ~core & (bound > np.where(xs < 0.0, *caps))
-        vals[:, more] = diff(xs[more], tb)
-        best[s:s + _ORACLE_BLOCK] = vals.max(axis=1)
-        # refine both half-lines: the two humps are nearly equal at small t, so the
+    for s in range(0, ts.size, _ORACLE_CHUNK):
+        block = slice(s, s + _ORACLE_CHUNK)
+        size = lens[:, block].ravel()  # one segment per (half-line, t), half-line major
+        offs = np.cumsum(size) - size
+        idx = np.repeat(starts[:, block].ravel() - offs, size) + np.arange(size.sum())
+        vals = diff(xs[idx], np.repeat(np.tile(ts[block], 2), size))
+        top = np.maximum.reduceat(vals, offs)
+        hit = np.flatnonzero(vals == np.repeat(top, size))
+        k = idx[hit[np.searchsorted(hit, offs)]].reshape(2, -1)  # first argmax of each
+        best[block] = np.maximum(top.reshape(2, -1).max(axis=0), 0.0)  # the gap at x = 0 is 0
+        # bracket both half-lines: the two humps are nearly equal at small t, so the
         # coarse global argmax alone could land on the slightly lower one
-        for h, (start, stop) in enumerate(((0, m), (m + 1, n))):
-            k = start + np.argmax(vals[:, start:stop], axis=1)
-            lo[h, s:s + _ORACLE_BLOCK] = xs[np.maximum(k - 1, 0)]
-            hi[h, s:s + _ORACLE_BLOCK] = xs[np.minimum(k + 1, n - 1)]
+        lo[:, block] = xs[np.maximum(k - 1, 0)]
+        hi[:, block] = xs[np.minimum(k + 1, n - 1)]
     return best, lo, hi
 
 
@@ -365,12 +386,22 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
     side="plus" maximizes Phi_plus - Phi; side="minus" maximizes Phi - Phi_minus.
     The two agree by the reflection symmetry of the deformation family.
 
-    The scan skips the x that cannot hold a half-line's maximum.  For t in
-    [0, 1) the divisor 1 -/+ sgn(x) t lies in (0, 2], also after rounding, so
-    both Phi arguments have the sign of x and size at least |x|/2: the gap is
-    at most Phi(-|x|/2) in size.  Each block of t evaluates the x where this
-    bound is large, then on each half-line the x whose bound exceeds T, the
-    least row maximum found there; a skipped x is below every row's maximum.
+    The scan skips the x that cannot hold a half-line's maximum.  Write
+    a = |x|.  By the mean value theorem the gap is at most
+
+        min(Phi(-a), phi(a) a t / (1 - t))            where the divisor is 1 - t
+        min(Phi(-b), phi(b) b t),  b = a / (1 + t)    where it is 1 + t
+
+    (on the plus side x > 0 and x < 0; the minus side is their mirror
+    x -> -x), and each bound is unimodal in a.  Per t and half-line the cap
+    is the largest gap at a few probe points; binary steps out from the best
+    probe find the window of grid points whose bound exceeds the cap less
+    1e-12, and only the window is evaluated.  The slack covers ndtr's absolute
+    error (below 1e-15), the rounding of the quotient x / (1 -/+ t) (below
+    2^-52 max phi(y) y ~ 6e-17) and the bound's relative rounding on values
+    of at most 1/2.  So a skipped x has a computed gap below the cap, which is
+    at most its half-line's maximum: the grid maximum and each half-line's
+    first argmax equal those of a scan of every grid point.
 
     A scalar t returns a float; an array of t returns an array of the same
     shape whose entries equal the scalar calls bit for bit.  Pass a whole t
@@ -395,7 +426,7 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
             return _phi_def(x, tt, -1.0) - special.ndtr(x)
         return special.ndtr(x) - _phi_def(x, tt, 1.0)
 
-    best, lo, hi = _oracle_scan(diff, ts, grid_points)
+    best, lo, hi = _oracle_scan(diff, ts, grid_points, 1.0 if side == "plus" else -1.0)
     lane_t = np.concatenate([ts, ts])
     f = _golden_lanes(lambda x: -diff(x, lane_t), lo.ravel(), hi.ravel(), refine_tolerance)
     for peak in -f.reshape(2, -1):  # negative half-line first, as max(best, peak)

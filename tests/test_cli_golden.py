@@ -35,6 +35,8 @@ COMMANDS = [
      "--t", "0.2"],
     ["simulate", "--kind", "chisq", "--n", "50", "--trials", "300", "--x", "1.0"],
     ["verify", "--grid-steps", "120"],
+    # the oracle's output on the bench grid (gap-symmetry at 1000 t)
+    ["verify", "--scope", "lemmas", "--grid-steps", "1000", "--tolerance", "0"],
     ["test-uniformity", "--input", "vectors.txt", "--alpha", "0.7"],
 ]
 # recorded in the default format only

@@ -5,6 +5,7 @@ a 40-digit erf evaluation (mpmath), suprema from the in-suite grid oracle, and
 derivatives are checked against finite differences computed here.
 """
 
+import functools
 import math
 from unittest import mock
 
@@ -227,8 +228,11 @@ GAPS = {"plus": lambda x, t: dfm._phi_def(x, t, -1.0) - special.ndtr(x),
         "minus": lambda x, t: special.ndtr(x) - dfm._phi_def(x, t, 1.0)}
 
 
-def _full_scan(diff, ts, grid_points):
-    """The oracle's coarse scan over every grid column: the reference for _oracle_scan."""
+def _full_scan(diff, ts, grid_points, near=None):
+    """The oracle's coarse scan over every grid point: the reference for _oracle_scan.
+
+    It needs no near, and takes one only to stand in for _oracle_scan.
+    """
     half = np.linspace(0.0, dfm.SUP_WINDOW, grid_points // 2 + 1)
     xs = np.concatenate([-half[:0:-1], half])
     n, m = len(xs), len(half) - 1
@@ -240,52 +244,64 @@ def _full_scan(diff, ts, grid_points):
     return vals.max(axis=1), lo, hi
 
 
-# the default core and patched ones: from 0.3 up a hump's grid maximum can lie outside it
-CORES = [dfm._ORACLE_CORE, 0.1, 0.2, 0.3, 0.45]
 ORACLE_EDGES = [0.0, 5e-324, 1e-12, 1.0 - 2.0 ** -53]
-# one 16-t block mixing t = 0 with t near 0.99, then a sorted and a reversed block
-MIXED_BLOCKS = np.concatenate([[0.0], np.linspace(0.985, 0.999, 15),
-                               np.linspace(0.5, 0.99, 16), np.linspace(0.99, 0.02, 16)])
+NEAR = {"plus": 1.0, "minus": -1.0}  # the sign of x where the divisor is 1 - t
+# one scan chunk mixing the edge t with mid-range t, then a reversed run that
+# leaves the last chunk part full
+MID = np.linspace(0.02, 0.98, dfm._ORACLE_CHUNK - len(ORACLE_EDGES))
+MIXED_CHUNKS = np.concatenate([np.insert(MID, [0, 21, 42, MID.size], ORACLE_EDGES),
+                               np.linspace(0.99, 0.3, 9)])
 
 
-def _assert_scan_exact(ts, side, grid_points, core):
+def _assert_scan_exact(ts, side, grid_points, probes=None):
     """_oracle_scan and gamma_oracle equal the full scan's results bit for bit."""
-    with mock.patch.object(dfm, "_ORACLE_CORE", core):
-        got = dfm._oracle_scan(GAPS[side], ts, grid_points)
-        fast = gamma_oracle(ts, grid_points=grid_points, side=side)
+    scan = dfm._oracle_scan if probes is None else functools.partial(dfm._oracle_scan,
+                                                                      probes=probes)
+    got = scan(GAPS[side], ts, grid_points, NEAR[side])
     want = _full_scan(GAPS[side], ts, grid_points)
     for g, w in zip(got, want):
         assert g.shape == w.shape and _hex(g.ravel()) == _hex(w.ravel())
+    with mock.patch.object(dfm, "_oracle_scan", scan):
+        fast = gamma_oracle(ts, grid_points=grid_points, side=side)
     with mock.patch.object(dfm, "_oracle_scan", _full_scan):
         assert _hex(fast) == _hex(gamma_oracle(ts, grid_points=grid_points, side=side))
 
 
 class TestOracleScan:
-    """The pruned coarse scan against the scan of every grid column.
+    """The windowed coarse scan against the scan of every grid point.
 
     Outputs alone would miss a wrong bracket: the maximum nearly always comes
     from the positive hump, so each half-line's bracket is compared too.
     """
 
-    @pytest.mark.parametrize("core", CORES)
+    # one probe per half-line at each |x|: a cap far below the maximum widens
+    # the windows but must not change a result
+    @pytest.mark.parametrize("probe", [0.05, 0.1, 0.2, 0.3, 0.45])
     @pytest.mark.parametrize("grid_points", [1000, 1001, 2001, 4001])
-    def test_grids_match_full_scan(self, grid_points, core):
-        ts = np.concatenate([ORACLE_EDGES, MIXED_BLOCKS, np.linspace(0.0, 0.99, 100)])
+    def test_grids_match_full_scan(self, grid_points, probe):
+        ts = np.concatenate([MIXED_CHUNKS, np.linspace(0.0, 0.99, 100)])
         for side in ("plus", "minus"):
-            _assert_scan_exact(ts, side, grid_points, core)
+            _assert_scan_exact(ts, side, grid_points, (probe,))
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_fine_grid_matches_full_scan(self, side):
+        _assert_scan_exact(MIXED_CHUNKS, side, 20001)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_empty_t(self, side):
+        _assert_scan_exact(np.array([]), side, 2001)
 
     @settings(max_examples=60)
     @given(st.lists(st.one_of(st.sampled_from(ORACLE_EDGES),
-                              st.floats(0.0, 1.0, exclude_max=True)), min_size=1, max_size=40),
-           st.sampled_from(["plus", "minus"]), st.sampled_from([1000, 1001, 2001, 4001]),
-           st.sampled_from(CORES))
-    @example([0.0] + np.linspace(0.985, 0.999, 15).tolist(), "plus", 2001, 0.45)
-    @example(np.linspace(0.78, 0.99, 16).tolist(), "plus", 2001, 0.45)
-    def test_unsorted_t_with_repeats(self, ts, side, grid_points, core):
-        _assert_scan_exact(np.array(ts + ts[::3]), side, grid_points, core)
+                              st.floats(0.0, 1.0, exclude_max=True)), min_size=1, max_size=80),
+           st.sampled_from(["plus", "minus"]), st.sampled_from([1000, 1001, 2001, 4001]))
+    @example([0.0] + np.linspace(0.985, 0.999, 15).tolist(), "plus", 2001)
+    @example((10.0 ** np.linspace(-15.0, 0.0, 70) * (1.0 - 2.0 ** -53)).tolist(), "minus", 1001)
+    def test_unsorted_t_with_repeats(self, ts, side, grid_points):
+        _assert_scan_exact(np.array(ts + ts[::3]), side, grid_points)
 
     def test_scan_skips_most_of_the_grid(self):
-        # on verify's 1000-t grid the scan evaluates under 40% of the
+        # on verify's 1000-t grid the scan evaluates under 10% of the
         # (t, x) points of the default 2001-point grid
         ts = np.linspace(0.0, 0.99, 1000)
         calls = []
@@ -294,17 +310,20 @@ class TestOracleScan:
             calls.append(np.broadcast(x, t).size)
             return GAPS["plus"](x, t)
 
-        dfm._oracle_scan(counted, ts, 2001)
-        assert sum(calls) < 0.4 * ts.size * 2001
+        dfm._oracle_scan(counted, ts, 2001, NEAR["plus"])
+        assert sum(calls) < 0.1 * ts.size * 2001
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
-    def test_tail_bound(self, side):
-        # |gap(x, t)| <= Phi(-|x|/2) for t in [0, 1): the scan's skip rule.
-        # The 1e-15 is ndtr's absolute error (test_ndtr_absolute_error)
+    def test_mean_value_bound(self, side):
+        # the scan's skip rule: the computed gap is at most min(Phi(-a), phi(a) a c)
+        # plus the scan's 1e-12 slack, with (a, c) = (|x|, t/(1-t)) where the
+        # divisor is 1 - t and (|x|/(1+t), t) on the other half-line
         x = np.linspace(-12.0, 12.0, 4801)
-        t = np.concatenate([np.linspace(0.0, 0.999, 1000), ORACLE_EDGES, [1.0 - 1e-12]])
-        gap = GAPS[side](x, t[:, None])
-        assert (np.abs(gap) <= special.ndtr(-0.5 * np.abs(x)) + 1e-15).all()
+        t = np.concatenate([np.linspace(0.0, 0.999, 1000), ORACLE_EDGES, [1.0 - 1e-12]])[:, None]
+        near = NEAR[side] * x > 0.0
+        bound = np.where(near, dfm._gap_bound(np.abs(x), t / (1.0 - t)),
+                         dfm._gap_bound(np.abs(x) / (1.0 + t), t))
+        assert (GAPS[side](x, t) <= bound + 1e-12).all()
 
     def test_ndtr_absolute_error(self):
         # the scan's 1e-12 slack must cover ndtr's absolute error on the window
