@@ -321,8 +321,8 @@ def _golden_lanes(fn, a, b, tol):
     return best
 
 
-# t values per flat evaluation of the scan's windows: bounds its memory whatever the t count
-_ORACLE_CHUNK = 64
+# grid points per flat evaluation of the scan's windows, past each chunk's first t
+_ORACLE_POINTS = 1 << 13
 
 
 def _gap_bound(b, c):
@@ -357,8 +357,9 @@ def _oracle_scan(diff, ts, grid_points, near, probes=(0.1, 0.25, 0.5, 0.75, 1.0,
     starts = np.stack([m - ends[1, 0], m + ends[0, 1]])
     best = np.empty(ts.size)
     lo, hi = np.empty((2, 2, ts.size))
-    for s in range(0, ts.size, _ORACLE_CHUNK):
-        block = slice(s, s + _ORACLE_CHUNK)
+    # a chunk starts at each t where the running point count passes a multiple of it
+    firsts = np.flatnonzero(np.diff(lens.sum(axis=0).cumsum() // _ORACLE_POINTS, prepend=-1))
+    for block in map(slice, firsts, [*firsts[1:], ts.size]):
         size = lens[:, block].ravel()  # one segment per (half-line, t), half-line major
         offs = np.cumsum(size) - size
         idx = np.repeat(starts[:, block].ravel() - offs, size) + np.arange(size.sum())

@@ -10,10 +10,10 @@ runners estimate the probabilities that the bounds dominate:
   * the scale factor lambda leaving [1-t, 1+t],
   * the two one-sided chi-square deviations of |Z|^2 (Laurent-Massart).
 
-Each runner names only its per-trial statistic and its event tests; _count is
-the one trial loop, which draws, blocks and counts the trials for all four.
-It cuts a run into cache-sized blocks of trials and, for long rows, runs the
-blocks on up to two threads; since every trial is keyed, the counts depend on
+_per_trial is the one trial loop: it draws and blocks the trials for all four
+runners and returns each trial's value in trial order; each runner counts its
+own events.  It cuts a run into cache-sized blocks and, for long rows, runs the
+blocks on up to two threads; since every trial is keyed, the values depend on
 neither the block size, nor the block order, nor the number of threads.
 
 A block is a matrix of keyed uniforms u; its Gaussian rows are ndtri(u).  The
@@ -193,44 +193,44 @@ def wilson_interval(count: int, trials: int, confidence: float = 0.95):
     return low, high
 
 
-def _report(count: int, trials: int, bound: float, cls=MonteCarloReport, **counts):
+def _report(hits: np.ndarray, bound: float, cls=MonteCarloReport, **counts):
+    count, trials = int(np.count_nonzero(hits)), hits.size
     low, high = wilson_interval(count, trials)
     return cls(event_count=count, trials=trials, frequency=count / trials,
                wilson_low=low, wilson_high=high, bound=bound,
                dominated=count / trials <= bound, **counts)
 
 
-def _count(n: int, seed: int, trials: int, stat, *events):
-    """Counts, one int per event, of the trials 0..trials-1 where event(stat(rows)) holds.
+def _per_trial(n: int, seed: int, trials: int, stat) -> np.ndarray:
+    """stat's entry for each of the trials 0..trials-1, in trial order.
 
     Rows come in the fewest blocks of at most _CHUNK_ELEMENTS entries of keyed
     uniforms (at least one row each), spread evenly: block sizes differ by at
     most one row, the larger blocks first.  Row i is bit-identical to
     _keyed_uniforms(seed, i, 1, n)[0], whose ndtri is gaussian_vector(n,
     RngStream(seed, i)), so the blocking never shows.  stat maps a block to one
-    entry per trial (a statistic, or the verdict of _ks_exceeds), and each
-    event maps those entries to booleans.  Each block draws its own rows,
-    computes its statistic and counts its own events, and the result is the
-    integer sum over blocks, so neither block size nor block order can change
-    it.  A call spanning two or more blocks with n >= _THREAD_MIN_N runs its
-    blocks on _WORKERS threads (the draws, ndtri, sort and ndtr release the
-    GIL); an exception raised in a block reaches the caller.  stat may
-    overwrite its argument: each block's matrix is its own.
+    entry per trial (a statistic, or the verdict of _ks_exceeds, stored as 0.0
+    or 1.0), which the block writes into its own slice of one array, so neither
+    block size nor block order can change the result.  A call spanning two or
+    more blocks with n >= _THREAD_MIN_N runs its blocks on _WORKERS threads (the
+    draws, ndtri, sort and ndtr release the GIL); an exception raised in a block
+    reaches the caller.  stat may overwrite its argument: each block's matrix
+    is its own.
     """
     blocks = -(-trials // max(1, _CHUNK_ELEMENTS // n))
     rows, extra = divmod(trials, blocks)
+    out = np.empty(trials)
 
     def block(b):
-        first = b * rows + min(b, extra)
-        s = stat(_keyed_uniforms(seed, first, rows + (b < extra), n))
-        return [int(np.count_nonzero(event(s))) for event in events]
+        first, count = b * rows + min(b, extra), rows + (b < extra)
+        out[first:first + count] = stat(_keyed_uniforms(seed, first, count, n))
 
     if _WORKERS > 1 and blocks > 1 and n >= _THREAD_MIN_N:
         with concurrent.futures.ThreadPoolExecutor(_WORKERS) as pool:
-            per_block = list(pool.map(block, range(blocks)))
+            list(pool.map(block, range(blocks)))
     else:
-        per_block = map(block, range(blocks))
-    return [sum(c) for c in zip(*per_block)]
+        list(map(block, range(blocks)))
+    return out
 
 
 def run_theorem_trials(config: TrialConfig) -> MonteCarloReport:
@@ -257,8 +257,7 @@ def run_theorem_trials(config: TrialConfig) -> MonteCarloReport:
         x.sort(axis=-1)
         return _ks_exceeds(x, edges, thr, _ks_statistics)
 
-    count, = _count(n, config.seed, config.trials, exceeds, lambda hit: hit)
-    return _report(count, config.trials, bound.total)
+    return _report(_per_trial(n, config.seed, config.trials, exceeds), bound.total)
 
 
 def run_dkw_trials(N: int, trials: int, seed: int, epsilon: float) -> MonteCarloReport:
@@ -277,8 +276,7 @@ def run_dkw_trials(N: int, trials: int, seed: int, epsilon: float) -> MonteCarlo
         u.sort(axis=-1)
         return _ks_exceeds(u, edges, eps, lambda near: _ks_statistics(special.ndtri(near)))
 
-    count, = _count(n, seed, trials, exceeds, lambda hit: hit)
-    return _report(count, trials, tb._dkw_term(n, eps))
+    return _report(_per_trial(n, seed, trials, exceeds), tb._dkw_term(n, eps))
 
 
 def run_lambda_trials(N: int, trials: int, seed: int, t) -> LambdaTrialReport:
@@ -290,11 +288,11 @@ def run_lambda_trials(N: int, trials: int, seed: int, t) -> LambdaTrialReport:
     n, trials, seed = _trial_keys(N, trials, seed)
     tv = dfm._t_value(t)
     sqrt_n = math.sqrt(n)
-    upper, lower = _count(n, seed, trials,
-                          lambda u: sqrt_n / _norms(special.ndtri(u, out=u)) - 1.0,
-                          lambda d: d > tv, lambda d: d < -tv)
-    return _report(upper + lower, trials, tb.lambda_concentration_bound(n, tv),
-                   LambdaTrialReport, upper_count=upper, lower_count=lower)
+    d = _per_trial(n, seed, trials, lambda u: sqrt_n / _norms(special.ndtri(u, out=u)) - 1.0)
+    upper, lower = d > tv, d < -tv
+    return _report(upper | lower, tb.lambda_concentration_bound(n, tv), LambdaTrialReport,
+                   upper_count=int(np.count_nonzero(upper)),
+                   lower_count=int(np.count_nonzero(lower)))
 
 
 def run_chisq_trials(N: int, trials: int, seed: int, x: float):
@@ -306,10 +304,9 @@ def run_chisq_trials(N: int, trials: int, seed: int, x: float):
     n, trials, seed = _trial_keys(N, trials, seed)
     up = tb.lm_upper(n, x)
     lo = tb.lm_lower(n, x)
-    upper, lower = _count(n, seed, trials, lambda u: _norms(special.ndtri(u, out=u)) ** 2,
-                          lambda u: u - n >= up.threshold,
-                          lambda u: n - u >= lo.threshold)
-    return _report(upper, trials, up.bound), _report(lower, trials, lo.bound)
+    # U = z . z in one ddot per row; ndtri writes z over the block's uniforms
+    sq = _per_trial(n, seed, trials, lambda u: np.vecdot(special.ndtri(u, out=u), u))
+    return _report(sq - n >= up.threshold, up.bound), _report(n - sq >= lo.threshold, lo.bound)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ derivatives are checked against finite differences computed here.
 
 import functools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -246,11 +247,12 @@ def _full_scan(diff, ts, grid_points, near=None):
 
 ORACLE_EDGES = [0.0, 5e-324, 1e-12, 1.0 - 2.0 ** -53]
 NEAR = {"plus": 1.0, "minus": -1.0}  # the sign of x where the divisor is 1 - t
-# one scan chunk mixing the edge t with mid-range t, then a reversed run that
-# leaves the last chunk part full
-MID = np.linspace(0.02, 0.98, dfm._ORACLE_CHUNK - len(ORACLE_EDGES))
-MIXED_CHUNKS = np.concatenate([np.insert(MID, [0, 21, 42, MID.size], ORACLE_EDGES),
-                               np.linspace(0.99, 0.3, 9)])
+# edge t mixed with mid-range t, then a reversed run: on the default grid the
+# scan's point budget cuts a first chunk after 21 t (three of them whole-grid
+# edge t) and leaves the last chunk part full (test_mixed_chunks_layout)
+MID = np.linspace(0.02, 0.98, 20)
+MIXED_CHUNKS = np.concatenate([np.insert(MID, [0, 6, 13, MID.size], ORACLE_EDGES),
+                               np.linspace(0.99, 0.3, 30)])
 
 
 def _assert_scan_exact(ts, side, grid_points, probes=None):
@@ -299,6 +301,34 @@ class TestOracleScan:
     @example((10.0 ** np.linspace(-15.0, 0.0, 70) * (1.0 - 2.0 ** -53)).tolist(), "minus", 1001)
     def test_unsorted_t_with_repeats(self, ts, side, grid_points):
         _assert_scan_exact(np.array(ts + ts[::3]), side, grid_points)
+
+    def test_mixed_chunks_layout(self):
+        # one chunk that the point budget cuts, holding whole-grid edge t, and a
+        # part-full last chunk
+        sizes, ts = [], []
+
+        def counted(x, t):
+            if np.ndim(x) == 1:  # a chunk's flat evaluation, not the probes
+                sizes.append(x.size)
+                ts.append(set(np.unique(t).tolist()))
+            return GAPS["plus"](x, t)
+
+        dfm._oracle_scan(counted, MIXED_CHUNKS, 2001, NEAR["plus"])
+        assert len(sizes) == 2 and sizes[1] < dfm._ORACLE_POINTS / 2 < sizes[0]
+        assert {0.0, 5e-324, 1e-12} < ts[0] and 1.0 - 2.0 ** -53 in ts[1]
+
+    def test_tiny_t_memory(self):
+        # t = 0 opens both whole half-lines; the point budget keeps one call over
+        # 1000 of them near the memory of verify's 1000-t grid (0.7 MiB)
+        ts = np.zeros(1000)
+        gamma_oracle(ts)
+        tracemalloc.start()
+        try:
+            gamma_oracle(ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
 
     def test_scan_skips_most_of_the_grid(self):
         # on verify's 1000-t grid the scan evaluates under 10% of the

@@ -180,6 +180,20 @@ class TestTheoremTrials:
             run_theorem_trials((30, 300, 7, 0.1, 0.15))
 
 
+class TestPerTrial:
+    # N = 5: one-row blocks; 15 blocks of 7 or 6 rows, the smaller last
+    # (100 = 10 * 7 + 5 * 6); one block
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk", [5, 7 * 5, 1 << 17])
+    def test_keeps_trial_order(self, monkeypatch, chunk, workers):
+        n, trials, seed = 5, 100, 2 ** 64 - 1
+        monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", chunk)
+        monkeypatch.setattr(mc, "_WORKERS", workers)
+        monkeypatch.setattr(mc, "_THREAD_MIN_N", 1)
+        got = mc._per_trial(n, seed, trials, lambda u: u[:, 0].copy())
+        assert got.tolist() == [mc._keyed_uniforms(seed, i, 1, n)[0, 0] for i in range(trials)]
+
+
 class TestDkwTrials:
     def test_matches_per_trial_modules(self):
         n, trials, eps = 25, 200, 0.2
@@ -215,17 +229,21 @@ class TestPlantedThresholds:
     SHAPES = [(1, 0), (7, 3), (50, 2 ** 63 + 5), (200, 11)]
 
     @classmethod
-    def planted(cls, values):
+    def planted(cls, stats):
         """(threshold, expected count) for thresholds at and around every 10th statistic."""
-        stats = np.array([ks_to_normal(build_ecdf(v)).statistic for v in values])
+        stats = np.asarray(stats)
         for k in range(0, cls.TRIALS, 10):
             for thr in (np.nextafter(stats[k], 0.0), stats[k], np.nextafter(stats[k], 2.0)):
                 yield float(thr), int(np.count_nonzero(stats > thr))
 
+    @staticmethod
+    def ks(rows):
+        return [ks_to_normal(build_ecdf(v)).statistic for v in rows]
+
     @pytest.mark.parametrize("n, seed", SHAPES)
     def test_dkw_planted_threshold(self, n, seed):
         rows = [gaussian_vector(n, RngStream(seed, i)) for i in range(self.TRIALS)]
-        for eps, expected in self.planted(rows):
+        for eps, expected in self.planted(self.ks(rows)):
             assert run_dkw_trials(n, self.TRIALS, seed, eps).event_count == expected, eps
 
     @pytest.mark.parametrize("n, seed", SHAPES)
@@ -234,9 +252,22 @@ class TestPlantedThresholds:
         assert gamma_closed(0.0).gamma == 0.0
         rows = [sphere_sample(n, RngStream(seed, i)).coords * math.sqrt(n)
                 for i in range(self.TRIALS)]
-        for eps, expected in self.planted(rows):
+        for eps, expected in self.planted(self.ks(rows)):
             cfg = TrialConfig(N=n, trials=self.TRIALS, seed=seed, epsilon=eps, t=0.0)
             assert run_theorem_trials(cfg).event_count == expected, eps
+
+    @pytest.mark.parametrize("n, seed", [(1, 0), (7, 3), (100, 2 ** 63 + 5)])
+    def test_lambda_planted_threshold(self, n, seed):
+        # t at each planted |lambda - 1| in [0, 1) (at N = 1 lambda = 1/|z| often
+        # exceeds 2); both one-sided counts must match too
+        dev = np.array([sphere_sample(n, RngStream(seed, i)).lam
+                        for i in range(self.TRIALS)]) - 1.0
+        planted = [(t, c) for t, c in self.planted(np.abs(dev)) if t < 1.0]
+        assert len(planted) >= 12
+        for t, expected in planted:
+            report = run_lambda_trials(n, self.TRIALS, seed, t)
+            assert (report.event_count, report.upper_count, report.lower_count) == (
+                expected, np.count_nonzero(dev > t), np.count_nonzero(-dev > t)), t
 
 
 class TestKsExceeds:
@@ -326,8 +357,9 @@ class TestLambdaTrials:
         assert report.frequency == 1.0  # lambda never lands on 1 exactly
         assert report.dominated
 
-    def test_matches_lambda_of(self):
-        n, trials, seed, t = 30, 200, 11, 0.2
+    @pytest.mark.parametrize("n", [30, 1])
+    def test_matches_lambda_of(self, n):
+        trials, seed, t = 200, 11, 0.2
         count = 0
         for i in range(trials):
             s = sphere_sample(n, RngStream(seed, i))
@@ -342,9 +374,10 @@ class TestChisqTrials:
         assert up.bound == 1.0 and lo.bound == 1.0
         assert up.dominated and lo.dominated
 
-    def test_events_match_threshold_form(self):
+    @pytest.mark.parametrize("n", [50, 1])
+    def test_events_match_threshold_form(self, n):
         # counting through the rearranged threshold form gives the same events
-        n, trials, seed, x = 50, 300, 2, 1.0
+        trials, seed, x = 300, 2, 1.0
         up, lo = run_chisq_trials(n, trials, seed, x)
         y_up = n + 2.0 * math.sqrt(n * x) + 2.0 * x
         y_lo = n - 2.0 * math.sqrt(n * x)
