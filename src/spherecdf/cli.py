@@ -145,12 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
 def load_vector_file(path) -> np.ndarray:
     """Parse a vector file: one row per line, comma or whitespace separated.
 
-    Lines starting with '#' and blank lines are skipped.  Rows must be
-    rectangular with finite entries.
+    Lines starting with '#', blank lines and a leading UTF-8 byte order mark
+    are skipped.  Rows must be nonempty and rectangular with finite entries.
     """
     rows = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, 1):
                 text = line.strip()
                 if not text or text.startswith("#"):
@@ -159,6 +159,8 @@ def load_vector_file(path) -> np.ndarray:
                     row = [float(tok) for tok in text.replace(",", " ").split()]
                 except ValueError:
                     raise DomainError(f"{path}:{lineno}: unparsable value") from None
+                if not row:
+                    raise DomainError(f"{path}:{lineno}: no values")
                 rows.append(row)
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from None

@@ -147,10 +147,11 @@ def _log1p_over(u: float) -> float:
 
 
 def _log1p_over_prime(u: float) -> float:
-    # d/du [log(1+u)/u]; the direct quotient cancels near 0, so use the series
-    # on a wider window than _log1p_over (difference of two near-1 terms)
-    if abs(u) < 1e-3:
-        return -1 / 2 + u * (2 / 3 + u * (-3 / 4 + u * (4 / 5 + u * (-5 / 6 + u * (6 / 7)))))
+    # d/du [log(1+u)/u]; the direct quotient cancels near 0 (difference of two
+    # near-1 terms), so use a 9-term series on a wider window than _log1p_over
+    if abs(u) < 1e-2:
+        return -1 / 2 + u * (2 / 3 + u * (-3 / 4 + u * (4 / 5 + u * (-5 / 6 + u * (
+            6 / 7 + u * (-7 / 8 + u * (8 / 9 + u * (-9 / 10))))))))
     return (1.0 / (1.0 + u) - _log1p_over(u)) / u
 
 
@@ -177,19 +178,21 @@ def x_minus(t: float) -> float:
     return -_x_plus_ext(-check_real(t, "t", 0.0, 1.0))
 
 
-def _plus_peak(t):
-    """Location x_plus(t) and height of the positive-side peak, for -1 < t < 1.
+def _peak(t, side):
+    """Location x and height ndtr(x / (1 - side t)) - ndtr(x) of a peak, for -1 < t < 1.
 
-    t is a float or a 1-D float array.  An array maps _x_plus_ext over its
-    entries with math (np.log1p and numpy's x**2 round differently on some
-    arguments) and makes one ndtr pair over all of them, so each entry equals
-    the float call bit for bit.
+    side = 1.0 gives x_plus(t) and f_plus(t), side = -1.0 their reflection
+    t -> -t, x_minus(t) and f_minus(t): x = side * _x_plus_ext(side * t).  side
+    is the sign of x, opposite to _phi_def's s.  The height is +0.0 at t = 0.
+    A 1-D array t maps _x_plus_ext with math (np.log1p and numpy's x**2 round
+    differently on some arguments) and makes one ndtr pair, so each entry
+    equals the float call bit for bit.
     """
-    if isinstance(t, float):
-        xp = _x_plus_ext(t)
-        return xp, float(special.ndtr(xp / (1.0 - t)) - special.ndtr(xp))
-    xp = np.array([_x_plus_ext(v) for v in t.tolist()])
-    return xp, special.ndtr(xp / (1.0 - t)) - special.ndtr(xp)
+    st = side * t
+    scalar = isinstance(t, float)
+    x = side * (_x_plus_ext(st) if scalar else np.array([_x_plus_ext(v) for v in st.tolist()]))
+    height = special.ndtr(x / (1.0 - st)) - special.ndtr(x)
+    return x, float(height) if scalar else height
 
 
 def _gamma(t):
@@ -202,11 +205,11 @@ def _gamma(t):
     if isinstance(t, float):
         if not 0.0 <= t < 1.0:
             raise DomainError(f"deformation parameter must lie in [0, 1), got {t}")
-        gamma = top = max(_plus_peak(t)[1], 0.0) if t > 0.0 else 0.0
+        gamma = top = max(_peak(t, 1.0)[1], 0.0)
     else:
         if not (0.0 <= t.min() and t.max() < 1.0):
             raise DomainError(f"deformation parameters must lie in [0, 1), got {t}")
-        gamma = np.where(t > 0.0, np.maximum(_plus_peak(t)[1], 0.0), 0.0)
+        gamma = np.maximum(_peak(t, 1.0)[1], 0.0)
         top = gamma.max()
     if not top < 0.5:
         raise DomainError(f"gap value out of [0, 1/2): {top}")
@@ -233,13 +236,12 @@ def gamma_closed(t) -> GapEvaluation:
 
         gamma(t) = Phi(x_plus(t) / (1 - t)) - Phi(x_plus(t))
 
-    with gamma(0) = 0 handled separately (the critical-point formula is 0/0
-    there, and the difference curve is identically zero).
+    and gamma(0) = 0 with maximizer_x NaN: the difference curve is identically 0.
     """
     tv = _t_value(t)
     if tv == 0.0:
         return GapEvaluation(t=0.0, gamma=0.0, maximizer_x=math.nan)
-    xp, height = _plus_peak(tv)
+    xp, height = _peak(tv, 1.0)
     return GapEvaluation(t=tv, gamma=max(height, 0.0), maximizer_x=xp)
 
 
@@ -435,12 +437,7 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
     return float(best[0]) if np.ndim(t) == 0 else best.reshape(np.shape(tv))
 
 
-# float kernels of the peak functions below, for t known to lie in (-1, 1)
-def _f_minus(t: float) -> float:
-    xm = -_x_plus_ext(-t)
-    return float(special.ndtr(xm / (1.0 + t)) - special.ndtr(xm))
-
-
+# float kernels for t in (-1, 1), math as np.log1p and np.exp round differently
 def _alpha(t: float) -> float:
     return _log1p_over(t) / (2.0 + t)
 
@@ -456,12 +453,12 @@ def _f_minus_prime(t: float) -> float:
 
 def f_minus(t: float) -> float:
     """Height of the negative-side peak of the deformation gap, smooth on (-1, 1)."""
-    return _f_minus(check_real(t, "t", -1.0, 1.0))
+    return _peak(check_real(t, "t", -1.0, 1.0), -1.0)[1]
 
 
 def f_plus(t: float) -> float:
     """Height of the positive-side peak; satisfies f_plus(t) = -f_minus(-t)."""
-    return _plus_peak(check_real(t, "t", -1.0, 1.0))[1]
+    return _peak(check_real(t, "t", -1.0, 1.0), 1.0)[1]
 
 
 def alpha(t: float) -> float:

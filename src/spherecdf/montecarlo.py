@@ -471,34 +471,34 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all",
         add("tube-chain-pointwise", "lemmas", r, 1e-12, w)
 
     if scope in ("appendix", "all"):
-        # every t below lies in (-1, 1), so the unvalidated kernels take floats
+        # every t below lies in (-1, 1), so the unvalidated kernels need no checks
+        def f_minus(t):
+            return dfm._peak(t, -1.0)[1]
+
         h = 1e-5
         slope = dfm.TANGENT_SLOPE
         gamma_fd = _richardson_forward(lambda t: dfm.gamma_closed(t).gamma, h)
-        fm_fd = (dfm._f_minus(h) - dfm._f_minus(-h)) / (2.0 * h)
+        fm_fd = (f_minus(h) - f_minus(-h)) / (2.0 * h)
         add("shared-tangent-slope", "appendix",
             max(abs(gamma_fd - slope), abs(fm_fd - slope)), 1e-6, 0.0)
 
         spots = [-0.9, -0.5, 0.0, 0.3, 0.8]
-        r, w = _worst([_fd_rel(dfm._f_minus, dfm._f_minus_prime, t, h) for t in spots], spots)
+        r, w = _worst([_fd_rel(f_minus, dfm._f_minus_prime, t, h) for t in spots], spots)
         add("f-minus-prime-vs-fd", "appendix", r, 1e-6, w)
 
         ta = np.linspace(-0.99, 0.99, max(grid_steps, 1000))
-        fmp = np.array([dfm._f_minus_prime(t) for t in ta.tolist()])
-        r, w = _worst(-fmp, ta)
+        r, w = _worst([-dfm._f_minus_prime(t) for t in ta.tolist()], ta)
         add("f-minus-prime-positive", "appendix", r, 0.0, w)
 
         tcc = np.linspace(-0.9, 0.9, grid_steps)
-        fm = np.array([dfm._f_minus(t) for t in tcc.tolist()])
-        r, w = _worst(_second_diff(fm), tcc[1:-1])
+        r, w = _worst(_second_diff(f_minus(tcc)), tcc[1:-1])
         add("f-minus-concavity", "appendix", r, 1e-9, w)
 
-        refl = np.array([abs(dfm._plus_peak(t)[1] + dfm._f_minus(-t)) for t in ta.tolist()])
-        r, w = _worst(refl, ta)
+        f_plus = dfm._peak(ta, 1.0)[1]
+        r, w = _worst(np.abs(f_plus + f_minus(-ta)), ta)
         add("f-reflection-identity", "appendix", r, 1e-12, w)
 
-        dom = np.array([dfm._f_minus(t) - dfm._plus_peak(t)[1] for t in ta.tolist()])
-        r, w = _worst(dom, ta)
+        r, w = _worst(f_minus(ta) - f_plus, ta)
         add("f-plus-dominates", "appendix", r, 1e-12, w)
 
         add("alpha-zero-values", "appendix",

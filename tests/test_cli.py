@@ -315,6 +315,25 @@ class TestUniformity:
         assert (code, out) == (2, "")
         assert f"{path}:2: unparsable value" in err
 
+    def test_separator_only_row(self, capsys, tmp_path):
+        # a row of width 0 used to reach the KS kernel and exit 1 with a traceback
+        path = tmp_path / "commas.txt"
+        path.write_text("# header\n,\n , ,\n")
+        code, out, err = run_cli(capsys, "test-uniformity", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert f"{path}:2: no values" in err
+
+    @pytest.mark.parametrize("text", ["0.6 0.8\n1.0 0.0\n", "# comment\n0.6, 0.8\n2 0\n"])
+    def test_byte_order_mark(self, capsys, tmp_path, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert np.array_equal(load_vector_file(marked), load_vector_file(plain))
+        outs = [run_cli(capsys, "test-uniformity", "--input", str(p), "--format", "csv")
+                for p in (plain, marked)]
+        assert outs[0][0] == 0 and outs[0][1]
+        assert outs[1] == outs[0]
+
     def test_nonfinite_file(self, capsys, tmp_path):
         path = tmp_path / "nan.txt"
         path.write_text("1.0 nan\n")

@@ -37,6 +37,8 @@ COMMANDS = [
     ["verify", "--grid-steps", "120"],
     # the oracle's output on the bench grid (gap-symmetry at 1000 t)
     ["verify", "--scope", "lemmas", "--grid-steps", "1000", "--tolerance", "0"],
+    # the appendix checks' residuals on the bench grid
+    ["verify", "--scope", "appendix", "--grid-steps", "1000", "--tolerance", "0"],
     ["test-uniformity", "--input", "vectors.txt", "--alpha", "0.7"],
 ]
 # recorded in the default format only

@@ -402,10 +402,15 @@ class TestGammaKernel:
                 assert g.hex() == a.hex()
 
 
-def _switch_points(signs):
-    """The 1e-4 and 1e-3 series switches, +-1 ulp and +-k*1e6 ulp around each."""
+def _switch_points(signs, edges=(1e-4, 1e-3, 1e-2)):
+    """The series switches in edges, +-1 ulp and +-k*1e6 ulp around each.
+
+    1e-4 is _SERIES_CUTOFF and 1e-2 the series window of _log1p_over_prime,
+    which only alpha_prime uses; 1e-3 stays because a 6-term series switching
+    there lost about 4,000 ulp just outside it.
+    """
     out = []
-    for edge in (1e-4, 1e-3):
+    for edge in edges:
         for base in (s * edge for s in signs):
             ulp = math.ulp(base)
             out += [base, math.nextafter(base, 1.0), math.nextafter(base, -1.0)]
@@ -422,8 +427,9 @@ class TestSeriesSwitches:
     """40-digit mpmath values on both sides of every series switch.
 
     Each tolerance is the worst error measured at these points, rounded up.
-    _log1p_over_prime loses about 3,000 ulp just outside its 1e-3 window,
-    where the direct quotient cancels.
+    _log1p_over_prime's direct quotient cancels just outside its 1e-2 series
+    window: 2.4e-14 relative at these points, and about 400 ulp at worst
+    over [-0.2, 0.2].
     """
 
     @pytest.fixture
@@ -438,12 +444,12 @@ class TestSeriesSwitches:
             assert abs(_log1p_over(u) - ref) <= math.ulp(float(ref))
 
     def test_x_plus_within_one_ulp(self, mp):
-        for t in [*_switch_points((1,)), 1.0 - 1e-12]:
+        for t in [*_switch_points((1,), (1e-4, 1e-3)), 1.0 - 1e-12]:
             ref = _mp_x_plus(mp, t)
             assert abs(x_plus(t) - ref) <= math.ulp(float(ref))
 
     def test_gamma_closed_absolute(self, mp):
-        for t in _switch_points((1,)):
+        for t in _switch_points((1,), (1e-4, 1e-3)):
             xp = _mp_x_plus(mp, t)
             ref = mp.ncdf(xp / (1 - mp.mpf(t))) - mp.ncdf(xp)
             assert abs(gamma_closed(t).gamma - ref) <= 5e-16
@@ -452,7 +458,7 @@ class TestSeriesSwitches:
         for u in _switch_points((1, -1)):
             u_mp = mp.mpf(u)
             ref = (1 / (1 + u_mp) - mp.log1p(u_mp) / u_mp) / u_mp
-            assert abs(_log1p_over_prime(u) - ref) <= 1e-12 * abs(ref)
+            assert abs(_log1p_over_prime(u) - ref) <= 3e-14 * abs(ref)
 
 
 class TestPeakFunctions:
@@ -482,19 +488,51 @@ class TestPeakFunctions:
             f_plus(bad)
 
 
-class TestKernels:
-    """verify's appendix loops call the unvalidated kernels of the peak functions."""
+def _old_plus_peak(t):
+    # the positive-peak kernel that _peak(t, 1.0) replaced
+    xp = dfm._x_plus_ext(t)
+    return xp, float(special.ndtr(xp / (1.0 - t)) - special.ndtr(xp))
 
-    @given(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+
+def _old_minus_peak(t):
+    # the f_minus kernel that _peak(t, -1.0) replaced, with its location
+    xm = -dfm._x_plus_ext(-t)
+    return xm, float(special.ndtr(xm / (1.0 + t)) - special.ndtr(xm))
+
+
+open_unit = st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+class TestKernels:
+    """verify's appendix checks call the unvalidated kernels of the peak functions."""
+
+    @given(open_unit)
     @example(0.0)
     @example(1e-4)
     @example(-1e-3)
     def test_kernels_equal_public_functions(self, t):
-        for kernel, public in ((dfm._f_minus, f_minus), (dfm._alpha, alpha),
-                               (dfm._alpha_prime, alpha_prime),
+        for kernel, public in ((lambda u: dfm._peak(u, -1.0)[1], f_minus),
+                               (lambda u: dfm._peak(u, 1.0)[1], f_plus),
+                               (dfm._alpha, alpha), (dfm._alpha_prime, alpha_prime),
                                (dfm._f_minus_prime, f_minus_prime)):
             assert kernel(t).hex() == public(t).hex()
-        assert dfm._plus_peak(t)[1].hex() == f_plus(t).hex()
+
+    @given(st.lists(open_unit, min_size=1, max_size=16))
+    @example([0.0, -0.0, 1e-4, -1e-4, 1e-3, -1e-3, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53)])
+    def test_peak_sides_match_deleted_kernels(self, ts):
+        for side, old in ((1.0, _old_plus_peak), (-1.0, _old_minus_peak)):
+            xs, heights = dfm._peak(np.array(ts), side)
+            for t, x, height in zip(ts, xs.tolist(), heights.tolist()):
+                got = dfm._peak(t, side)
+                assert type(got[1]) is float
+                assert [v.hex() for v in got] == [x.hex(), height.hex()]
+                assert [v.hex() for v in got] == [v.hex() for v in old(t)]
+
+    def test_gamma_is_positive_zero_at_zero(self):
+        for t in (0.0, -0.0):
+            assert _gamma(t).hex() == "0x0.0p+0"
+        out = _gamma(np.array([0.0, -0.0]))
+        assert out.tolist() == [0.0, 0.0] and not np.signbit(out).any()
 
     def test_appendix_loops_skip_validation(self):
         # only the two gamma_closed calls of the tangent-slope check validate;
