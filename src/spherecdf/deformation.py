@@ -29,10 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, check_int, check_real, check_reals
+from .errors import DomainError, check_choice, check_int, check_real, check_reals
 
 __all__ = [
-    "DeformationParam",
     "GapEvaluation",
     "TANGENT_SLOPE",
     "std_normal_cdf",
@@ -65,16 +64,6 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section shrink ratio
 
 
 @dataclass(frozen=True)
-class DeformationParam:
-    """Scale-deviation parameter t; valid values live in [0, 1)."""
-
-    t: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", check_real(self.t, "deformation parameter", 0.0, 1.0, "[)"))
-
-
-@dataclass(frozen=True)
 class GapEvaluation:
     """Value of gamma at t together with the location of the positive peak.
 
@@ -92,13 +81,13 @@ class GapEvaluation:
 
 
 def _t_value(t) -> float:
-    """Coerce a float or DeformationParam to a validated float in [0, 1)."""
-    return t.t if isinstance(t, DeformationParam) else DeformationParam(t).t
+    """A scalar deformation parameter t, validated: a float in [0, 1)."""
+    return check_real(t, "deformation parameter", 0.0, 1.0, "[)")
 
 
 def _t_array(t):
-    """Validate a float, ndarray or DeformationParam of t values in [0, 1)."""
-    return t.t if isinstance(t, DeformationParam) else check_reals(t, "t", 0.0, 1.0, "[)")
+    """A scalar or array of t values in [0, 1), validated: a float64 ndarray."""
+    return check_reals(t, "t", 0.0, 1.0, "[)")
 
 
 def std_normal_cdf(x):
@@ -123,12 +112,7 @@ def phi_deformed(x, t, sign: str):
     broadcast against each other.
     """
     tv = _t_array(t)
-    if sign == "plus":
-        s = -1.0
-    elif sign == "minus":
-        s = 1.0
-    else:
-        raise DomainError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    s = 1.0 if check_choice(sign, "sign", ("plus", "minus")) == "minus" else -1.0
     out = _phi_def(check_reals(x, "x"), tv, s)
     return float(out) if out.ndim == 0 else out
 
@@ -199,7 +183,7 @@ def _gamma(t):
     """gamma(t) on a bare float or 1-D array, for inner loops whose t values skip _t_value.
 
     Keeps gamma_closed's invariants, 0 <= t < 1 and 0 <= gamma < 1/2, as
-    compares instead of DeformationParam and GapEvaluation objects.  An array
+    plain compares instead of check_real and a GapEvaluation.  An array
     returns an array whose entries equal the float calls bit for bit.
     """
     if isinstance(t, float):
@@ -420,8 +404,7 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
     tv = _t_array(t)
     grid_points = check_int(grid_points, "grid_points", 1000)
     refine_tolerance = check_real(refine_tolerance, "refine_tolerance", 0.0, interval="[)")
-    if side not in ("plus", "minus"):
-        raise DomainError(f"side must be 'plus' or 'minus', got {side!r}")
+    side = check_choice(side, "side", ("plus", "minus"))
     ts = np.ravel(tv)
 
     def diff(x, tt):
@@ -498,7 +481,7 @@ def secant_interval(target_slope: float, which: str) -> float:
     Returns 1.0 when the inequality holds on all of [0, 1).  The root residual
     |curve(t*) - slope * t*| is at most 1e-9.
     """
-    if which == "gamma_upper":
+    if check_choice(which, "which", ("gamma_upper", "gplus_lower")) == "gamma_upper":
         slope = check_real(target_slope, "gamma_upper slope", TANGENT_SLOPE, 0.5, "(]")
 
         def h(t):
@@ -506,15 +489,13 @@ def secant_interval(target_slope: float, which: str) -> float:
 
         # h < 0 strictly inside the valid stretch, h > 0 beyond the root
         inside_sign = -1.0
-    elif which == "gplus_lower":
+    else:
         slope = check_real(target_slope, "gplus_lower slope", 0.375, 1.0, "[)")
 
         def h(t):
             return _g_plus(t) - slope * t
 
         inside_sign = 1.0
-    else:
-        raise DomainError(f"which must be 'gamma_upper' or 'gplus_lower', got {which!r}")
 
     hi = 1.0 - 1e-12
     if inside_sign * h(hi) >= 0.0:

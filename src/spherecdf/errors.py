@@ -3,9 +3,10 @@
 Public functions validate each argument once, on entry, and refuse one outside
 its domain with DomainError.  A real, scalar or array, is a float or an int
 that numpy stores in 64 bits, finite and inside its bracket (check_real,
-check_reals); a count or a stream key is an int inside its range
-(check_int).  A value built from validated arguments is not checked again:
-prevalidated makes a record without its __post_init__ checks.
+check_reals); a count or a stream key is an int in [lo, 2^64) (check_int); a
+string option is a str among its choices (check_choice).  A value built from
+validated arguments is not checked again: prevalidated makes a record without
+its __post_init__ checks.
 """
 
 import math
@@ -17,7 +18,7 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-U64_MAX = (1 << 64) - 1  # the largest seed or stream id
+U64_MAX = (1 << 64) - 1  # the largest count, seed or stream id
 _INT_MIN = -(1 << 63)  # the least int numpy stores in an integer dtype
 # numbers.Real would also take Fraction and Decimal, and costs twice as much
 _REALS = (int, float, np.integer, np.floating)
@@ -76,16 +77,28 @@ def check_reals(value, name: str, lo: float = -math.inf, hi: float = math.inf,
     return v
 
 
-def check_int(value, name: str, lo: int = 1, hi: float = math.inf) -> int:
+def check_int(value, name: str, lo: int = 1, hi: int = U64_MAX) -> int:
     """Validate a count or key in [lo, hi] and return it as an int.
 
     Only int and numpy integer scalars are taken; bools, floats (even integral
-    ones such as 10.0), strings and None are refused, never converted.
+    ones such as 10.0), strings and None are refused, never converted.  hi
+    defaults to 2^64 - 1, the top of the range check_real takes ints from.
     """
     if isinstance(value, _BOOLS) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value!r}")
-    _check_bracket(value, value, value, name, lo, hi, "[]" if hi < math.inf else "[)")
+    _check_bracket(value, value, value, name, lo, hi, "[]")
     return int(value)
+
+
+def check_choice(value, name: str, choices) -> str:
+    """Validate a string option, a str among choices, and return it.
+
+    Arrays, bytes, None and other objects are refused, never converted.
+    """
+    if not (isinstance(value, str) and value in choices):
+        *head, last = (repr(c) for c in choices)
+        raise DomainError(f"{name} must be {', '.join(head)} or {last}, got {value!r}")
+    return value
 
 
 def prevalidated(cls, **fields):

@@ -52,7 +52,7 @@ from scipy import special
 from . import deformation as dfm
 from . import tail_bounds as tb
 from .empirical import _ks_statistics
-from .errors import U64_MAX, DomainError, check_int, check_real
+from .errors import DomainError, check_choice, check_int, check_real
 from .sampling import RngStream, _keyed_uniforms, _norms
 
 __all__ = [
@@ -122,7 +122,7 @@ def _ks_exceeds(rows: np.ndarray, edges, thr: float, exact) -> np.ndarray:
 def _trial_keys(N, trials, seed):
     """N, trials and seed of a Monte Carlo run, validated."""
     return (check_int(N, "N"), check_int(trials, "trials", _MIN_TRIALS),
-            check_int(seed, "seed", 0, U64_MAX))
+            check_int(seed, "seed", 0))
 
 
 @dataclass(frozen=True)
@@ -369,8 +369,7 @@ def _richardson_forward(fn, h: float) -> float:
     return 2.0 * fn(h) / h - fn(2.0 * h) / (2.0 * h)
 
 
-def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all",
-                  seed: int = 0) -> VerificationReport:
+def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all") -> VerificationReport:
     """Run every grid / finite-difference invariant behind the bounds.
 
     Args:
@@ -378,16 +377,15 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all",
       tolerance: when given, a finite real that replaces every check's own
         threshold (0 makes the floating-point residuals visible as failures)
       scope: "lemmas", "appendix", or "all"
-      seed: stream key for the randomized spot checks
 
+    The randomized spot checks draw from the fixed stream RngStream(0, 0).
     Returns a VerificationReport; failing checks are recorded, not raised.
     """
     grid_steps = check_int(grid_steps, "grid_steps", 100)
     if tolerance is not None:
         tolerance = check_real(tolerance, "tolerance")
-    if scope not in ("lemmas", "appendix", "all"):
-        raise DomainError(f"scope must be 'lemmas', 'appendix' or 'all', got {scope!r}")
-    gen = RngStream(seed, 0).generator()
+    scope = check_choice(scope, "scope", ("lemmas", "appendix", "all"))
+    gen = RngStream(0, 0).generator()
     results = []
 
     def add(name, scope_, residual, default_threshold, where):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import U64_MAX, DomainError, check_int, check_real, check_reals, prevalidated
+from .errors import DomainError, check_int, check_real, check_reals, prevalidated
 
 __all__ = ["RngStream", "SphereSample", "gaussian_vector", "sphere_sample", "lambda_of"]
 
@@ -37,8 +37,8 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        check_int(self.seed, "seed", 0, U64_MAX)
-        check_int(self.stream_id, "stream_id", 0, U64_MAX)
+        check_int(self.seed, "seed", 0)
+        check_int(self.stream_id, "stream_id", 0)
 
     def generator(self) -> np.random.Generator:
         """A fresh generator positioned at the start of this stream."""

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .deformation import _bisect, _g_minus, _g_plus, _gamma, _golden_min, _t_array, _t_value
-from .errors import DomainError, check_int, check_real
+from .errors import DomainError, check_choice, check_int, check_real
 
 __all__ = [
     "BoundInputs",
@@ -285,8 +285,7 @@ def optimize_split(N, delta, mode: str = "exact_gamma") -> OptimizedBound:
     """
     n = check_int(N, "N")
     dv = check_real(delta, "delta", 0.0)
-    if mode not in ("exact_gamma", "corollary"):
-        raise DomainError(f"mode must be 'exact_gamma' or 'corollary', got {mode!r}")
+    mode = check_choice(mode, "mode", ("exact_gamma", "corollary"))
     best_eps, best_t, best_total = _best_split(n, dv, mode)
     return OptimizedBound(delta=dv, best_epsilon=best_eps, best_t=best_t,
                           best_total=best_total, mode=mode)

@@ -72,6 +72,15 @@ class TestBoundEval:
         assert code == 2
         assert "error" in err
 
+    # a count past 2^64 - 1 is an input error (exit 2), not an OverflowError
+    @pytest.mark.parametrize("n", ["18446744073709551616", "1" + "0" * 400],
+                             ids=["2**64", "10**400"])
+    def test_n_beyond_64_bits_exits_2(self, capsys, n):
+        code, out, err = run_cli(capsys, "bound-eval", "--n", n, "--epsilon", "0.1",
+                                 "--t", "0.2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: N must lie in [1, 18446744073709551615]")
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["bound-eval", "--n", "100", "--epsilon", "0.1", "--t", "0.2",

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import special
 
-from spherecdf import (BoundInputs, DeformationParam, DomainError,
+from spherecdf import (BoundInputs, DomainError,
                        GapEvaluation, TANGENT_SLOPE, alpha, alpha_prime,
                        f_minus, f_minus_prime, f_plus, gamma_closed,
                        gamma_oracle, lambda_concentration_bound, phi_deformed,
@@ -195,7 +195,6 @@ class TestGamma:
 
     def test_oracle_scalar_and_empty_forms(self):
         assert type(gamma_oracle(0.5)) is float
-        assert gamma_oracle(DeformationParam(0.5)) == gamma_oracle(0.5)
         assert gamma_oracle(np.array([0.5])).tolist() == [gamma_oracle(0.5)]
         empty = gamma_oracle(np.array([]))
         assert isinstance(empty, np.ndarray) and empty.shape == (0,)
@@ -205,9 +204,6 @@ class TestGamma:
         for t in (bad, np.array([0.2, bad])):
             with pytest.raises(DomainError, match=r"t must lie in \[0, 1\)"):
                 gamma_oracle(t)
-
-    def test_param_type_accepted(self):
-        assert gamma_closed(DeformationParam(0.5)).gamma == gamma_closed(0.5).gamma
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, "0.1", None])
     def test_oracle_refine_tolerance_domain(self, bad):
@@ -626,15 +622,19 @@ class TestSecantInterval:
 
 
 class TestTypes:
+    # the scalar t rule, as gamma_closed and BoundInputs apply it
     @pytest.mark.parametrize("bad", [-0.1, 1.0, 1.5, math.nan])
     def test_param_rejects(self, bad):
-        with pytest.raises(DomainError):
-            DeformationParam(bad)
+        with pytest.raises(DomainError, match="^deformation parameter must "):
+            gamma_closed(bad)
+        with pytest.raises(DomainError, match="^deformation parameter must "):
+            BoundInputs(100, 0.1, bad)
 
     @pytest.mark.parametrize("value", [np.int64(0), np.float32(0.25), np.float64(0.3)])
     def test_numpy_scalars_are_reals(self, value):
         ref = float(value)
-        assert DeformationParam(value).t == ref
+        assert type(gamma_closed(value).t) is float and gamma_closed(value).t == ref
+        assert type(BoundInputs(100, 0.1, value).t) is float
         assert gamma_closed(value).gamma == gamma_closed(ref).gamma
         assert phi_deformed(0.7, value, "plus") == phi_deformed(0.7, ref, "plus")
         assert BoundInputs(100, 0.1, value) == BoundInputs(100, 0.1, ref)
@@ -643,11 +643,14 @@ class TestTypes:
 
     def test_param_refuses_strings(self):
         with pytest.raises(DomainError, match="finite real"):
-            DeformationParam("0.3")
+            gamma_closed("0.3")
+        with pytest.raises(DomainError, match="finite real"):
+            BoundInputs(100, 0.1, "0.3")
 
     def test_param_accepts_boundaries(self):
-        assert DeformationParam(0.0).t == 0.0
-        assert DeformationParam(0.999).t == 0.999
+        for t in (0.0, 0.999):
+            assert gamma_closed(t).t == t
+            assert BoundInputs(100, 0.1, t).t == t
 
     def test_gap_invariant(self):
         with pytest.raises(DomainError):

@@ -420,8 +420,6 @@ class TestValidation:
             run_lambda_trials(10, 100, bad, 0.1)
         with pytest.raises(DomainError):
             run_chisq_trials(10, 100, bad, 1.0)
-        with pytest.raises(DomainError):
-            verify_lemmas(grid_steps=100, seed=bad)
 
 
 class TestVerifyLemmas:

@@ -21,7 +21,7 @@ from spherecdf import (BoundInputs, corollary_bound, f_minus, f_plus, gamma_clos
                        p_value_bound, phi_deformed, theorem_bound, verify_lemmas, x_minus)
 
 PUBLIC_NAMES = [
-    'BoundBreakdown', 'BoundInputs', 'CheckResult', 'DeformationParam', 'DomainError',
+    'BoundBreakdown', 'BoundInputs', 'CheckResult', 'DomainError',
     'EmpiricalCdfView', 'GapEvaluation', 'KsResult', 'LambdaTrialReport',
     'LaurentMassartBound', 'MonteCarloReport', 'OptimizedBound', 'RngStream',
     'SphereSample', 'TANGENT_SLOPE', 'TrialConfig', 'VerificationReport', '__version__',

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spherecdf import (BoundBreakdown, BoundInputs, DeformationParam, DomainError,
+from spherecdf import (BoundBreakdown, BoundInputs, DomainError,
                        EmpiricalCdfView, RngStream, SphereSample, TrialConfig,
                        build_ecdf, chisq_tail_lower, chisq_tail_upper,
                        corollary_bound, dkw_bound, f_minus, g_minus, g_plus,
@@ -367,6 +367,20 @@ ARRAYS = {
     "SphereSample": (lambda a: SphereSample(a, 1.0, 1.0), [1]),
 }
 
+# every string option, as (call, its choices, the message for a wrong str)
+CHOICES = {
+    "phi_deformed": (lambda c: phi_deformed(0.5, 0.2, c), ("plus", "minus"),
+                     "sign must be 'plus' or 'minus', got 'PLUS'"),
+    "gamma_oracle": (lambda c: gamma_oracle(0.5, side=c), ("plus", "minus"),
+                     "side must be 'plus' or 'minus', got 'PLUS'"),
+    "secant_interval": (lambda c: secant_interval(0.4, c), ("gamma_upper", "gplus_lower"),
+                        "which must be 'gamma_upper' or 'gplus_lower', got 'GAMMA_UPPER'"),
+    "optimize_split": (lambda c: optimize_split(100, 0.1, c), ("exact_gamma", "corollary"),
+                       "mode must be 'exact_gamma' or 'corollary', got 'EXACT_GAMMA'"),
+    "verify_lemmas": (lambda c: verify_lemmas(100, scope=c), ("lemmas", "appendix", "all"),
+                      "scope must be 'lemmas', 'appendix' or 'all', got 'LEMMAS'"),
+}
+
 
 class TestTypes:
     def test_bound_inputs_validation(self):
@@ -423,14 +437,15 @@ class TestTypes:
             std_normal_cdf(10**400)
         # both ends of the 64-bit range are taken by both rules
         assert dkw_bound(100, 2**64 - 1) == 0.0 and std_normal_cdf(2**64 - 1) == 1.0
+        assert dkw_bound(2**64 - 1, 0.1) == 0.0  # so does the count rule
         assert check_real(-2**63, "x") == -2.0**63 and std_normal_cdf(-2**63) == 0.0
 
     # a bool is refused for its type, never read as 0 or 1
     @pytest.mark.parametrize("call", [
-        lambda b: DeformationParam(b), lambda b: dkw_bound(100, b),
+        lambda b: gamma_closed(b), lambda b: dkw_bound(100, b),
         lambda b: check_int(b, "N", 0), lambda b: RngStream(b), lambda b: RngStream(0, b),
         lambda b: g_plus(b), *(COUNTS[name][0] for name in COUNTS)],
-        ids=["DeformationParam", "dkw_bound", "check_int", "RngStream.seed",
+        ids=["gamma_closed", "dkw_bound", "check_int", "RngStream.seed",
              "RngStream.stream_id", "g_plus", *COUNTS])
     @pytest.mark.parametrize("b", [True, False, np.True_, np.False_],
                              ids=["True", "False", "np.True_", "np.False_"])
@@ -438,9 +453,12 @@ class TestTypes:
         with pytest.raises(DomainError):
             call(b)
 
-    @pytest.mark.parametrize("bad", [0, -1, 1.5, "10", math.inf, None, 10.0, True])
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, "10", math.inf, None, 10.0, True,
+                                     pytest.param(2**64, id="2**64"),
+                                     pytest.param(10**400, id="10**400")])
     def test_dimension_domain(self, bad):
         calls = [lambda: dkw_bound(bad, 0.1), lambda: optimize_split(bad, 0.1),
+                 lambda: p_value_bound(bad, 0.1), lambda: lm_upper(bad, 1.0),
                  lambda: gaussian_vector(bad, RngStream(0)),
                  lambda: TrialConfig(bad, 100, 0, 0.1, 0.1)]
         for call in calls:
@@ -449,14 +467,30 @@ class TestTypes:
 
     @pytest.mark.parametrize("name", list(COUNTS))
     def test_count_and_key_domain(self, name):
-        # counts and keys take ints only: an integral float such as 10.0 is
-        # refused even where its value is in range, as are bools and strings
+        # counts and keys take ints in [lo, 2^64) only: an integral float such
+        # as 10.0 is refused even where its value is in range, as are bools and
+        # strings
         call, ok = COUNTS[name]
         call(ok)
         call(np.int64(ok))
-        for bad in (-1, 10.0, float(ok), True, "10", None, math.inf):
+        for bad in (-1, 10.0, float(ok), True, "10", None, math.inf, 2**64):
             with pytest.raises(DomainError):
                 call(bad)
+
+    @pytest.mark.parametrize("name", list(CHOICES))
+    @pytest.mark.parametrize("bad", ["two-entry array", "one-entry array", "None", "int",
+                                     "bytes", "wrong str"])
+    def test_choice_domain(self, name, bad):
+        # a string option is a str among its choices: an array, even one holding
+        # a valid choice, is refused, never compared entry by entry or converted
+        call, choices, message = CHOICES[name]
+        value = {"two-entry array": np.array(choices[:2]),
+                 "one-entry array": np.array(choices[:1]), "None": None, "int": 1,
+                 "bytes": choices[0].encode(), "wrong str": choices[0].upper()}[bad]
+        with pytest.raises(DomainError) as info:
+            call(value)
+        if bad == "wrong str":
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("name", list(ARRAYS))
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "str", "str array", "None",
