@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .deformation import _gamma, gamma_oracle
 from .empirical import _ks_statistics
-from .errors import DomainError, check_int, check_real
+from .errors import SIZE_MAX, DomainError, check_int, check_real
 from .montecarlo import (TrialConfig, run_chisq_trials, run_dkw_trials,
                          run_lambda_trials, run_theorem_trials, verify_lemmas)
 from .sampling import _norms
@@ -208,7 +208,7 @@ def _cmd_bound_optimize(args) -> _Result:
 def _cmd_gamma(args) -> _Result:
     if not (0.0 <= args.t_min < args.t_max < 1.0):
         raise DomainError("need 0 <= t-min < t-max < 1")
-    check_int(args.steps, "steps", 2)
+    check_int(args.steps, "steps", 2, SIZE_MAX)
     ts = np.linspace(args.t_min, args.t_max, args.steps)
     header = ["t", "gamma", "gamma_oracle", "half_t", "g_plus", "g_minus",
               "g_minus_lb", "g_plus_lb"]

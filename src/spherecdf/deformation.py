@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, check_choice, check_int, check_real, check_reals
+from .errors import SIZE_MAX, DomainError, check_choice, check_int, check_real, check_reals
 
 __all__ = [
     "GapEvaluation",
@@ -200,6 +200,15 @@ def _gamma(t):
     return gamma
 
 
+def _gamma_np(t):
+    # _gamma on an unchecked 1-D array in one numpy pass; np.log1p and x*x round unlike
+    # math.log1p and libm pow, so entries may be a few ulps off (see tail_bounds._best_split)
+    # log1p(-t) / -t, with its limit 1 at t = 0, where no 0/0 is evaluated
+    ratio = np.divide(np.log1p(-t), -t, out=np.ones_like(t), where=t > 0.0)
+    x = np.sqrt(2.0 * (1.0 - t) ** 2 / (2.0 - t) * ratio)
+    return np.maximum(special.ndtr(x / (1.0 - t)) - special.ndtr(x), 0.0)
+
+
 def _g_plus(t):
     # kernel of tail_bounds.g_plus on a validated float or ndarray
     return 0.5 * (1.0 - 1.0 / (1.0 + t) ** 2)
@@ -249,9 +258,10 @@ def _golden_min(fn, a: float, b: float, tol: float, best):
     replace the best point only when strictly lower, so ties keep the earlier
     point.  best is the (x, f) incumbent to beat.
 
-    Serves tail_bounds._best_split, whose objective must keep math.exp (np.exp
-    rounds differently on some arguments); a one-lane _golden_lanes search on
-    it costs about 8x more.  gamma_oracle uses _golden_lanes instead.
+    Serves tail_bounds._best_split, whose refinement, like its exact grid
+    totals, must keep math.exp (np.exp rounds differently on some arguments,
+    which only its grid filter may tolerate); a one-lane _golden_lanes search
+    on it costs about 8x more.  gamma_oracle uses _golden_lanes instead.
     """
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -402,7 +412,7 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
       side: which one-sided gap to maximize
     """
     tv = _t_array(t)
-    grid_points = check_int(grid_points, "grid_points", 1000)
+    grid_points = check_int(grid_points, "grid_points", 1000, SIZE_MAX)
     refine_tolerance = check_real(refine_tolerance, "refine_tolerance", 0.0, interval="[)")
     side = check_choice(side, "side", ("plus", "minus"))
     ts = np.ravel(tv)

@@ -3,10 +3,11 @@
 Public functions validate each argument once, on entry, and refuse one outside
 its domain with DomainError.  A real, scalar or array, is a float or an int
 that numpy stores in 64 bits, finite and inside its bracket (check_real,
-check_reals); a count or a stream key is an int in [lo, 2^64) (check_int); a
-string option is a str among its choices (check_choice).  A value built from
-validated arguments is not checked again: prevalidated makes a record without
-its __post_init__ checks.
+check_reals); a count or a stream key is an int in [lo, 2^64), and a count
+that sizes an array one in [lo, 2^53] (check_int); a string option is a str
+among its choices (check_choice).  A value built from validated arguments is
+not checked again: prevalidated makes a record without its __post_init__
+checks.
 """
 
 import math
@@ -19,6 +20,7 @@ class DomainError(ValueError):
 
 
 U64_MAX = (1 << 64) - 1  # the largest count, seed or stream id
+SIZE_MAX = 1 << 53  # the largest count that sizes an array (see check_int)
 _INT_MIN = -(1 << 63)  # the least int numpy stores in an integer dtype
 # numbers.Real would also take Fraction and Decimal, and costs twice as much
 _REALS = (int, float, np.integer, np.floating)
@@ -82,7 +84,10 @@ def check_int(value, name: str, lo: int = 1, hi: int = U64_MAX) -> int:
 
     Only int and numpy integer scalars are taken; bools, floats (even integral
     ones such as 10.0), strings and None are refused, never converted.  hi
-    defaults to 2^64 - 1, the top of the range check_real takes ints from.
+    defaults to 2^64 - 1, the top of the range check_real takes ints from.  A
+    count that sizes an array takes hi=SIZE_MAX, 2^53: far past any array that
+    fits in memory (which raises MemoryError), and short of 2^60 float64
+    entries, where numpy fails with a bare ValueError instead.
     """
     if isinstance(value, _BOOLS) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {value!r}")

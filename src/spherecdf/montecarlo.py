@@ -52,7 +52,7 @@ from scipy import special
 from . import deformation as dfm
 from . import tail_bounds as tb
 from .empirical import _ks_statistics
-from .errors import DomainError, check_choice, check_int, check_real
+from .errors import SIZE_MAX, DomainError, check_choice, check_int, check_real
 from .sampling import RngStream, _keyed_uniforms, _norms
 
 __all__ = [
@@ -121,7 +121,7 @@ def _ks_exceeds(rows: np.ndarray, edges, thr: float, exact) -> np.ndarray:
 
 def _trial_keys(N, trials, seed):
     """N, trials and seed of a Monte Carlo run, validated."""
-    return (check_int(N, "N"), check_int(trials, "trials", _MIN_TRIALS),
+    return (check_int(N, "N", 1, SIZE_MAX), check_int(trials, "trials", _MIN_TRIALS, SIZE_MAX),
             check_int(seed, "seed", 0))
 
 
@@ -381,7 +381,7 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all") -> 
     The randomized spot checks draw from the fixed stream RngStream(0, 0).
     Returns a VerificationReport; failing checks are recorded, not raised.
     """
-    grid_steps = check_int(grid_steps, "grid_steps", 100)
+    grid_steps = check_int(grid_steps, "grid_steps", 100, SIZE_MAX)
     if tolerance is not None:
         tolerance = check_real(tolerance, "tolerance")
     scope = check_choice(scope, "scope", ("lemmas", "appendix", "all"))

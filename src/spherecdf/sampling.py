@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, check_int, check_real, check_reals, prevalidated
+from .errors import SIZE_MAX, DomainError, check_int, check_real, check_reals, prevalidated
 
 __all__ = ["RngStream", "SphereSample", "gaussian_vector", "sphere_sample", "lambda_of"]
 
@@ -95,7 +95,7 @@ def gaussian_vector(N: int, rng: RngStream) -> np.ndarray:
     Deterministic per (seed, stream_id): the same stream always yields the
     same vector.
     """
-    u = _keyed_uniforms(rng.seed, rng.stream_id, 1, check_int(N, "N"))[0]
+    u = _keyed_uniforms(rng.seed, rng.stream_id, 1, check_int(N, "N", 1, SIZE_MAX))[0]
     return special.ndtri(u, out=u)
 
 

@@ -29,7 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .deformation import _bisect, _g_minus, _g_plus, _gamma, _golden_min, _t_array, _t_value
+from .deformation import (_bisect, _g_minus, _g_plus, _gamma, _gamma_np, _golden_min, _t_array,
+                          _t_value)
 from .errors import DomainError, check_choice, check_int, check_real
 
 __all__ = [
@@ -107,7 +108,8 @@ def g_plus(t):
     """Exponent rate for the upper scale excursion: (1 - (1+t)^-2) / 2.
 
     Zero at t = 0, strictly increasing, with limit 3/8 as t -> 1.  Accepts a
-    scalar or ndarray with entries in [0, 1).
+    scalar or ndarray with entries in [0, 1).  The corollary's rate 3t/8 is a
+    lower bound: g_plus(t) - 3t/8 = t (1 - t)(5 + 3t) / (8 (1 + t)^2) >= 0.
     """
     out = _g_plus(_t_array(t))
     return float(out) if np.ndim(t) == 0 else out
@@ -117,7 +119,9 @@ def g_minus(t):
     """Exponent rate for the lower scale excursion: (sqrt(2 (1-t)^-2 - 1) - 1) / 2.
 
     Zero at t = 0, strictly increasing, and divergent as t -> 1.  Accepts a
-    scalar or ndarray with entries in [0, 1).
+    scalar or ndarray with entries in [0, 1).  The corollary's rate t is a lower
+    bound: squared, g_minus(t) >= t reads (1 + 2t + 2t^2)(1 - t)^2 <= 1, and the
+    left side is 1 - t^2 (1 + 2t - 2t^2).
     """
     out = _g_minus(_t_array(t))
     return float(out) if np.ndim(t) == 0 else out
@@ -175,15 +179,15 @@ def chisq_tail_lower(N, y) -> float:
     return math.exp(-0.25 * n * (yv / n - 1.0) ** 2)
 
 
-def _dkw_term(n: int, eps: float) -> float:
-    return 2.0 * math.exp(-2.0 * n * eps * eps)
+def _dkw_term(n: int, eps: float, exp=math.exp) -> float:
+    return 2.0 * exp(-2.0 * n * eps * eps)
 
 
-def _scale_terms(n: int, t: float, mode: str):
+def _scale_terms(n: int, t: float, mode: str, exp=math.exp):
     """Upper and lower scale terms at a validated t: exact rates, or their secant bounds."""
     if mode == "exact_gamma":
-        return math.exp(-n * _g_plus(t) ** 2), math.exp(-n * _g_minus(t) ** 2)
-    return math.exp(-(9.0 / 64.0) * n * t * t), math.exp(-n * t * t)
+        return exp(-n * _g_plus(t) ** 2), exp(-n * _g_minus(t) ** 2)
+    return exp(-(9.0 / 64.0) * n * t * t), exp(-n * t * t)
 
 
 def _cost(t, mode: str):
@@ -194,9 +198,9 @@ def _cost(t, mode: str):
     return _gamma(t) if mode == "exact_gamma" else 0.5 * t
 
 
-def _total(n: int, eps: float, t: float, mode: str) -> float:
-    gp, gm = _scale_terms(n, t, mode)
-    return _dkw_term(n, eps) + gp + gm
+def _total(n: int, eps: float, t: float, mode: str, exp=math.exp) -> float:
+    gp, gm = _scale_terms(n, t, mode, exp)
+    return _dkw_term(n, eps, exp) + gp + gm
 
 
 def _breakdown(n: int, eps: float, t: float, mode: str) -> BoundBreakdown:
@@ -236,7 +240,23 @@ def corollary_bound(N, epsilon, t) -> BoundBreakdown:
 
 
 def _best_split(n: int, dv: float, mode: str):
-    """(epsilon, t, total) of the best split of budget dv; arguments already validated."""
+    """(epsilon, t, total) of the best split of budget dv; arguments already validated.
+
+    One numpy pass (_gamma_np, np.exp) prices the 512-point grid; the exact
+    scalar totals (math.exp, libm pow) are paid only for the points whose
+    approximate total is at most min (1 + m) + 1e-299, m = 1e-11 (1 + sqrt(n)).
+    With u = 2^-53: each ndtr value is within 2^-46 of Phi (cephes' erfc peak
+    error) and the peak height's x-derivative is 0, so the cost moves by at
+    most 2^-44 + u; for a term with exponent y <= 692, y = 2 n eps^2 moves by
+    4 sqrt(n y / 2) (2^-44 + u) + 12u y (growing like sqrt(n) ulp), y = n g^2,
+    with |d g| <= 8u (1 + g) from x*x against pow, by 16u (sqrt(n y) + y) + 8u y,
+    and each exp errs by <= 4u.  A term with y > 692 is below 1.2e-300 in both.
+    So |approx - exact| <= rho exact + alpha with rho <= 2.1e-12 + 4.4e-12
+    sqrt(n) <= 0.019 (n < 2^64) and alpha <= 2.3e-300; m >= 2 rho / (1 - rho)
+    and 1e-299 >= alpha (2 + m) then give every skipped point an exact total
+    above the exact minimum, so k, the bracket and the incumbent equal a full
+    scalar scan's bit for bit.  Flat totals just keep more candidates.
+    """
     # feasible range: cost is strictly increasing from 0 toward 1/2
     if dv < 0.5:
         t_max = _bisect(lambda t: _cost(t, mode) < dv, 0.0, 1.0 - 1e-12, 1e-12)[0]
@@ -246,15 +266,19 @@ def _best_split(n: int, dv: float, mode: str):
         # the feasible range is {0} (dv below about 2.4e-13 in exact_gamma mode)
         return dv, 0.0, _total(n, dv, 0.0, mode)
 
+    # the numpy pass filters the grid; only its candidates get exact scalar totals
     grid = np.linspace(0.0, t_max, 512, endpoint=False)
-    ts = grid.tolist()
-    # one array call prices the whole grid; the totals stay scalar, since np.exp
-    # and numpy's x**2 round differently from math.exp and libm pow
-    costs = _cost(grid, mode).tolist()
-    totals = [_total(n, dv - c, t, mode) for t, c in zip(ts, costs)]
-    k = int(np.argmin(totals))
-    a = ts[max(k - 1, 0)]
-    b = ts[k + 1] if k + 1 < len(ts) else t_max
+    cost = _gamma_np(grid) if mode == "exact_gamma" else 0.5 * grid
+    approx = _total(n, dv - cost, grid, mode, np.exp)
+    limit = approx.min() * (1.0 + 1e-11 * (1.0 + math.sqrt(n))) + 1e-299
+    # a NaN or infinite approximation is a candidate too
+    cand = np.flatnonzero(~(np.isfinite(approx) & (approx > limit)))
+    ts = grid[cand]
+    totals = [_total(n, dv - c, t, mode) for t, c in zip(ts.tolist(), _cost(ts, mode).tolist())]
+    j = int(np.argmin(totals))
+    k = int(cand[j])
+    a = float(grid[max(k - 1, 0)])
+    b = float(grid[k + 1]) if k + 1 < len(grid) else t_max
 
     def objective(t):
         eps = dv - _cost(t, mode)
@@ -262,7 +286,7 @@ def _best_split(n: int, dv: float, mode: str):
             return math.inf
         return _total(n, eps, t, mode)
 
-    best_t, best_total = _golden_min(objective, a, b, 1e-12, (ts[k], totals[k]))
+    best_t, best_total = _golden_min(objective, a, b, 1e-12, (float(grid[k]), totals[j]))
     best_eps = dv - _cost(best_t, mode)
     if best_eps <= 0.0:
         best_t, best_eps = 0.0, dv

@@ -81,6 +81,19 @@ class TestBoundEval:
         assert code == 2 and out == ""
         assert err.startswith("error: N must lie in [1, 18446744073709551615]")
 
+    # a count that sizes an array past 2^53 is an input error (exit 2), refused
+    # before numpy is asked for the array, not a bare numpy error (exit 1)
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--grid-steps", str(2**63)],
+        ["simulate", "--kind", "dkw", "--n", str(2**63), "--epsilon", "0.1"],
+        ["simulate", "--kind", "dkw", "--n", "10", "--trials", str(2**63), "--epsilon", "0.1"],
+        ["gamma", "--steps", str(2**63)]], ids=["grid-steps", "n", "trials", "steps"])
+    def test_array_size_beyond_2_53_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.splitlines()[0].endswith(
+            f", 9007199254740992], got {2**63}")
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["bound-eval", "--n", "100", "--epsilon", "0.1", "--t", "0.2",

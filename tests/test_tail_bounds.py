@@ -1,6 +1,7 @@
 """Three-term bound, chi-square tails, and the (epsilon, t) split optimizer."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from spherecdf import (BoundBreakdown, BoundInputs, DomainError,
                        run_dkw_trials, secant_interval, std_normal_cdf, theorem_bound,
                        verify_lemmas, wilson_interval, x_plus)
 from spherecdf import tail_bounds as tb
-from spherecdf.deformation import _bisect, _golden_min
-from spherecdf.errors import check_int, check_real
+from spherecdf.deformation import _bisect, _gamma_np, _golden_min
+from spherecdf.errors import SIZE_MAX, check_int, check_real
 
 # independent reimplementations of the exponent rates, kept in the suite so a
 # transcription slip in the package cannot hide
@@ -52,6 +53,24 @@ class TestExponentRates:
         ts = np.linspace(0.0, 0.999, 1000)
         assert np.all(g_minus(ts) >= ts - 1e-12)
         assert np.all(g_plus(ts) >= 0.375 * ts - 1e-12)
+
+    # the identities behind the corollary's rates, in exact rational arithmetic
+    # on a grid of t in [0, 1)
+    RATIONALS = [Fraction(i, 97) for i in range(97)] + [Fraction(1, 10**12),
+                                                        Fraction(10**12 - 1, 10**12)]
+
+    def test_g_plus_over_three_eighths_t_exactly(self):
+        for t in self.RATIONALS:
+            gp = (1 - 1 / (1 + t) ** 2) / 2
+            assert gp - 3 * t / 8 == t * (1 - t) * (5 + 3 * t) / (8 * (1 + t) ** 2) >= 0
+
+    def test_g_minus_over_t_exactly(self):
+        # g_minus(t) >= t  <=>  2 (1 - t)^-2 - 1 >= (1 + 2t)^2, both sides of
+        # sqrt(2 (1 - t)^-2 - 1) >= 1 + 2t being positive
+        for t in self.RATIONALS:
+            lhs = (1 + 2 * t + 2 * t ** 2) * (1 - t) ** 2
+            assert lhs == 1 - t ** 2 * (1 + 2 * t - 2 * t ** 2) <= 1
+            assert 2 / (1 - t) ** 2 - 1 >= (1 + 2 * t) ** 2
 
     def test_slopes_at_origin(self):
         h = 1e-5
@@ -256,8 +275,9 @@ class TestOptimizeSplit:
 def _per_point_best_split(n, dv, mode):
     """_best_split with its coarse grid priced one scalar _cost and _total call per point.
 
-    A copy of the search as it stood before the grid became one array call;
-    the package must return the same split bit for bit.
+    A copy of the search as it stood before the grid became one array call
+    and then a numpy filter; the package must return the same split bit for
+    bit.
     """
     if dv < 0.5:
         t_max = _bisect(lambda t: tb._cost(t, mode) < dv, 0.0, 1.0 - 1e-12, 1e-12)[0]
@@ -295,10 +315,29 @@ class TestBestSplitGrid:
     # budgets below about 1e-8 leave the totals flat near their vacuous ceiling,
     # where a grid total one ulp off moves the chosen bracket
     @settings(max_examples=60)
-    @given(st.integers(1, 10**9), st.floats(-14.0, 0.0), st.sampled_from(["exact_gamma",
-                                                                          "corollary"]))
+    @given(st.integers(1, 2**64 - 1), st.floats(-14.0, 0.1),
+           st.sampled_from(["exact_gamma", "corollary"]))
     def test_equals_per_point_search_random(self, n, log_dv, mode):
         self._check(n, 10.0 ** log_dv, mode)
+
+    # the filter's corners beside the grid above: every total underflows to 0.0
+    # (every point within the absolute floor), flat vacuous totals (the next
+    # three pick another bracket if the margin is dropped: an approximate total
+    # an ulp low outbids the exact minimum), budgets past 1, and N near 2^64
+    @pytest.mark.parametrize("n, dv, mode", [
+        (139296996, 0.00444, "exact_gamma"), (6796476, 1.45e-7, "exact_gamma"),
+        (4, 6.569918607027309e-09, "exact_gamma"),
+        (428209631, 1.428983870434529e-12, "exact_gamma"),
+        (11, 2.4828526108494977e-09, "corollary"),
+        (6796476, 1.45e-7, "corollary"), (3, 1.2, "corollary"),
+        (2**64 - 1, 1e-9, "exact_gamma"), (2**64 - 1, 1e-9, "corollary"),
+        (2**64 - 1, 0.9, "exact_gamma")])
+    def test_filter_corners(self, n, dv, mode):
+        self._check(n, dv, mode)
+
+    def test_filter_keeps_the_t_zero_point_quiet(self):
+        with np.errstate(all="raise"):
+            assert _gamma_np(np.array([0.0, 5e-5, 0.5]))[0] == 0.0
 
     @staticmethod
     def _check(n, dv, mode):
@@ -308,6 +347,26 @@ class TestBestSplitGrid:
 
     def test_t_max_zero_branch_is_reached(self):
         assert tb._best_split(1000, 1e-13, "exact_gamma")[1] == 0.0
+
+    def test_approximate_totals_stay_far_inside_the_margin(self):
+        # _best_split's docstring bounds |approx - exact| by rho(n) exact + alpha;
+        # on a seeded sample the largest discrepancy stays below a hundredth of it
+        rng = np.random.default_rng(2026)
+        worst = 0.0
+        for _ in range(40):
+            n = min(max(int(2.0 ** rng.uniform(0.0, 64.0)), 1), 2**64 - 1)
+            n = 2**64 - 1 - int(rng.integers(0, 1000)) if rng.random() < 0.2 else n
+            dv = 10.0 ** rng.uniform(-8.0, 0.0)
+            mode = "exact_gamma" if rng.random() < 0.5 else "corollary"
+            t_max = _bisect(lambda t: tb._cost(t, mode) < dv, 0.0, 1.0 - 1e-12, 1e-12)[0]
+            grid = np.linspace(0.0, t_max, 512, endpoint=False)
+            cost = _gamma_np(grid) if mode == "exact_gamma" else 0.5 * grid
+            approx = tb._total(n, dv - cost, grid, mode, np.exp)
+            exact = np.array([tb._total(n, dv - tb._cost(t, mode), t, mode)
+                              for t in grid.tolist()])
+            bound = (2.1e-12 + 4.4e-12 * math.sqrt(n)) * exact + 2.3e-300
+            worst = max(worst, float(np.max(np.abs(approx - exact) / bound)))
+        assert 0.0 < worst < 0.01
 
 
 class TestPValueBound:
@@ -476,6 +535,19 @@ class TestTypes:
         for bad in (-1, 10.0, float(ok), True, "10", None, math.inf, 2**64):
             with pytest.raises(DomainError):
                 call(bad)
+
+    # a count that sizes an array stops at SIZE_MAX = 2^53, so a larger one is
+    # refused before numpy is asked for the array; counts that only enter
+    # formulas keep [1, 2^64)
+    @pytest.mark.parametrize("call", [
+        lambda v: gaussian_vector(v, RngStream(0)), lambda v: run_dkw_trials(v, 100, 0, 0.5),
+        lambda v: run_dkw_trials(10, v, 0, 0.5), lambda v: TrialConfig(v, 100, 0, 0.1, 0.1),
+        lambda v: verify_lemmas(grid_steps=v), lambda v: gamma_oracle(0.5, grid_points=v)],
+        ids=["gaussian_vector.N", "N", "trials", "TrialConfig.N", "grid_steps", "grid_points"])
+    @pytest.mark.parametrize("bad", [SIZE_MAX + 1, 2**63, 2**64 - 1])
+    def test_array_size_domain(self, call, bad):
+        with pytest.raises(DomainError, match=rf"must lie in \[\d+, {SIZE_MAX}\], got {bad}$"):
+            call(bad)
 
     @pytest.mark.parametrize("name", list(CHOICES))
     @pytest.mark.parametrize("bad", ["two-entry array", "one-entry array", "None", "int",
