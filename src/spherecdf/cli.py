@@ -315,8 +315,9 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         res = _HANDLERS[args.command](args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DomainError, MemoryError) as exc:
+        # a count below SIZE_MAX can still ask numpy for more than memory holds
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         print(f"run 'spherecdf {args.command} --help' for usage", file=sys.stderr)
         return 2
     _emit(args, res, sys.stdout)

@@ -327,10 +327,13 @@ def _gap_bound(b, c):
 
 
 def _oracle_scan(diff, ts, grid_points, near, probes=(0.1, 0.25, 0.5, 0.75, 1.0, 1.25)):
-    """gamma_oracle's scan of diff over a 1-D t array: grid maxima, (lo, hi) per half-line.
+    """gamma_oracle's scan of diff over a 1-D t array: grid maxima and kept lanes.
 
-    near is the sign of x where the divisor is 1 - t.  The caps come from the
-    grid points at or just beyond the |x| in probes, which set the speed, never
+    A lane is a (half-line, t) pair; near is the sign of x where the divisor
+    is 1 - t.  Returns the grid maximum per t, then per kept lane, in t-major
+    order, its half-line h (0 negative, 1 positive), its t index i and the
+    bracket (lo, hi) around its first argmax.  The caps come from the grid
+    points at or just beyond the |x| in probes, which set the speed, never
     the results (see gamma_oracle).
     """
     half = np.linspace(0.0, SUP_WINDOW, grid_points // 2 + 1)
@@ -343,32 +346,33 @@ def _oracle_scan(diff, ts, grid_points, near, probes=(0.1, 0.25, 0.5, 0.75, 1.0,
     pj = np.searchsorted(half, probes)  # each probe's j
     vals = diff(sgn[..., None] * half[pj], ts[:, None])
     thr = vals.max(axis=2) - 1e-12
+    # keep a half-line unless its whole bound c phi(1) is below the other's cap
+    i, h = np.nonzero((c * TANGENT_SLOPE >= thr[::-1]).T)
+    div, c, thr = div[h, i], c[h, i], thr[h, i]
     # widen each window from its cap's probe by binary steps: the bound is unimodal
-    ends = np.stack([pj[vals.argmax(axis=2)]] * 2)
-    outward = np.array([-1, 1])[:, None, None]
+    ends = np.stack([pj[vals.argmax(axis=2)[h, i]]] * 2)
+    outward = np.array([[-1], [1]])
     for step in 2 ** np.arange(m.bit_length())[::-1]:
         out = np.clip(ends + outward * step, 1, m)
         ends = np.where(_gap_bound(half[out] / div, c) > thr, out, ends)
     lens = ends[1] - ends[0] + 1
-    starts = np.stack([m - ends[1, 0], m + ends[0, 1]])
-    best = np.empty(ts.size)
-    lo, hi = np.empty((2, 2, ts.size))
-    # a chunk starts at each t where the running point count passes a multiple of it
-    firsts = np.flatnonzero(np.diff(lens.sum(axis=0).cumsum() // _ORACLE_POINTS, prepend=-1))
-    for block in map(slice, firsts, [*firsts[1:], ts.size]):
-        size = lens[:, block].ravel()  # one segment per (half-line, t), half-line major
+    starts = np.where(h == 1, m + ends[0], m - ends[1])
+    top, k = np.empty(h.size), np.empty(h.size, dtype=np.intp)
+    # a chunk starts at each lane where the running point count passes a multiple of it
+    firsts = np.flatnonzero(np.diff(lens.cumsum() // _ORACLE_POINTS, prepend=-1))
+    for block in map(slice, firsts, [*firsts[1:], h.size]):
+        size = lens[block]
         offs = np.cumsum(size) - size
-        idx = np.repeat(starts[:, block].ravel() - offs, size) + np.arange(size.sum())
-        vals = diff(xs[idx], np.repeat(np.tile(ts[block], 2), size))
-        top = np.maximum.reduceat(vals, offs)
-        hit = np.flatnonzero(vals == np.repeat(top, size))
-        k = idx[hit[np.searchsorted(hit, offs)]].reshape(2, -1)  # first argmax of each
-        best[block] = np.maximum(top.reshape(2, -1).max(axis=0), 0.0)  # the gap at x = 0 is 0
-        # bracket both half-lines: the two humps are nearly equal at small t, so the
-        # coarse global argmax alone could land on the slightly lower one
-        lo[:, block] = xs[np.maximum(k - 1, 0)]
-        hi[:, block] = xs[np.minimum(k + 1, n - 1)]
-    return best, lo, hi
+        idx = np.repeat(starts[block] - offs, size) + np.arange(size.sum())
+        vals = diff(xs[idx], np.repeat(ts[i[block]], size))
+        top[block] = np.maximum.reduceat(vals, offs)
+        hit = np.flatnonzero(vals == np.repeat(top[block], size))
+        k[block] = idx[hit[np.searchsorted(hit, offs)]]  # first argmax of each
+    # a t's lanes are adjacent, negative first; the gap at x = 0 is 0
+    best = np.maximum(np.maximum.reduceat(top, np.flatnonzero(np.diff(i, prepend=-1))), 0.0)
+    # bracket every kept lane: at small t both humps are kept and nearly equal, so
+    # the coarse global argmax alone could land on the slightly lower one
+    return best, h, i, xs[np.maximum(k - 1, 0)], xs[np.minimum(k + 1, n - 1)]
 
 
 def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
@@ -376,9 +380,9 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
     """Brute-force supremum of the deformation gap, independent of the closed form.
 
     Scans x in [-SUP_WINDOW, SUP_WINDOW] on a uniform grid (mirrored exactly
-    around 0), then refines the best grid point on each half-line by
-    golden-section search down to refine_tolerance in x.  Shares only the
-    Gaussian CDF with gamma_closed.
+    around 0), then refines the best grid point on each half-line that can
+    hold the maximum by golden-section search down to refine_tolerance in x.
+    Shares only the Gaussian CDF with gamma_closed.
 
     side="plus" maximizes Phi_plus - Phi; side="minus" maximizes Phi - Phi_minus.
     The two agree by the reflection symmetry of the deformation family.
@@ -399,6 +403,15 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
     of at most 1/2.  So a skipped x has a computed gap below the cap, which is
     at most its half-line's maximum: the grid maximum and each half-line's
     first argmax equal those of a scan of every grid point.
+    As b phi(b) <= phi(1), a whole half-line's gap is at most its factor
+    times TANGENT_SLOPE; a half-line whose such bound lies below the other
+    half-line's cap less 1e-12 is dropped, neither scanned nor refined (for
+    t > 0 the half-line whose divisor is 1 + t nearly always is).  By the same
+    slack its every computed gap, refined peaks included, lies below that
+    cap, so it could change neither the grid maximum nor the strict update
+    peak > best.  Both half-lines are never dropped for one t: a cap is at
+    most its own bound, and the bound where the divisor is 1 - t is the
+    larger.
 
     A scalar t returns a float; an array of t returns an array of the same
     shape whose entries equal the scalar calls bit for bit.  Pass a whole t
@@ -422,11 +435,12 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
             return _phi_def(x, tt, -1.0) - special.ndtr(x)
         return special.ndtr(x) - _phi_def(x, tt, 1.0)
 
-    best, lo, hi = _oracle_scan(diff, ts, grid_points, 1.0 if side == "plus" else -1.0)
-    lane_t = np.concatenate([ts, ts])
-    f = _golden_lanes(lambda x: -diff(x, lane_t), lo.ravel(), hi.ravel(), refine_tolerance)
-    for peak in -f.reshape(2, -1):  # negative half-line first, as max(best, peak)
-        best = np.where(peak > best, peak, best)
+    best, h, i, lo, hi = _oracle_scan(diff, ts, grid_points, 1.0 if side == "plus" else -1.0)
+    lane_t = ts[i]
+    peak = -_golden_lanes(lambda x: -diff(x, lane_t), lo, hi, refine_tolerance)
+    for lanes in (h == 0, h == 1):  # negative half-line first, as max(best, peak)
+        j = i[lanes]
+        best[j] = np.where(peak[lanes] > best[j], peak[lanes], best[j])
     return float(best[0]) if np.ndim(t) == 0 else best.reshape(np.shape(tv))
 
 

@@ -274,7 +274,11 @@ def _best_split(n: int, dv: float, mode: str):
     # a NaN or infinite approximation is a candidate too
     cand = np.flatnonzero(~(np.isfinite(approx) & (approx > limit)))
     ts = grid[cand]
-    totals = [_total(n, dv - c, t, mode) for t, c in zip(ts.tolist(), _cost(ts, mode).tolist())]
+    totals = []
+    for t, c in zip(ts.tolist(), _cost(ts, mode).tolist()):
+        totals.append(_total(n, dv - c, t, mode))
+        if totals[-1] == 0.0:  # totals are never negative: nothing later can beat it
+            break
     j = int(np.argmin(totals))
     k = int(cand[j])
     a = float(grid[max(k - 1, 0)])

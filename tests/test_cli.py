@@ -94,6 +94,20 @@ class TestBoundEval:
         assert err.startswith("error: ") and err.splitlines()[0].endswith(
             f", 9007199254740992], got {2**63}")
 
+    # below 2^53 an array too large for memory is an input error too; the child
+    # caps only its own address space, 256 MiB above its size after import, so
+    # 2^28 steps (a 2 GiB array) fail there as 2^53 steps fail anywhere
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--grid-steps", str(2**53)],
+        ["verify", "--grid-steps", str(2**28)],
+        ["gamma", "--steps", str(2**28)]], ids=["grid-steps-2**53", "grid-steps", "steps"])
+    def test_out_of_memory_exits_2(self, argv):
+        proc = _run_capped(*argv)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: Unable to allocate ")
+        assert sum(line.startswith("error: ") for line in proc.stderr.splitlines()) == 1
+
     def test_unknown_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["bound-eval", "--n", "100", "--epsilon", "0.1", "--t", "0.2",
@@ -383,12 +397,30 @@ class TestLoader:
         assert np.array_equal(mat[1], [4.0, 5.0, 6.0])
 
 
-def _run_module(*args):
+def _run_module(*args, prefix=("-m", "spherecdf")):
     # the child imports the same spherecdf as this suite, installed or not
     paths = [str(Path(spherecdf.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    return subprocess.run([sys.executable, "-m", "spherecdf", *args],
+    return subprocess.run([sys.executable, *prefix, *args],
                           capture_output=True, text=True, env=env)
+
+
+# cli.main in a child whose address space is capped 256 MiB above its size
+# after import, so an allocation beyond that raises MemoryError in it alone
+_CAPPED_MAIN = """
+import resource, sys
+from spherecdf import cli
+with open("/proc/self/statm") as f:
+    size = int(f.read().split()[0]) * resource.getpagesize()
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+soft = size + (256 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (soft if hard == resource.RLIM_INFINITY else min(soft, hard), hard))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _run_capped(*args):
+    return _run_module(*args, prefix=["-c", _CAPPED_MAIN])
 
 
 class TestEntryPoints:

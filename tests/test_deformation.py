@@ -225,40 +225,69 @@ GAPS = {"plus": lambda x, t: dfm._phi_def(x, t, -1.0) - special.ndtr(x),
         "minus": lambda x, t: special.ndtr(x) - dfm._phi_def(x, t, 1.0)}
 
 
-def _full_scan(diff, ts, grid_points, near=None):
-    """The oracle's coarse scan over every grid point: the reference for _oracle_scan.
+def _full_lanes(diff, ts, grid_points):
+    """The oracle's coarse scan over every grid point, the reference for _oracle_scan.
 
-    It needs no near, and takes one only to stand in for _oracle_scan.
+    Returns the grid maximum per t, then each half-line's maximum and the
+    bracket around its first argmax as (half-line, t) arrays.
     """
     half = np.linspace(0.0, dfm.SUP_WINDOW, grid_points // 2 + 1)
     xs = np.concatenate([-half[:0:-1], half])
     n, m = len(xs), len(half) - 1
     vals = diff(xs, ts[:, None])
-    lo, hi = np.empty((2, 2, ts.size))
+    top, lo, hi = np.empty((3, 2, ts.size))
     for h, (start, stop) in enumerate(((0, m), (m + 1, n))):
         k = start + np.argmax(vals[:, start:stop], axis=1)
+        top[h] = vals[:, start:stop].max(axis=1)
         lo[h], hi[h] = xs[np.maximum(k - 1, 0)], xs[np.minimum(k + 1, n - 1)]
-    return vals.max(axis=1), lo, hi
+    return vals.max(axis=1), top, lo, hi
+
+
+def _full_scan(diff, ts, grid_points, near=None):
+    """_full_lanes in _oracle_scan's form, every lane kept.
+
+    It needs no near, and takes one only to stand in for _oracle_scan.
+    """
+    best, _, lo, hi = _full_lanes(diff, ts, grid_points)
+    i, h = np.nonzero(np.ones((ts.size, 2), dtype=bool))
+    return best, h, i, lo[h, i], hi[h, i]
 
 
 ORACLE_EDGES = [0.0, 5e-324, 1e-12, 1.0 - 2.0 ** -53]
 NEAR = {"plus": 1.0, "minus": -1.0}  # the sign of x where the divisor is 1 - t
 # edge t mixed with mid-range t, then a reversed run: on the default grid the
-# scan's point budget cuts a first chunk after 21 t (three of them whole-grid
+# scan's point budget cuts a first chunk after 51 t (three of them whole-grid
 # edge t) and leaves the last chunk part full (test_mixed_chunks_layout)
-MID = np.linspace(0.02, 0.98, 20)
-MIXED_CHUNKS = np.concatenate([np.insert(MID, [0, 6, 13, MID.size], ORACLE_EDGES),
+MID = np.linspace(0.02, 0.98, 60)
+MIXED_CHUNKS = np.concatenate([np.insert(MID, [0, 20, 40, MID.size], ORACLE_EDGES),
                                np.linspace(0.99, 0.3, 30)])
 
 
 def _assert_scan_exact(ts, side, grid_points, probes=None):
-    """_oracle_scan and gamma_oracle equal the full scan's results bit for bit."""
+    """_oracle_scan against the full scan, and gamma_oracle with each scan, bit for bit.
+
+    The grid maxima and every kept lane's bracket equal the full scan's.  A
+    dropped lane's full-scan maximum, and a golden-section search over its
+    full-scan bracket, stay strictly below the grid maximum of its t, so
+    refining it could change nothing.
+    """
     scan = dfm._oracle_scan if probes is None else functools.partial(dfm._oracle_scan,
                                                                       probes=probes)
-    got = scan(GAPS[side], ts, grid_points, NEAR[side])
-    want = _full_scan(GAPS[side], ts, grid_points)
-    for g, w in zip(got, want):
-        assert g.shape == w.shape and _hex(g.ravel()) == _hex(w.ravel())
+    best, h, i, lo, hi = scan(GAPS[side], ts, grid_points, NEAR[side])
+    want, top, want_lo, want_hi = _full_lanes(GAPS[side], ts, grid_points)
+    assert best.shape == ts.shape and _hex(best) == _hex(want)
+    # lanes in t-major order, negative half-line first, and each t keeps one
+    assert (np.lexsort((h, i)) == np.arange(h.size)).all()
+    kept = np.zeros((2, ts.size), dtype=bool)
+    kept[h, i] = True
+    assert kept.sum() == h.size and kept.any(axis=0).all()
+    assert _hex(lo) == _hex(want_lo[h, i]) and _hex(hi) == _hex(want_hi[h, i])
+    for dh, di in zip(*np.nonzero(~kept)):
+        assert top[dh, di] < best[di]
+        t = float(ts[di])
+        _, f = dfm._golden_min(lambda x: -float(GAPS[side](x, t)), want_lo[dh, di],
+                               want_hi[dh, di], 1e-10, (math.nan, math.inf))
+        assert -f < best[di]
     with mock.patch.object(dfm, "_oracle_scan", scan):
         fast = gamma_oracle(ts, grid_points=grid_points, side=side)
     with mock.patch.object(dfm, "_oracle_scan", _full_scan):
@@ -327,8 +356,9 @@ class TestOracleScan:
         assert peak < 1.5 * 2 ** 20
 
     def test_scan_skips_most_of_the_grid(self):
-        # on verify's 1000-t grid the scan evaluates under 10% of the
-        # (t, x) points of the default 2001-point grid
+        # on verify's 1000-t grid the scan evaluates under 3% of the (t, x)
+        # points of the default 2001-point grid, probes included, and keeps one
+        # lane per t, two at t = 0
         ts = np.linspace(0.0, 0.99, 1000)
         calls = []
 
@@ -336,8 +366,8 @@ class TestOracleScan:
             calls.append(np.broadcast(x, t).size)
             return GAPS["plus"](x, t)
 
-        dfm._oracle_scan(counted, ts, 2001, NEAR["plus"])
-        assert sum(calls) < 0.1 * ts.size * 2001
+        h = dfm._oracle_scan(counted, ts, 2001, NEAR["plus"])[1]
+        assert sum(calls) < 0.03 * ts.size * 2001 and h.size == ts.size + 1
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_mean_value_bound(self, side):

@@ -335,6 +335,19 @@ class TestBestSplitGrid:
     def test_filter_corners(self, n, dv, mode):
         self._check(n, dv, mode)
 
+    def test_exact_pricing_stops_at_a_zero_total(self, monkeypatch):
+        # 259 exact totals, the first at grid[66], underflow to 0.0 and the filter
+        # keeps 269 points; totals are never negative, so the first exact 0.0 ends
+        # the pricing (the equality with the per-point search is test_filter_corners)
+        priced, entered = [], []
+        total, golden = tb._total, tb._golden_min
+        monkeypatch.setattr(tb, "_total", lambda *a: priced.append(a[2]) or total(*a))
+        monkeypatch.setattr(tb, "_golden_min",
+                            lambda *a: entered.append(len(priced)) or golden(*a))
+        assert tb._best_split(139296996, 0.00444, "exact_gamma")[2] == 0.0
+        # the numpy filter's one call, then the exact candidates up to the first 0.0
+        assert isinstance(priced[0], np.ndarray) and entered[0] - 1 <= 8
+
     def test_filter_keeps_the_t_zero_point_quiet(self):
         with np.errstate(all="raise"):
             assert _gamma_np(np.array([0.0, 5e-5, 0.5]))[0] == 0.0
