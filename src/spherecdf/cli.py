@@ -30,14 +30,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .deformation import _gamma, gamma_oracle
+from .deformation import _g_minus, _g_plus, _gamma, gamma_oracle
 from .empirical import _ks_statistics
 from .errors import SIZE_MAX, DomainError, check_int, check_real
 from .montecarlo import (TrialConfig, run_chisq_trials, run_dkw_trials,
                          run_lambda_trials, run_theorem_trials, verify_lemmas)
 from .sampling import _norms
-from .tail_bounds import (BoundInputs, _breakdown, corollary_bound, g_minus,
-                          g_plus, optimize_split, p_value_bound, theorem_bound)
+from .tail_bounds import (BoundInputs, _breakdown, corollary_bound, optimize_split,
+                          p_value_bound, theorem_bound)
 
 _FORMATS = ("human", "csv", "json")
 
@@ -212,8 +212,7 @@ def _cmd_gamma(args) -> _Result:
     ts = np.linspace(args.t_min, args.t_max, args.steps)
     header = ["t", "gamma", "gamma_oracle", "half_t", "g_plus", "g_minus",
               "g_minus_lb", "g_plus_lb"]
-    # g_plus and g_minus stay scalar: their array forms round differently on some t
-    rows = [[tv, gamma, oracle, 0.5 * tv, g_plus(tv), g_minus(tv), tv, 0.375 * tv]
+    rows = [[tv, gamma, oracle, 0.5 * tv, _g_plus(tv), _g_minus(tv), tv, 0.375 * tv]
             for tv, gamma, oracle in zip(ts.tolist(), _gamma(ts).tolist(),
                                          gamma_oracle(ts).tolist())]
     return _Result(

@@ -25,6 +25,7 @@ All functions are pure and safe to call concurrently.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import special
@@ -123,25 +124,50 @@ def _phi_def(x, t, s):
     return special.ndtr(x / (1.0 + s * np.sign(x) * t))
 
 
-def _log1p_over(u: float) -> float:
+# libm for the kernels below, which take a float or a 1-D array: math's functions, or the
+# same mapped over the entries, as numpy's own log1p, exp and x**2 round differently on some
+# arguments (its sqrt and + - * / round correctly, as math's do)
+_MAPPED = SimpleNamespace(sqrt=np.sqrt, **{
+    fn.__name__: lambda x, *args, fn=fn: np.fromiter(
+        map(fn, x.tolist(), *([a] * x.size for a in args)), float, x.size)
+    for fn in (math.log1p, math.pow, math.exp)})
+
+
+def _libm(x):
+    return math if isinstance(x, float) else _MAPPED
+
+
+def _near0(u, cutoff, series, direct):
+    # series(u) where |u| < cutoff, else direct(u): on a float, or entry by entry
+    if isinstance(u, float):
+        return series(u) if abs(u) < cutoff else direct(u)
+    small = np.abs(u) < cutoff
+    return np.where(small, series(u), direct(np.where(small, 1.0, u)))
+
+
+def _log1p_over_series(u):
+    return 1.0 + u * (-1 / 2 + u * (1 / 3 + u * (-1 / 4 + u * (1 / 5 + u * (-1 / 6)))))
+
+
+def _log1p_over(u):
     # log(1+u)/u; series keeps the removable singularity smooth through u = 0
-    if abs(u) < _SERIES_CUTOFF:
-        return 1.0 + u * (-1 / 2 + u * (1 / 3 + u * (-1 / 4 + u * (1 / 5 + u * (-1 / 6)))))
-    return math.log1p(u) / u
+    if isinstance(u, float):  # inline, as the split search's float _gamma calls land here
+        return _log1p_over_series(u) if abs(u) < _SERIES_CUTOFF else math.log1p(u) / u
+    return _near0(u, _SERIES_CUTOFF, _log1p_over_series, lambda v: _MAPPED.log1p(v) / v)
 
 
-def _log1p_over_prime(u: float) -> float:
+def _log1p_over_prime(u):
     # d/du [log(1+u)/u]; the direct quotient cancels near 0 (difference of two
     # near-1 terms), so use a 9-term series on a wider window than _log1p_over
-    if abs(u) < 1e-2:
-        return -1 / 2 + u * (2 / 3 + u * (-3 / 4 + u * (4 / 5 + u * (-5 / 6 + u * (
-            6 / 7 + u * (-7 / 8 + u * (8 / 9 + u * (-9 / 10))))))))
-    return (1.0 / (1.0 + u) - _log1p_over(u)) / u
+    return _near0(u, 1e-2, lambda u: -1 / 2 + u * (2 / 3 + u * (-3 / 4 + u * (4 / 5 + u * (
+        -5 / 6 + u * (6 / 7 + u * (-7 / 8 + u * (8 / 9 + u * (-9 / 10)))))))),
+                  lambda u: (1.0 / (1.0 + u) - _log1p_over(u)) / u)
 
 
-def _x_plus_ext(t: float) -> float:
+def _x_plus_ext(t):
     # positive critical point, smooth continuation over (-1, 1) with value 1 at 0
-    return math.sqrt(2.0 * (1.0 - t) ** 2 / (2.0 - t) * _log1p_over(-t))
+    m = math if isinstance(t, float) else _MAPPED  # _libm(t), inline on the hot float path
+    return m.sqrt(2.0 * m.pow(1.0 - t, 2.0) / (2.0 - t) * _log1p_over(-t))
 
 
 def x_plus(t: float) -> float:
@@ -168,15 +194,14 @@ def _peak(t, side):
     side = 1.0 gives x_plus(t) and f_plus(t), side = -1.0 their reflection
     t -> -t, x_minus(t) and f_minus(t): x = side * _x_plus_ext(side * t).  side
     is the sign of x, opposite to _phi_def's s.  The height is +0.0 at t = 0.
-    A 1-D array t maps _x_plus_ext with math (np.log1p and numpy's x**2 round
-    differently on some arguments) and makes one ndtr pair, so each entry
-    equals the float call bit for bit.
+    A 1-D array t runs _x_plus_ext's numpy arithmetic over all its entries,
+    with libm's log1p and pow(x, 2.0) mapped over them, and makes one ndtr
+    pair, so each entry equals the float call bit for bit.
     """
     st = side * t
-    scalar = isinstance(t, float)
-    x = side * (_x_plus_ext(st) if scalar else np.array([_x_plus_ext(v) for v in st.tolist()]))
+    x = side * _x_plus_ext(st)
     height = special.ndtr(x / (1.0 - st)) - special.ndtr(x)
-    return x, float(height) if scalar else height
+    return x, float(height) if isinstance(t, float) else height
 
 
 def _gamma(t):
@@ -285,36 +310,37 @@ def _golden_min(fn, a: float, b: float, tol: float, best):
     return best_x, best_f
 
 
-def _golden_lanes(fn, a, b, tol):
+def _golden_lanes(fn, a, b, tol, *args):
     """Golden-section minima of fn over arrays of brackets [a, b], run in lockstep.
 
     Every lane takes exactly _golden_min's steps on its own bracket, with the
     lower of its two opening probes as the incumbent, so each returned minimum
-    equals that scalar search's bit for bit.  fn maps an array holding one
-    probe per lane to their values; a lane that has stopped keeps its state
-    while the others finish.
+    equals that scalar search's bit for bit.  fn(x, *args) maps one probe per
+    lane to their values, args being per-lane parameter arrays.  A lane that
+    stops has its minimum written out and is dropped from the state and args.
     """
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
+    fc, fd = fn(c, *args), fn(d, *args)
     best = np.where(fd < fc, fd, fc)
-    live = b - a > tol
-    while live.any():
-        keep = fc <= fd
-        left, right = live & keep, live & ~keep
+    out, lane, live = np.empty_like(best), np.arange(best.size), b - a > tol
+    while True:
+        if not live.all():
+            out[lane[~live]] = best[~live]
+            a, b, c, d, fc, fd, best, lane, *args = (
+                v[live] for v in (a, b, c, d, fc, fd, best, lane, *args))
+        if not lane.size:
+            return out
+        left = fc <= fd  # keep [a, d] and probe anew inside it, else keep [c, b]
         a0, b0 = a, b
-        a, b = np.where(right, c, a), np.where(left, d, b)
-        c, d = np.where(right, d, c), np.where(left, c, d)
-        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
+        a, b = np.where(left, a, c), np.where(left, d, b)
         probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        fp = fn(probe)
-        c, fc = np.where(left, probe, c), np.where(left, fp, fc)
-        d, fd = np.where(right, probe, d), np.where(right, fp, fd)
-        # left probe first; a stopped lane's best is already <= its frozen fc and fd
-        best = np.where(fc < best, fc, best)
+        fp = fn(probe, *args)
+        c, d, fc, fd = (np.where(left, probe, d), np.where(left, c, probe),
+                        np.where(left, fp, fd), np.where(left, fc, fp))
+        best = np.where(fc < best, fc, best)  # left probe first
         best = np.where(fd < best, fd, best)
-        live &= (b - a > tol) & ((a != a0) | (b != b0))
-    return best
+        live = (b - a > tol) & ((a != a0) | (b != b0))
 
 
 # grid points per flat evaluation of the scan's windows, past each chunk's first t
@@ -436,26 +462,25 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
         return special.ndtr(x) - _phi_def(x, tt, 1.0)
 
     best, h, i, lo, hi = _oracle_scan(diff, ts, grid_points, 1.0 if side == "plus" else -1.0)
-    lane_t = ts[i]
-    peak = -_golden_lanes(lambda x: -diff(x, lane_t), lo, hi, refine_tolerance)
+    peak = -_golden_lanes(lambda x, tt: -diff(x, tt), lo, hi, refine_tolerance, ts[i])
     for lanes in (h == 0, h == 1):  # negative half-line first, as max(best, peak)
         j = i[lanes]
         best[j] = np.where(peak[lanes] > best[j], peak[lanes], best[j])
     return float(best[0]) if np.ndim(t) == 0 else best.reshape(np.shape(tv))
 
 
-# float kernels for t in (-1, 1), math as np.log1p and np.exp round differently
-def _alpha(t: float) -> float:
+# kernels for t in (-1, 1), on a float or a 1-D array (libm through _libm)
+def _alpha(t):
     return _log1p_over(t) / (2.0 + t)
 
 
-def _alpha_prime(t: float) -> float:
-    return _log1p_over_prime(t) / (2.0 + t) - _log1p_over(t) / (2.0 + t) ** 2
+def _alpha_prime(t):
+    return _log1p_over_prime(t) / (2.0 + t) - _log1p_over(t) / _libm(t).pow(2.0 + t, 2.0)
 
 
-def _f_minus_prime(t: float) -> float:
-    a = _alpha(t)
-    return math.exp(-a) * math.sqrt(2.0 * a) / (math.sqrt(2.0 * math.pi) * (1.0 + t))
+def _f_minus_prime(t):
+    a, m = _alpha(t), _libm(t)
+    return m.exp(-a) * m.sqrt(2.0 * a) / (math.sqrt(2.0 * math.pi) * (1.0 + t))
 
 
 def f_minus(t: float) -> float:

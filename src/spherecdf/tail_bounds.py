@@ -275,8 +275,8 @@ def _best_split(n: int, dv: float, mode: str):
     cand = np.flatnonzero(~(np.isfinite(approx) & (approx > limit)))
     ts = grid[cand]
     totals = []
-    for t, c in zip(ts.tolist(), _cost(ts, mode).tolist()):
-        totals.append(_total(n, dv - c, t, mode))
+    for t in ts.tolist():  # float calls: an array _cost costs more on so few points
+        totals.append(_total(n, dv - _cost(t, mode), t, mode))
         if totals[-1] == 0.0:  # totals are never negative: nothing later can beat it
             break
     j = int(np.argmin(totals))
@@ -290,7 +290,8 @@ def _best_split(n: int, dv: float, mode: str):
             return math.inf
         return _total(n, eps, t, mode)
 
-    best_t, best_total = _golden_min(objective, a, b, 1e-12, (float(grid[k]), totals[j]))
+    best = (float(grid[k]), totals[j])  # under _golden_min's strict <, no probe beats 0.0
+    best_t, best_total = best if totals[j] == 0.0 else _golden_min(objective, a, b, 1e-12, best)
     best_eps = dv - _cost(best_t, mode)
     if best_eps <= 0.0:
         best_t, best_eps = 0.0, dv

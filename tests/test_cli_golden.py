@@ -52,6 +52,11 @@ EXTRA = [
     ["--help"],
     *([name, "--help"] for name in ("bound-eval", "bound-optimize", "gamma", "simulate",
                                     "verify", "test-uniformity")),
+    # the oracle and the rates near t = 1 (333 steps to 0.999999)
+    ["gamma", "--t-min", "0", "--t-max", "0.999999", "--steps", "333", "--format", "json"],
+    # every check's residual on an odd grid (1001 t)
+    ["verify", "--scope", "all", "--grid-steps", "1001", "--tolerance", "0", "--format",
+     "json"],
 ]
 ARGVS = [[*argv, "--format", fmt] for argv in COMMANDS for fmt in FORMATS] + EXTRA
 

@@ -568,6 +568,125 @@ class TestKernels:
         assert report.all_passed and check.call_count == 2
 
 
+def _kernel_edges():
+    """The series switches with their neighbours, signed zeros, the ends of (-1, 1), 5e-324."""
+    out = [0.0, -0.0, 1.0 - 2.0 ** -53, -(1.0 - 2.0 ** -53), 5e-324, -5e-324]
+    for edge in (dfm._SERIES_CUTOFF, 1e-2):
+        for base in (edge, -edge):
+            out += [base, float(np.nextafter(base, 1.0)), float(np.nextafter(base, -1.0))]
+    return out
+
+
+# every kernel that maps libm over an array (dfm._MAPPED), as verify and _gamma call them
+MAPPED_KERNELS = {
+    "_log1p_over": dfm._log1p_over, "_log1p_over_prime": dfm._log1p_over_prime,
+    "_x_plus_ext": dfm._x_plus_ext,
+    "_peak x plus": lambda t: dfm._peak(t, 1.0)[0], "_peak plus": lambda t: dfm._peak(t, 1.0)[1],
+    "_peak x minus": lambda t: dfm._peak(t, -1.0)[0],
+    "_peak minus": lambda t: dfm._peak(t, -1.0)[1],
+    "_alpha": dfm._alpha, "_alpha_prime": dfm._alpha_prime, "_f_minus_prime": dfm._f_minus_prime,
+}
+
+
+class TestMappedKernels:
+    """Array kernels apply libm mapped over the entries: each entry is the float call's value."""
+
+    @pytest.fixture(scope="class")
+    def ts(self):
+        rng = np.random.default_rng(20261019)
+        # uniform on (-1, 1), then log-uniform magnitudes down to 1e-12 around the switches
+        small = np.exp(rng.uniform(math.log(1e-12), math.log(0.05), 20_000))
+        t = np.concatenate([_kernel_edges(), rng.uniform(-1.0, 1.0, 100_000),
+                            small * rng.choice([-1.0, 1.0], small.size)])
+        assert ((t > -1.0) & (t < 1.0)).all()
+        return t
+
+    @pytest.mark.parametrize("name", MAPPED_KERNELS)
+    def test_array_equals_float_calls(self, ts, name):
+        kernel = MAPPED_KERNELS[name]
+        got = kernel(ts)
+        want = np.array([kernel(t) for t in ts.tolist()])
+        assert got.dtype == np.float64 and got.shape == ts.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_libm_is_needed(self, ts):
+        # the maps are not for show: numpy's own log1p and x*x round apart from libm
+        u = ts[np.abs(ts) >= dfm._SERIES_CUTOFF]
+        assert not np.array_equal(np.log1p(u), dfm._MAPPED.log1p(u))
+        assert not np.array_equal(u * u, dfm._MAPPED.pow(u, 2.0))
+
+    def test_float_kernels_keep_float_results(self):
+        for t in _kernel_edges():
+            for kernel in MAPPED_KERNELS.values():
+                assert type(kernel(t)) is float
+
+    def test_empty_arrays(self):
+        for kernel in MAPPED_KERNELS.values():
+            assert kernel(np.array([])).shape == (0,)
+
+
+def _lane_fn(x, p):
+    # a per-lane objective with its minimum near x = p; NaN for p = NaN
+    return np.cos(3.0 * (x - p)) * -np.exp(-(x - p) ** 2) + 1e-3 * x
+
+
+def _lanes_case(tol):
+    """Brackets of every kind for _golden_lanes: wide, a few ulps wide, at or below tol."""
+    lo, hi, p = [], [], []
+    rng = np.random.default_rng(7)
+    for _ in range(40):  # wide brackets
+        a = rng.uniform(-3.0, 2.0)
+        lo.append(a), hi.append(a + rng.uniform(0.5, 3.0)), p.append(rng.uniform(-2.0, 2.0))
+    for k in (1, 2, 3, 5):  # a few ulps: the bracket soon stops shrinking, whatever tol
+        a = rng.uniform(-1.0, 1.0)
+        lo.append(a), hi.append(a + k * math.ulp(a)), p.append(a)
+    for w in (0.0, 0.5 * tol, tol):  # done on entry
+        lo.append(0.25), hi.append(0.25 + w), p.append(0.3)
+    lo.append(-1.0), hi.append(1.0), p.append(math.nan)  # NaN values never win a compare
+    order = rng.permutation(len(lo))  # stopped lanes scattered among live ones
+    return (np.array(lo)[order], np.array(hi)[order], np.array(p)[order])
+
+
+class TestGoldenLanes:
+    """The compacting lockstep search against one scalar _golden_min per lane."""
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-10, 1e-6])
+    def test_lanes_equal_scalar_searches(self, tol):
+        a, b, p = _lanes_case(tol)
+        sizes = []
+
+        def fn(x, pv):
+            assert x.shape == pv.shape  # per-lane args are compacted with the state
+            sizes.append(x.size)
+            return _lane_fn(x, pv)
+
+        got = dfm._golden_lanes(fn, a, b, tol, p)
+        want = []
+        for lo, hi, pv in zip(a.tolist(), b.tolist(), p.tolist()):
+            def f(x, pv=pv):
+                return float(_lane_fn(np.array([x]), np.array([pv]))[0])
+            c = hi - dfm._INVPHI * (hi - lo)
+            d = lo + dfm._INVPHI * (hi - lo)
+            best = (d, f(d)) if f(d) < f(c) else (c, f(c))
+            want.append(dfm._golden_min(f, lo, hi, tol, best)[1])
+        assert _hex(got) == _hex(want)
+        # lanes leave the state as they stop: the step sizes only fall
+        assert sizes[:2] == [a.size, a.size]
+        assert all(x >= y for x, y in zip(sizes[2:], sizes[3:])) and sizes[-1] < a.size
+
+    def test_no_lanes(self):
+        empty = np.array([])
+        assert dfm._golden_lanes(_lane_fn, empty, empty, 1e-10, empty).shape == (0,)
+
+    def test_lanes_done_on_entry_cost_no_step(self):
+        # two opening probes, no step: each minimum is the lower opening probe's value
+        calls = []
+        a = np.array([0.0, 1.0])
+        b = a + 1e-12
+        got = dfm._golden_lanes(lambda x: calls.append(x.size) or -x, a, b, 1e-10)
+        assert calls == [2, 2] and _hex(got) == _hex(-(a + dfm._INVPHI * (b - a)))
+
+
 class TestAlpha:
     def test_zero_is_half(self):
         assert alpha(0.0) == 0.5

@@ -459,6 +459,15 @@ class TestVerifyLemmas:
         with pytest.raises(DomainError, match="tolerance"):
             verify_lemmas(grid_steps=100, tolerance=bad)
 
+    def test_one_oracle_call_per_side(self, monkeypatch):
+        # gap-symmetry's grid and gamma-closed-vs-oracle's 99 t share one plus-side call
+        calls = []
+        oracle = mc.dfm.gamma_oracle
+        monkeypatch.setattr(mc.dfm, "gamma_oracle", lambda t, **kw: calls.append(
+            (np.size(t), kw.get("side", "plus"))) or oracle(t, **kw))
+        verify_lemmas(grid_steps=101, scope="lemmas")
+        assert calls == [(101 + 99, "plus"), (101, "minus")]
+
     def test_negative_tolerance_is_legal(self):
         report = verify_lemmas(grid_steps=100, tolerance=-1e-12)
         assert {c.threshold for c in report.checks} == {-1e-12}

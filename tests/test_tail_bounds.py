@@ -85,6 +85,18 @@ class TestExponentRates:
         assert np.all(gm[:-2] - 2 * gm[1:-1] + gm[2:] >= -1e-9)
         assert np.all(gp[:-2] - 2 * gp[1:-1] + gp[2:] <= 1e-9)
 
+    def test_float_kernels_equal_public_scalar_calls(self):
+        # cli gamma prints _g_plus(t) / _g_minus(t) per row: a float's ** 2 is libm
+        # pow, and so is the public call's (its 0-d array arithmetic yields an
+        # np.float64), unlike an array's x*x
+        rng = np.random.default_rng(333)
+        ts = np.concatenate([rng.uniform(0.0, 1.0, 10_000),
+                             10.0 ** rng.uniform(-300.0, 0.0, 10_000),
+                             np.linspace(0.0, 0.999999, 333)])
+        for t in ts[ts < 1.0].tolist():
+            assert tb._g_plus(t).hex() == g_plus(t).hex()
+            assert tb._g_minus(t).hex() == g_minus(t).hex()
+
     def test_g_minus_matches_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(40):
@@ -338,7 +350,9 @@ class TestBestSplitGrid:
     def test_exact_pricing_stops_at_a_zero_total(self, monkeypatch):
         # 259 exact totals, the first at grid[66], underflow to 0.0 and the filter
         # keeps 269 points; totals are never negative, so the first exact 0.0 ends
-        # the pricing (the equality with the per-point search is test_filter_corners)
+        # the pricing, and no refinement probe can beat it under _golden_min's
+        # strict <, so the refinement is skipped (the equality with the per-point
+        # search is test_filter_corners)
         priced, entered = [], []
         total, golden = tb._total, tb._golden_min
         monkeypatch.setattr(tb, "_total", lambda *a: priced.append(a[2]) or total(*a))
@@ -346,7 +360,15 @@ class TestBestSplitGrid:
                             lambda *a: entered.append(len(priced)) or golden(*a))
         assert tb._best_split(139296996, 0.00444, "exact_gamma")[2] == 0.0
         # the numpy filter's one call, then the exact candidates up to the first 0.0
-        assert isinstance(priced[0], np.ndarray) and entered[0] - 1 <= 8
+        assert isinstance(priced[0], np.ndarray) and len(priced) - 1 <= 8
+        # no refinement probes through the public call either, and the same split
+        # as the per-point search, whose refinement runs and returns its incumbent
+        priced.clear()
+        opt = tb.optimize_split(139296996, 0.00444)
+        assert entered == [] and len(priced) - 1 <= 8
+        want = _per_point_best_split(139296996, 0.00444, "exact_gamma")
+        assert [v.hex() for v in (opt.best_epsilon, opt.best_t, opt.best_total)] == \
+            [float(v).hex() for v in want]
 
     def test_filter_keeps_the_t_zero_point_quiet(self):
         with np.errstate(all="raise"):
