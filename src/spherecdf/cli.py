@@ -15,7 +15,8 @@ top-level object with fields command/inputs/results/seed/version).  All output
 is a pure function of the flags; seeds default to 0 and are echoed.
 
 Each subcommand's handler computes one `_Result` (its json results, its csv
-header and rows, its human lines and its exit code) and writes nothing; `main`
+header and rows, a call that builds its human lines, so that only human output
+formats them, and its exit code) and writes nothing; `main`
 renders that record in the requested format through `_emit`, the only write
 to stdout, which echoes the parsed flags as the json inputs.
 """
@@ -25,7 +26,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,7 +62,7 @@ class _Result(NamedTuple):
     results: dict   # json
     header: list    # csv
     rows: list      # csv
-    human: list     # lines
+    human: Callable[[], list]  # lines, built only for --format human
     code: int = 0
 
 
@@ -85,7 +86,7 @@ def _emit(args, res, out):
                    "seed": getattr(args, "seed", None), "version": __version__}
         out.write(json.dumps(payload, indent=2) + "\n")
         return
-    lines = res.human if args.format == "human" else [
+    lines = res.human() if args.format == "human" else [
         ",".join(_fmt(v) for v in row) for row in [res.header, *res.rows]]
     out.write("".join(line + "\n" for line in lines))
 
@@ -156,7 +157,7 @@ def load_vector_file(path) -> np.ndarray:
                 if not text or text.startswith("#"):
                     continue
                 try:
-                    row = [float(tok) for tok in text.replace(",", " ").split()]
+                    row = list(map(float, text.replace(",", " ").split()))
                 except ValueError:
                     raise DomainError(f"{path}:{lineno}: unparsable value") from None
                 if not row:
@@ -182,7 +183,7 @@ def _cmd_bound_eval(args) -> _Result:
     return _Result(
         results, ["n", "epsilon", "t", "variant", *results["theorem"]],
         [[args.n, args.epsilon, args.t, name, *d.values()] for name, d in results.items()],
-        [f"inputs: n={args.n} epsilon={_fmt(args.epsilon)} t={_fmt(args.t)}"]
+        lambda: [f"inputs: n={args.n} epsilon={_fmt(args.epsilon)} t={_fmt(args.t)}"]
         + [f"{name:9s} threshold={_fmt(b.threshold)} dkw={_fmt(b.dkw_term)} "
            f"gplus={_fmt(b.gplus_term)} gminus={_fmt(b.gminus_term)} total={_fmt(b.total)}"
            for name, b in variants])
@@ -198,11 +199,11 @@ def _cmd_bound_optimize(args) -> _Result:
          "threshold", "dkw_term", "gplus_term", "gminus_term"],
         [[args.n, args.delta, args.mode, opt.best_epsilon, opt.best_t, opt.best_total,
           br.threshold, br.dkw_term, br.gplus_term, br.gminus_term]],
-        [f"inputs: n={args.n} delta={_fmt(args.delta)} mode={args.mode}",
-         f"best split: epsilon={_fmt(opt.best_epsilon)} t={_fmt(opt.best_t)} "
-         f"total={_fmt(opt.best_total)}",
-         f"breakdown: dkw={_fmt(br.dkw_term)} gplus={_fmt(br.gplus_term)} "
-         f"gminus={_fmt(br.gminus_term)} threshold={_fmt(br.threshold)}"])
+        lambda: [f"inputs: n={args.n} delta={_fmt(args.delta)} mode={args.mode}",
+                 f"best split: epsilon={_fmt(opt.best_epsilon)} t={_fmt(opt.best_t)} "
+                 f"total={_fmt(opt.best_total)}",
+                 f"breakdown: dkw={_fmt(br.dkw_term)} gplus={_fmt(br.gplus_term)} "
+                 f"gminus={_fmt(br.gminus_term)} threshold={_fmt(br.threshold)}"])
 
 
 def _cmd_gamma(args) -> _Result:
@@ -217,7 +218,7 @@ def _cmd_gamma(args) -> _Result:
                                          gamma_oracle(ts).tolist())]
     return _Result(
         {"columns": header, "rows": rows}, header, rows,
-        ["  ".join(f"{_fmt(v):>14s}" for v in row) for row in [header, *rows]])
+        lambda: ["  ".join(f"{_fmt(v):>14s}" for v in row) for row in [header, *rows]])
 
 
 def _cmd_simulate(args) -> _Result:
@@ -229,15 +230,6 @@ def _cmd_simulate(args) -> _Result:
         if flag not in required and value is not None:
             raise DomainError(f"simulate --kind {args.kind} does not take --{flag}")
     reports = runner(args)
-    human = [f"simulate kind={args.kind} n={args.n} trials={args.trials} seed={args.seed}"
-             + "".join(f" {k}={_fmt(getattr(args, k))}" for k in required)]
-    for side, r in reports.items():
-        extra = (f" upper={r.upper_count} lower={r.lower_count}"
-                 if hasattr(r, "upper_count") else "")
-        human.append(f"{side}: events={r.event_count}/{r.trials} "
-                     f"frequency={_fmt(r.frequency)} "
-                     f"wilson=[{_fmt(r.wilson_low)}, {_fmt(r.wilson_high)}] "
-                     f"bound={_fmt(r.bound)} dominated={_fmt(r.dominated)}{extra}")
     return _Result(
         {side: asdict(r) for side, r in reports.items()},
         ["kind", "n", "trials", "seed", "epsilon", "t", "x", "side", "event_count",
@@ -247,7 +239,15 @@ def _cmd_simulate(args) -> _Result:
           r.event_count, getattr(r, "upper_count", None), getattr(r, "lower_count", None),
           r.frequency, r.wilson_low, r.wilson_high, r.bound, r.dominated]
          for side, r in reports.items()],
-        human, code=0 if all(r.dominated for r in reports.values()) else 1)
+        lambda: [f"simulate kind={args.kind} n={args.n} trials={args.trials} seed={args.seed}"
+                 + "".join(f" {k}={_fmt(getattr(args, k))}" for k in required)]
+        + [f"{side}: events={r.event_count}/{r.trials} frequency={_fmt(r.frequency)} "
+           f"wilson=[{_fmt(r.wilson_low)}, {_fmt(r.wilson_high)}] "
+           f"bound={_fmt(r.bound)} dominated={_fmt(r.dominated)}"
+           + (f" upper={r.upper_count} lower={r.lower_count}"
+              if hasattr(r, "upper_count") else "")
+           for side, r in reports.items()],
+        code=0 if all(r.dominated for r in reports.values()) else 1)
 
 
 def _cmd_verify(args) -> _Result:
@@ -258,9 +258,9 @@ def _cmd_verify(args) -> _Result:
         ["scope", "check", "residual", "threshold", "where", "passed"],
         [[c.scope, c.name, c.residual, c.threshold, c.where, c.passed]
          for c in report.checks],
-        [f"[{'pass' if c.passed else 'FAIL'}] {c.scope:8s} {c.name:28s} "
-         f"residual={_fmt(c.residual)} threshold={_fmt(c.threshold)} at={_fmt(c.where)}"
-         for c in report.checks]
+        lambda: [f"[{'pass' if c.passed else 'FAIL'}] {c.scope:8s} {c.name:28s} "
+                 f"residual={_fmt(c.residual)} threshold={_fmt(c.threshold)} at={_fmt(c.where)}"
+                 for c in report.checks]
         + ["all checks passed" if report.all_passed else "FAILURES present"],
         code=0 if report.all_passed else 1)
 
@@ -276,18 +276,19 @@ def _cmd_test_uniformity(args) -> _Result:
     warned = np.abs(_norms(mat) - 1.0) > 1e-6
     values = mat * np.where(warned, 1.0, math.sqrt(n))[:, None]
     header = ["row", "n", "norm_warning", "ks_statistic", "p_bound", "reject"]
-    rows = []
-    for i, (flag, stat) in enumerate(zip(warned.tolist(), _ks_statistics(values).tolist())):
-        p = p_value_bound(n, min(stat, 1.0))
-        rows.append(dict(zip(header, (i, n, flag, stat, p, p < args.alpha))))
+    stats = _ks_statistics(values)
+    # one split search prices every row; each p equals p_value_bound(n, min(stat, 1.0))
+    ps = p_value_bound(n, np.minimum(stats, 1.0))
+    rows = [dict(zip(header, (i, n, flag, stat, p, p < args.alpha)))
+            for i, (flag, stat, p) in enumerate(zip(warned.tolist(), stats.tolist(), ps.tolist()))]
     rejected = sum(1 for r in rows if r["reject"])
     return _Result(
         {"rows": rows, "summary": {"rows": len(rows), "rejected": rejected,
                                    "alpha": args.alpha}},
         header, [list(r.values()) for r in rows],
-        [f"row {r['row']:4d}: ks={_fmt(r['ks_statistic'])} p<={_fmt(r['p_bound'])} -> "
-         f"{'REJECT' if r['reject'] else 'keep'}"
-         f"{' (renormalization warning)' if r['norm_warning'] else ''}" for r in rows]
+        lambda: [f"row {r['row']:4d}: ks={_fmt(r['ks_statistic'])} p<={_fmt(r['p_bound'])} -> "
+                 f"{'REJECT' if r['reject'] else 'keep'}"
+                 f"{' (renormalization warning)' if r['norm_warning'] else ''}" for r in rows]
         + [f"summary: rejected {rejected} of {len(rows)} rows at alpha={_fmt(args.alpha)}"])
 
 

@@ -351,9 +351,15 @@ def _worst(values, grid):
 
 
 def _scale_draws(gen):
-    """64 pairs (t, lambda): t uniform on (0.01, 0.99), then lambda on (1 - t, 1 + t)."""
-    pairs = [(t := gen.uniform(0.01, 0.99), gen.uniform(1.0 - t, 1.0 + t)) for _ in range(64)]
-    return np.array(pairs).T
+    """64 pairs (t, lambda): t uniform on (0.01, 0.99), then lambda on (1 - t, 1 + t).
+
+    Draws 128 uniforms in the stream order of alternating gen.uniform(low, high)
+    calls, t then lambda, and applies that call's low + (high - low) u to each.
+    """
+    u = gen.random(128).reshape(64, 2).T
+    t = 0.01 + (0.99 - 0.01) * u[0]
+    low = 1.0 - t
+    return np.array([t, low + ((1.0 + t) - low) * u[1]])
 
 
 def _second_diff(vals):

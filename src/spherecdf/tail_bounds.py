@@ -29,9 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .deformation import (_bisect, _g_minus, _g_plus, _gamma, _gamma_np, _golden_min, _t_array,
-                          _t_value)
-from .errors import DomainError, check_choice, check_int, check_real
+from .deformation import (TANGENT_SLOPE, _bisect, _f_minus_prime, _g_minus, _g_plus, _gamma,
+                          _gamma_np, _golden_min, _t_array, _t_value)
+from .errors import DomainError, check_choice, check_int, check_real, check_reals
 
 __all__ = [
     "BoundInputs",
@@ -239,43 +239,52 @@ def corollary_bound(N, epsilon, t) -> BoundBreakdown:
     return _breakdown(b.N, b.epsilon, b.t, "corollary")
 
 
-def _best_split(n: int, dv: float, mode: str):
-    """(epsilon, t, total) of the best split of budget dv; arguments already validated.
+# grid points of the split search, and the grid entries its numpy filter prices per block
+# (64 rows), which caps the filter's temporaries at a few MiB whatever the row count
+_GRID_POINTS = 512
+_FILTER_BLOCK = 1 << 15
 
-    One numpy pass (_gamma_np, np.exp) prices the 512-point grid; the exact
-    scalar totals (math.exp, libm pow) are paid only for the points whose
-    approximate total is at most min (1 + m) + 1e-299, m = 1e-11 (1 + sqrt(n)).
-    With u = 2^-53: each ndtr value is within 2^-46 of Phi (cephes' erfc peak
-    error) and the peak height's x-derivative is 0, so the cost moves by at
-    most 2^-44 + u; for a term with exponent y <= 692, y = 2 n eps^2 moves by
-    4 sqrt(n y / 2) (2^-44 + u) + 12u y (growing like sqrt(n) ulp), y = n g^2,
-    with |d g| <= 8u (1 + g) from x*x against pow, by 16u (sqrt(n y) + y) + 8u y,
-    and each exp errs by <= 4u.  A term with y > 692 is below 1.2e-300 in both.
-    So |approx - exact| <= rho exact + alpha with rho <= 2.1e-12 + 4.4e-12
-    sqrt(n) <= 0.019 (n < 2^64) and alpha <= 2.3e-300; m >= 2 rho / (1 - rho)
-    and 1e-299 >= alpha (2 + m) then give every skipped point an exact total
-    above the exact minimum, so k, the bracket and the incumbent equal a full
-    scalar scan's bit for bit.  Flat totals just keep more candidates.
+# half-width of the band around gamma(t) = dv's approximate root inside which the exact
+# t_max bisection evaluates its predicate (see _best_split)
+_ROOT_BAND = 2.0 ** -40
+
+
+def _t_max(dv: float, mode: str) -> float:
+    """The top of the feasible t range: _bisect's lo on cost(t) < dv over [0, 1 - 1e-12].
+
+    Every bisection step takes the verdict of _cost(mid, mode) < dv; a step is
+    evaluated only where _best_split's certificate does not settle it.
     """
-    # feasible range: cost is strictly increasing from 0 toward 1/2
-    if dv < 0.5:
-        t_max = _bisect(lambda t: _cost(t, mode) < dv, 0.0, 1.0 - 1e-12, 1e-12)[0]
-    else:
-        t_max = 1.0 - 1e-12
-    if t_max == 0.0:
-        # the feasible range is {0} (dv below about 2.4e-13 in exact_gamma mode)
-        return dv, 0.0, _total(n, dv, 0.0, mode)
+    hi = 1.0 - 1e-12
+    if dv >= 0.5:  # cost is strictly increasing from 0 toward 1/2
+        return hi
+    if mode == "corollary":
+        # 0.5 mid < dv exactly when mid < 2 dv: both products are exact here
+        cut = 2.0 * dv
+        return _bisect(lambda t: t < cut, 0.0, hi, 1e-12)[0]
+    # Newton from the right of gamma(t) = dv, as gamma(t) >= TANGENT_SLOPE t; it stops
+    # once a step is so short that the next error, about step^2 / (1 - t), is far
+    # below 2^-44, once steps are a few ulps of t, or once it is held at hi
+    r = min(dv / TANGENT_SLOPE, hi)
+    for _ in range(40):
+        step = (_cost(r, mode) - dv) / _f_minus_prime(-r)  # gamma'(t) = f_minus'(-t)
+        r, last = min(max(r - step, 0.0), hi), r
+        if abs(step) <= max(2.0 ** -26 * (1.0 - r), 2.0 ** -50) or r == last:
+            break
+    # a root at or past hi needs no upper certificate: every mid lies below hi
+    below, above = max(r - 2.0 ** -44, 0.0), min(r + 2.0 ** -44, hi)
+    if _cost(below, mode) < dv and (above == hi or not _cost(above, mode) < dv):
+        lo, up = below - _ROOT_BAND, above + _ROOT_BAND
+        pred = lambda t: t < lo or (t <= up and _cost(t, mode) < dv)  # noqa: E731
+    else:  # uncertified: evaluate every step
+        pred = lambda t: _cost(t, mode) < dv  # noqa: E731
+    return _bisect(pred, 0.0, hi, 1e-12)[0]
 
-    # the numpy pass filters the grid; only its candidates get exact scalar totals
-    grid = np.linspace(0.0, t_max, 512, endpoint=False)
-    cost = _gamma_np(grid) if mode == "exact_gamma" else 0.5 * grid
-    approx = _total(n, dv - cost, grid, mode, np.exp)
-    limit = approx.min() * (1.0 + 1e-11 * (1.0 + math.sqrt(n))) + 1e-299
-    # a NaN or infinite approximation is a candidate too
-    cand = np.flatnonzero(~(np.isfinite(approx) & (approx > limit)))
-    ts = grid[cand]
+
+def _refine(n: int, dv: float, mode: str, t_max: float, grid, cand):
+    """(epsilon, t, total) of one row from its grid and its filter's candidate indices."""
     totals = []
-    for t in ts.tolist():  # float calls: an array _cost costs more on so few points
+    for t in grid[cand].tolist():  # float calls: an array _cost costs more on so few points
         totals.append(_total(n, dv - _cost(t, mode), t, mode))
         if totals[-1] == 0.0:  # totals are never negative: nothing later can beat it
             break
@@ -299,6 +308,69 @@ def _best_split(n: int, dv: float, mode: str):
     return best_eps, best_t, best_total
 
 
+def _best_split(n: int, dv, mode: str):
+    """(epsilon, t, total) of the best split of budget dv; arguments already validated.
+
+    dv is a float, or a 1-D array of budgets, for which a list of the
+    per-budget results comes back, each equal to the float call's bit for bit.
+
+    The feasible range is [0, t_max], t_max being what a 40-step bisection of
+    cost(t) < dv over [0, 1 - 1e-12] returns; _t_max takes those very steps
+    but evaluates few of their verdicts.  In corollary mode a verdict is
+    mid < 2 dv, with no _cost call.  In exact mode the certificate is: gamma
+    is convex with slope at least s = TANGENT_SLOPE, and the computed cost is
+    within E = 2^-44 of gamma (two ndtr errors of 2^-46, as below, and a few
+    u of rounding; an error in x moves the peak height only to second order,
+    its x-derivative being 0).  Newton from the right puts r near the root,
+    and two exact calls check cost(L) < dv and cost(R) >= dv at
+    L, R = r -+ 2^-44.  A mid below L - M then has
+    gamma(mid) <= gamma(L) - s M < dv + E - 2E, so cost(mid) < dv, and a mid
+    above R + M has cost(mid) >= dv likewise, for M = _ROOT_BAND = 2^-40,
+    about twice 2E / s = 4.7e-13.  Only the mids in [L - M, R + M] are
+    evaluated: with Newton's steps and the two checks, 3 to 11 _cost calls
+    where the bisection alone makes 40.  When a check fails, every step is
+    evaluated, as before.
+
+    One numpy pass (_gamma_np, np.exp) prices the 512-point grids of all
+    rows, in blocks of _FILTER_BLOCK = 2^15 grid entries (64 rows, a few MiB
+    of temporaries); the exact scalar totals (math.exp, libm pow) are paid
+    only for the points whose approximate total is at most min (1 + m) +
+    1e-299, m = 1e-11 (1 + sqrt(n)), each row then running the refinement.
+    With u = 2^-53: each ndtr value is within 2^-46 of Phi (cephes' erfc peak
+    error) and the peak height's x-derivative is 0, so the cost moves by at
+    most 2^-44 + u; for a term with exponent y <= 692, y = 2 n eps^2 moves by
+    4 sqrt(n y / 2) (2^-44 + u) + 12u y (growing like sqrt(n) ulp), y = n g^2,
+    with |d g| <= 8u (1 + g) from x*x against pow, by 16u (sqrt(n y) + y) + 8u y,
+    and each exp errs by <= 4u.  A term with y > 692 is below 1.2e-300 in both.
+    So |approx - exact| <= rho exact + alpha with rho <= 2.1e-12 + 4.4e-12
+    sqrt(n) <= 0.019 (n < 2^64) and alpha <= 2.3e-300; m >= 2 rho / (1 - rho)
+    and 1e-299 >= alpha (2 + m) then give every skipped point an exact total
+    above the exact minimum, so k, the bracket and the incumbent equal a full
+    scalar scan's bit for bit.  Flat totals just keep more candidates.
+    """
+    dvs = [dv] if isinstance(dv, float) else dv.tolist()
+    t_maxes = [_t_max(d, mode) for d in dvs]
+    # the feasible range is {0} (dv below about 2.4e-13 in exact_gamma mode)
+    out = [(d, 0.0, _total(n, d, 0.0, mode)) if t == 0.0 else None
+           for d, t in zip(dvs, t_maxes)]
+    rows = [i for i, t in enumerate(t_maxes) if t > 0.0]
+    margin = 1.0 + 1e-11 * (1.0 + math.sqrt(n))
+    per_block = _FILTER_BLOCK // _GRID_POINTS
+    for start in range(0, len(rows), per_block):
+        block = rows[start:start + per_block]
+        t_dv = np.array([(t_maxes[i], dvs[i]) for i in block])  # columns t_max and dv
+        # each row's np.linspace(0.0, t_max, 512, endpoint=False): i * (t_max / 512)
+        grid = np.arange(float(_GRID_POINTS)) * (t_dv[:, :1] / _GRID_POINTS)
+        cost = _gamma_np(grid) if mode == "exact_gamma" else 0.5 * grid
+        approx = _total(n, t_dv[:, 1:] - cost, grid, mode, np.exp)
+        limit = approx.min(axis=1, keepdims=True) * margin + 1e-299
+        # a NaN or infinite approximation is a candidate too
+        keep = ~(np.isfinite(approx) & (approx > limit))
+        for i, row, kept in zip(block, grid, keep):
+            out[i] = _refine(n, dvs[i], mode, t_maxes[i], row, np.flatnonzero(kept))
+    return out[0] if isinstance(dv, float) else out
+
+
 def optimize_split(N, delta, mode: str = "exact_gamma") -> OptimizedBound:
     """Best split of a total deviation budget delta into epsilon + cost(t).
 
@@ -320,12 +392,18 @@ def optimize_split(N, delta, mode: str = "exact_gamma") -> OptimizedBound:
                           best_total=best_total, mode=mode)
 
 
-def p_value_bound(N, observed_ks) -> float:
+def p_value_bound(N, observed_ks):
     """Conservative p-value for an observed KS deviation under the uniform-sphere null.
 
     Optimizes the (epsilon, t) split of the exact bound at budget observed_ks
     and clamps the total at 1.  Monotone nonincreasing in the observed value.
+    Accepts a scalar or an ndarray of observed values; an array is priced in
+    one split search, and each entry equals the scalar call's bit for bit.
     """
     n = check_int(N, "N")
-    ks = check_real(observed_ks, "observed KS statistic", 0.0, 1.0, "(]")
-    return min(1.0, _best_split(n, ks, "exact_gamma")[2])
+    if np.ndim(observed_ks) == 0:
+        ks = check_real(observed_ks, "observed KS statistic", 0.0, 1.0, "(]")
+        return min(1.0, _best_split(n, ks, "exact_gamma")[2])
+    ks = check_reals(observed_ks, "observed KS statistic", 0.0, 1.0, "(]")
+    totals = [min(1.0, split[2]) for split in _best_split(n, ks.ravel(), "exact_gamma")]
+    return np.array(totals).reshape(ks.shape)

@@ -292,6 +292,25 @@ class TestUniformity:
             p = p_value_bound(300, min(ks, 1.0))
             assert got[i] == [_fmt(v) for v in (i, 300, warned, ks, p, p < 0.05)]
 
+    def test_rows_over_several_filter_blocks_match_per_row_replay(self, capsys, tmp_path):
+        # the file's one split search prices three filter blocks and a partial one
+        from spherecdf.tail_bounds import _FILTER_BLOCK, _GRID_POINTS
+        count = 3 * (_FILTER_BLOCK // _GRID_POINTS) + 5
+        path = tmp_path / "many.txt"
+        rows = [sphere_sample(40, RngStream(8, i)).coords if i % 3 else
+                (1.0 + i / count) * gaussian_vector(40, RngStream(9, i)) for i in range(count)]
+        self.write_rows(path, rows)
+        code, out, _ = run_cli(capsys, "test-uniformity", "--input", str(path),
+                               "--format", "csv")
+        assert code == 0
+        _, got = parse_csv(out)
+        assert len(got) == count
+        for i, row in enumerate(load_vector_file(path)):
+            warned = abs(math.sqrt(float(np.dot(row, row))) - 1.0) > 1e-6
+            ks = ks_to_normal(build_ecdf(row if warned else row * math.sqrt(40))).statistic
+            p = p_value_bound(40, min(ks, 1.0))
+            assert got[i] == [_fmt(v) for v in (i, 40, warned, ks, p, p < 0.05)]
+
     def test_one_dimension(self, capsys, tmp_path):
         path = tmp_path / "scalars.txt"
         path.write_text("1.0\n-1.0\n0.0\n2.5\n")

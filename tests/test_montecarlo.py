@@ -468,6 +468,22 @@ class TestVerifyLemmas:
         verify_lemmas(grid_steps=101, scope="lemmas")
         assert calls == [(101 + 99, "plus"), (101, "minus")]
 
+    @pytest.mark.parametrize("skip", [0, 1, 3, 128, 1001])
+    def test_scale_draws_equal_scalar_uniform_calls(self, skip):
+        # the (t, lambda) draws keep the stream order and arithmetic of 128 alternating
+        # gen.uniform calls, at any generator position, and leave the same state
+        def scalar(gen):
+            pairs = [(t := gen.uniform(0.01, 0.99), gen.uniform(1.0 - t, 1.0 + t))
+                     for _ in range(64)]
+            return np.array(pairs).T
+
+        gen, ref = RngStream(0, 0).generator(), RngStream(0, 0).generator()
+        gen.random(skip), ref.random(skip)
+        for _ in range(3):
+            got, want = mc._scale_draws(gen), scalar(ref)
+            assert got.shape == want.shape == (2, 64) and got.tobytes() == want.tobytes()
+            assert repr(gen.bit_generator.state) == repr(ref.bit_generator.state)
+
     def test_negative_tolerance_is_legal(self):
         report = verify_lemmas(grid_steps=100, tolerance=-1e-12)
         assert {c.threshold for c in report.checks} == {-1e-12}

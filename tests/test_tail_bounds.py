@@ -404,6 +404,110 @@ class TestBestSplitGrid:
         assert 0.0 < worst < 0.01
 
 
+def _plain_t_max(dv, mode):
+    # the t_max bisection with every step's verdict evaluated
+    if dv >= 0.5:
+        return 1.0 - 1e-12
+    return _bisect(lambda t: tb._cost(t, mode) < dv, 0.0, 1.0 - 1e-12, 1e-12)[0]
+
+
+def _count_costs(monkeypatch):
+    calls = []
+    cost = tb._cost
+    monkeypatch.setattr(tb, "_cost", lambda t, mode: calls.append(t) or cost(t, mode))
+    return calls
+
+
+# the exact-mode root band's edges: 2^-40 ~ 9.1e-13 is the band, 2^-44 the
+# certificate's offset; budgets near 2.4e-13 put the root at the last bisection
+# step, the ones past gamma(1 - 1e-12) ~ 0.5 - 3.0e-12 put it beyond the range
+_T_MAX_EDGES = [5e-324, 1e-300, 1e-20, 1e-13, 2.2e-13, 2.3e-13, 2.4e-13, 2.5e-13,
+                math.nextafter(2.4e-13, 0.0), math.nextafter(2.4e-13, 1.0), 2.0 ** -40,
+                2.0 ** -44, 1e-12, 1e-9, 0.02, 0.25, 0.45, 0.4999, 0.4999999, 0.49999999999,
+                0.4999999999969817, 0.4999999999999, math.nextafter(0.5, 0.0), 0.5]
+
+
+class TestCertifiedTMax:
+    @settings(max_examples=200)
+    @given(st.floats(5e-324, 0.5), st.sampled_from(["exact_gamma", "corollary"]))
+    def test_equals_plain_bisection(self, dv, mode):
+        assert tb._t_max(dv, mode).hex() == _plain_t_max(dv, mode).hex()
+
+    @pytest.mark.parametrize("mode", ["exact_gamma", "corollary"])
+    @pytest.mark.parametrize("dv", _T_MAX_EDGES)
+    def test_equals_plain_bisection_at_edges(self, dv, mode):
+        assert tb._t_max(dv, mode).hex() == _plain_t_max(dv, mode).hex()
+
+    def test_t_max_zero_branch(self):
+        # every step's verdict is false below the least mid's gamma, about 2.2e-13
+        for dv in (5e-324, 1e-13):
+            assert tb._t_max(dv, "exact_gamma") == _plain_t_max(dv, "exact_gamma") == 0.0
+        assert tb._best_split(1000, 1e-13, "exact_gamma") == \
+            (1e-13, 0.0, tb._total(1000, 1e-13, 0.0, "exact_gamma"))
+
+    def test_corollary_mode_makes_no_cost_call(self, monkeypatch):
+        calls = _count_costs(monkeypatch)
+        for dv in np.geomspace(5e-324, 0.5, 200).tolist():
+            tb._t_max(dv, "corollary")
+        assert calls == []
+
+    def test_exact_mode_evaluates_few_steps(self, monkeypatch):
+        # Newton's steps, the two certificate calls and the steps inside the band;
+        # the plain bisection makes 40
+        calls = _count_costs(monkeypatch)
+        worst = 0
+        for dv in np.geomspace(1e-9, 0.45, 400).tolist():
+            calls.clear()
+            tb._t_max(dv, "exact_gamma")
+            worst = max(worst, len(calls))
+        assert worst <= 11
+
+    def test_uncertified_root_evaluates_every_step(self, monkeypatch):
+        # a stalled Newton leaves r at dv / TANGENT_SLOPE, right of the root, so the
+        # lower certificate fails and every step is evaluated
+        monkeypatch.setattr(tb, "_f_minus_prime", lambda t: 1e300)
+        calls = _count_costs(monkeypatch)
+        assert tb._t_max(0.02, "exact_gamma") == _plain_t_max(0.02, "exact_gamma")
+        assert len(calls) >= 40
+
+
+class TestBatchedSplit:
+    def test_rows_equal_float_calls_over_several_blocks(self):
+        # three filter blocks and a partial one, t_max == 0 rows and budgets past 1/2
+        rng = np.random.default_rng(24)
+        per_block = tb._FILTER_BLOCK // tb._GRID_POINTS
+        dvs = 10.0 ** rng.uniform(-14.0, 0.1, 3 * per_block + 7)
+        dvs[:3] = (1e-13, 0.75, 0.5)
+        for n, mode in ((1000, "exact_gamma"), (2**64 - 1, "corollary"), (3, "exact_gamma")):
+            got = tb._best_split(n, dvs, mode)
+            assert len(got) == dvs.size
+            for dv, split in zip(dvs.tolist(), got):
+                assert [v.hex() for v in split] == \
+                    [v.hex() for v in tb._best_split(n, dv, mode)]
+
+    def test_filter_holds_one_block_at_a_time(self, monkeypatch):
+        sizes = []
+        total = tb._total
+        monkeypatch.setattr(tb, "_total", lambda *a: (
+            sizes.append(a[2].size) if isinstance(a[2], np.ndarray) else None) or total(*a))
+        tb._best_split(100, np.linspace(0.01, 0.2, 150), "exact_gamma")
+        assert sizes == [tb._FILTER_BLOCK, tb._FILTER_BLOCK, 22 * tb._GRID_POINTS]
+
+    def test_p_value_bound_array(self):
+        ks = np.array([[0.01, 0.02, 1.0], [1e-6, 0.3, 0.05]])
+        got = p_value_bound(1000, ks)
+        assert got.shape == ks.shape
+        assert [v.hex() for v in got.ravel().tolist()] == \
+            [p_value_bound(1000, k).hex() for k in ks.ravel().tolist()]
+        assert p_value_bound(1000, [0.05]).tolist() == [p_value_bound(1000, 0.05)]
+        assert p_value_bound(1000, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [[0.1, 0.0], [0.2, 1.5], [math.nan], ["0.1"], [True]])
+    def test_p_value_bound_array_domain(self, bad):
+        with pytest.raises(DomainError, match="observed KS statistic"):
+            p_value_bound(1000, bad)
+
+
 class TestPValueBound:
     def test_strong_rejection_regime(self):
         assert p_value_bound(10_000, 0.05) <= 0.01
