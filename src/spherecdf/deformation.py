@@ -317,20 +317,14 @@ def _golden_lanes(fn, a, b, tol, *args):
     lower of its two opening probes as the incumbent, so each returned minimum
     equals that scalar search's bit for bit.  fn(x, *args) maps one probe per
     lane to their values, args being per-lane parameter arrays.  A lane that
-    stops has its minimum written out and is dropped from the state and args.
+    stops keeps stepping with the others, but its minimum no longer changes.
     """
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = fn(c, *args), fn(d, *args)
     best = np.where(fd < fc, fd, fc)
-    out, lane, live = np.empty_like(best), np.arange(best.size), b - a > tol
-    while True:
-        if not live.all():
-            out[lane[~live]] = best[~live]
-            a, b, c, d, fc, fd, best, lane, *args = (
-                v[live] for v in (a, b, c, d, fc, fd, best, lane, *args))
-        if not lane.size:
-            return out
+    live = b - a > tol
+    while live.any():
         left = fc <= fd  # keep [a, d] and probe anew inside it, else keep [c, b]
         a0, b0 = a, b
         a, b = np.where(left, a, c), np.where(left, d, b)
@@ -338,9 +332,10 @@ def _golden_lanes(fn, a, b, tol, *args):
         fp = fn(probe, *args)
         c, d, fc, fd = (np.where(left, probe, d), np.where(left, c, probe),
                         np.where(left, fp, fd), np.where(left, fc, fp))
-        best = np.where(fc < best, fc, best)  # left probe first
-        best = np.where(fd < best, fd, best)
-        live = (b - a > tol) & ((a != a0) | (b != b0))
+        best = np.where(live & (fc < best), fc, best)  # left probe first
+        best = np.where(live & (fd < best), fd, best)
+        live &= (b - a > tol) & ((a != a0) | (b != b0))
+    return best
 
 
 # grid points per flat evaluation of the scan's windows, past each chunk's first t

@@ -345,11 +345,6 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _worst(values, grid):
-    k = int(np.argmax(values))
-    return float(values[k]), float(grid[k])
-
-
 def _scale_draws(gen):
     """64 pairs (t, lambda): t uniform on (0.01, 0.99), then lambda on (1 - t, 1 + t).
 
@@ -396,11 +391,13 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all") -> 
     gen = RngStream(0, 0).generator()
     results = []
 
-    def add(name, scope_, residual, default_threshold, where):
-        thr = default_threshold if tolerance is None else tolerance
-        results.append(CheckResult(name=name, scope=scope_, residual=float(residual),
-                                   threshold=thr, where=float(where),
-                                   passed=float(residual) <= thr))
+    def add(name, scope_, threshold, values, grid=0.0):
+        # the residual is the first largest entry of values, reported at its grid point
+        k = int(np.argmax(values))
+        residual, where = float(np.ravel(values)[k]), float(np.ravel(grid)[k])
+        thr = threshold if tolerance is None else tolerance
+        results.append(CheckResult(name=name, scope=scope_, residual=residual, threshold=thr,
+                                   where=where, passed=residual <= thr))
 
     if scope in ("lemmas", "all"):
         # symmetry of the two one-sided gap suprema (one plus-side call for two grids)
@@ -408,29 +405,25 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all") -> 
         to = np.arange(1, 100) / 100.0
         plus = dfm.gamma_oracle(np.concatenate([ts, to]))
         gaps = np.abs(plus[:grid_steps] - dfm.gamma_oracle(ts, side="minus"))
-        r, w = _worst(gaps, ts)
-        add("gap-symmetry", "lemmas", r, 1e-12, w)
+        add("gap-symmetry", "lemmas", 1e-12, gaps, ts)
 
         # pointwise reflection of the deformed-CDF differences
         xr = gen.uniform(-8.0, 8.0, size=256)
         tr = gen.uniform(0.0, 0.99, size=256)
         lhs = dfm.phi_deformed(xr, tr, "plus") - dfm.std_normal_cdf(xr)
         rhs = dfm.std_normal_cdf(-xr) - dfm.phi_deformed(-xr, tr, "minus")
-        r, w = _worst(np.abs(lhs - rhs), xr)
-        add("gap-reflection-pointwise", "lemmas", r, 1e-14, w)
+        add("gap-reflection-pointwise", "lemmas", 1e-14, np.abs(lhs - rhs), xr)
 
         # closed form against the brute-force supremum
-        r, w = _worst(np.abs(dfm._gamma(to) - plus[grid_steps:]), to)
-        add("gamma-closed-vs-oracle", "lemmas", r, 1e-7, w)
+        add("gamma-closed-vs-oracle", "lemmas", 1e-7,
+            np.abs(dfm._gamma(to) - plus[grid_steps:]), to)
 
         # secant bound gamma(t) <= t/2 and convexity of gamma
         tg = np.linspace(0.0, 0.999, max(grid_steps, 1000))
         gam = dfm._gamma(tg)
-        r, w = _worst(gam - 0.5 * tg, tg)
-        add("gamma-secant-upper", "lemmas", r, 1e-12, w)
+        add("gamma-secant-upper", "lemmas", 1e-12, gam - 0.5 * tg, tg)
         tc = np.linspace(0.0, 0.99, grid_steps)
-        r, w = _worst(-_second_diff(dfm._gamma(tc)), tc[1:-1])
-        add("gamma-convexity", "lemmas", r, 1e-9, w)
+        add("gamma-convexity", "lemmas", 1e-9, -_second_diff(dfm._gamma(tc)), tc[1:-1])
 
         # envelope ordering for random scale factors inside the window
         xs = np.linspace(-8.0, 8.0, 501)
@@ -438,44 +431,40 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all") -> 
         mid = dfm.std_normal_cdf(xs / ls[:, None])
         below = dfm.phi_deformed(xs, ts[:, None], "minus") - mid
         above = mid - dfm.phi_deformed(xs, ts[:, None], "plus")
-        r, w = _worst(np.maximum(below.max(axis=1), above.max(axis=1)), ts)
-        add("scale-envelope-ordering", "lemmas", r, 1e-14, w)
+        add("scale-envelope-ordering", "lemmas", 1e-14,
+            np.maximum(below.max(axis=1), above.max(axis=1)), ts)
 
         # secant lower bounds and curvature signs of the exponent rates
         gp = tb.g_plus(tg)
         gm = tb.g_minus(tg)
-        r, w = _worst(np.maximum(tg - gm, 0.375 * tg - gp), tg)
-        add("g-secant-lower-bounds", "lemmas", r, 1e-12, w)
+        add("g-secant-lower-bounds", "lemmas", 1e-12, np.maximum(tg - gm, 0.375 * tg - gp), tg)
         tk = np.linspace(0.0, 0.95, grid_steps)
         curv = np.maximum(-_second_diff(tb.g_minus(tk)), _second_diff(tb.g_plus(tk)))
-        r, w = _worst(curv, tk[1:-1])
-        add("g-curvature-signs", "lemmas", r, 1e-9, w)
+        add("g-curvature-signs", "lemmas", 1e-9, curv, tk[1:-1])
 
         h = 1e-5
         slope_err = max(abs(_richardson_forward(tb.g_minus, h) - 1.0),
                         abs(_richardson_forward(tb.g_plus, h) - 1.0))
-        add("g-slopes-at-origin", "lemmas", slope_err, 1e-6, 0.0)
+        add("g-slopes-at-origin", "lemmas", 1e-6, slope_err)
 
         # threshold-form chi-square tails match the deviation form exactly
-        worst = (0.0, 0.0)
+        errs, xvs = [], []
         for _ in range(20):
             n = int(gen.integers(1, 500))
-            xv = float(gen.uniform(0.0, n / 4.0))
-            up = tb.lm_upper(n, xv)
-            lo = tb.lm_lower(n, xv)
-            ru = abs(tb.chisq_tail_upper(n, n + up.threshold) - up.bound)
-            rl = abs(tb.chisq_tail_lower(n, n - lo.threshold) - lo.bound)
-            if max(ru, rl) > worst[0]:
-                worst = (max(ru, rl), xv)
-        add("chisq-lm-equivalence", "lemmas", worst[0], 1e-12, worst[1])
+            xvs.append(float(gen.uniform(0.0, n / 4.0)))
+            up = tb.lm_upper(n, xvs[-1])
+            lo = tb.lm_lower(n, xvs[-1])
+            errs.append(max(abs(tb.chisq_tail_upper(n, n + up.threshold) - up.bound),
+                            abs(tb.chisq_tail_lower(n, n - lo.threshold) - lo.bound)))
+        add("chisq-lm-equivalence", "lemmas", 1e-12, errs, xvs)
 
         # chained tube inequality Phi(x) - gamma <= Phi(x/lambda) <= Phi(x) + gamma
         ts, ls = _scale_draws(gen)
         g = dfm._gamma(ts)[:, None]
         mid = dfm.std_normal_cdf(xs / ls[:, None])
         base = dfm.std_normal_cdf(xs)
-        r, w = _worst(np.maximum(base - g - mid, mid - base - g).max(axis=1), ts)
-        add("tube-chain-pointwise", "lemmas", r, 1e-12, w)
+        add("tube-chain-pointwise", "lemmas", 1e-12,
+            np.maximum(base - g - mid, mid - base - g).max(axis=1), ts)
 
     if scope in ("appendix", "all"):
         # every t below lies in (-1, 1), so the unvalidated kernels need no checks
@@ -486,39 +475,33 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all") -> 
         slope = dfm.TANGENT_SLOPE
         gamma_fd = _richardson_forward(lambda t: dfm.gamma_closed(t).gamma, h)
         fm_fd = (f_minus(h) - f_minus(-h)) / (2.0 * h)
-        add("shared-tangent-slope", "appendix",
-            max(abs(gamma_fd - slope), abs(fm_fd - slope)), 1e-6, 0.0)
+        add("shared-tangent-slope", "appendix", 1e-6,
+            max(abs(gamma_fd - slope), abs(fm_fd - slope)))
 
         spots = np.array([-0.9, -0.5, 0.0, 0.3, 0.8])
-        r, w = _worst(_fd_rel(f_minus, dfm._f_minus_prime, spots, h), spots)
-        add("f-minus-prime-vs-fd", "appendix", r, 1e-6, w)
+        add("f-minus-prime-vs-fd", "appendix", 1e-6,
+            _fd_rel(f_minus, dfm._f_minus_prime, spots, h), spots)
 
         ta = np.linspace(-0.99, 0.99, max(grid_steps, 1000))
-        r, w = _worst(-dfm._f_minus_prime(ta), ta)
-        add("f-minus-prime-positive", "appendix", r, 0.0, w)
+        add("f-minus-prime-positive", "appendix", 0.0, -dfm._f_minus_prime(ta), ta)
 
         tcc = np.linspace(-0.9, 0.9, grid_steps)
-        r, w = _worst(_second_diff(f_minus(tcc)), tcc[1:-1])
-        add("f-minus-concavity", "appendix", r, 1e-9, w)
+        add("f-minus-concavity", "appendix", 1e-9, _second_diff(f_minus(tcc)), tcc[1:-1])
 
         f_plus = dfm._peak(ta, 1.0)[1]
-        r, w = _worst(np.abs(f_plus + f_minus(-ta)), ta)
-        add("f-reflection-identity", "appendix", r, 1e-12, w)
+        add("f-reflection-identity", "appendix", 1e-12, np.abs(f_plus + f_minus(-ta)), ta)
 
-        r, w = _worst(f_minus(ta) - f_plus, ta)
-        add("f-plus-dominates", "appendix", r, 1e-12, w)
+        add("f-plus-dominates", "appendix", 1e-12, f_minus(ta) - f_plus, ta)
 
-        add("alpha-zero-values", "appendix",
-            max(abs(dfm._alpha(0.0) - 0.5), abs(-dfm._alpha_prime(0.0) - 0.5)),
-            1e-12, 0.0)
+        add("alpha-zero-values", "appendix", 1e-12,
+            max(abs(dfm._alpha(0.0) - 0.5), abs(-dfm._alpha_prime(0.0) - 0.5)))
 
         # sandwich 0 < -(1+t) alpha'(t) < 1; residual is the negated margin to
         # the nearest endpoint, so passing needs at least 1e-12 of room
         s = -(1.0 + ta) * dfm._alpha_prime(ta)
-        r, w = _worst(-np.minimum(s, 1.0 - s), ta)
-        add("alpha-prime-sandwich", "appendix", r, -1e-12, w)
+        add("alpha-prime-sandwich", "appendix", -1e-12, -np.minimum(s, 1.0 - s), ta)
 
-        r, w = _worst(_fd_rel(dfm._alpha, dfm._alpha_prime, tcc, h), tcc)
-        add("alpha-prime-vs-fd", "appendix", r, 1e-6, w)
+        add("alpha-prime-vs-fd", "appendix", 1e-6,
+            _fd_rel(dfm._alpha, dfm._alpha_prime, tcc, h), tcc)
 
     return VerificationReport(grid_steps=grid_steps, checks=tuple(results))

@@ -283,6 +283,8 @@ def _t_max(dv: float, mode: str) -> float:
 
 def _refine(n: int, dv: float, mode: str, t_max: float, grid, cand):
     """(epsilon, t, total) of one row from its grid and its filter's candidate indices."""
+    if t_max == 0.0:  # the feasible range is {0} (dv below about 2.4e-13 in exact_gamma mode)
+        return dv, 0.0, _total(n, dv, 0.0, mode)
     totals = []
     for t in grid[cand].tolist():  # float calls: an array _cost costs more on so few points
         totals.append(_total(n, dv - _cost(t, mode), t, mode))
@@ -308,11 +310,11 @@ def _refine(n: int, dv: float, mode: str, t_max: float, grid, cand):
     return best_eps, best_t, best_total
 
 
-def _best_split(n: int, dv, mode: str):
-    """(epsilon, t, total) of the best split of budget dv; arguments already validated.
+def _best_split(n: int, dvs, mode: str):
+    """The (epsilon, t, total) of the best split of each budget in dvs, a list of floats.
 
-    dv is a float, or a 1-D array of budgets, for which a list of the
-    per-budget results comes back, each equal to the float call's bit for bit.
+    Arguments are already validated.  Each budget's result is the same, bit
+    for bit, whichever other budgets share the call.
 
     The feasible range is [0, t_max], t_max being what a 40-step bisection of
     cost(t) < dv over [0, 1 - 1e-12] returns; _t_max takes those very steps
@@ -348,27 +350,23 @@ def _best_split(n: int, dv, mode: str):
     above the exact minimum, so k, the bracket and the incumbent equal a full
     scalar scan's bit for bit.  Flat totals just keep more candidates.
     """
-    dvs = [dv] if isinstance(dv, float) else dv.tolist()
-    t_maxes = [_t_max(d, mode) for d in dvs]
-    # the feasible range is {0} (dv below about 2.4e-13 in exact_gamma mode)
-    out = [(d, 0.0, _total(n, d, 0.0, mode)) if t == 0.0 else None
-           for d, t in zip(dvs, t_maxes)]
-    rows = [i for i, t in enumerate(t_maxes) if t > 0.0]
+    rows = [(d, _t_max(d, mode)) for d in dvs]
     margin = 1.0 + 1e-11 * (1.0 + math.sqrt(n))
     per_block = _FILTER_BLOCK // _GRID_POINTS
+    out = []
     for start in range(0, len(rows), per_block):
         block = rows[start:start + per_block]
-        t_dv = np.array([(t_maxes[i], dvs[i]) for i in block])  # columns t_max and dv
+        dv_t = np.array(block)  # columns dv and t_max
         # each row's np.linspace(0.0, t_max, 512, endpoint=False): i * (t_max / 512)
-        grid = np.arange(float(_GRID_POINTS)) * (t_dv[:, :1] / _GRID_POINTS)
+        grid = np.arange(float(_GRID_POINTS)) * (dv_t[:, 1:] / _GRID_POINTS)
         cost = _gamma_np(grid) if mode == "exact_gamma" else 0.5 * grid
-        approx = _total(n, t_dv[:, 1:] - cost, grid, mode, np.exp)
+        approx = _total(n, dv_t[:, :1] - cost, grid, mode, np.exp)
         limit = approx.min(axis=1, keepdims=True) * margin + 1e-299
         # a NaN or infinite approximation is a candidate too
         keep = ~(np.isfinite(approx) & (approx > limit))
-        for i, row, kept in zip(block, grid, keep):
-            out[i] = _refine(n, dvs[i], mode, t_maxes[i], row, np.flatnonzero(kept))
-    return out[0] if isinstance(dv, float) else out
+        out += [_refine(n, d, mode, t, row, np.flatnonzero(kept))
+                for (d, t), row, kept in zip(block, grid, keep)]
+    return out
 
 
 def optimize_split(N, delta, mode: str = "exact_gamma") -> OptimizedBound:
@@ -387,7 +385,7 @@ def optimize_split(N, delta, mode: str = "exact_gamma") -> OptimizedBound:
     n = check_int(N, "N")
     dv = check_real(delta, "delta", 0.0)
     mode = check_choice(mode, "mode", ("exact_gamma", "corollary"))
-    best_eps, best_t, best_total = _best_split(n, dv, mode)
+    (best_eps, best_t, best_total), = _best_split(n, [dv], mode)
     return OptimizedBound(delta=dv, best_epsilon=best_eps, best_t=best_t,
                           best_total=best_total, mode=mode)
 
@@ -398,12 +396,10 @@ def p_value_bound(N, observed_ks):
     Optimizes the (epsilon, t) split of the exact bound at budget observed_ks
     and clamps the total at 1.  Monotone nonincreasing in the observed value.
     Accepts a scalar or an ndarray of observed values; an array is priced in
-    one split search, and each entry equals the scalar call's bit for bit.
+    one split search, and each entry equals the scalar call's bit for bit.  A
+    0-d array is priced as its scalar and returns a float.
     """
     n = check_int(N, "N")
-    if np.ndim(observed_ks) == 0:
-        ks = check_real(observed_ks, "observed KS statistic", 0.0, 1.0, "(]")
-        return min(1.0, _best_split(n, ks, "exact_gamma")[2])
     ks = check_reals(observed_ks, "observed KS statistic", 0.0, 1.0, "(]")
-    totals = [min(1.0, split[2]) for split in _best_split(n, ks.ravel(), "exact_gamma")]
-    return np.array(totals).reshape(ks.shape)
+    totals = [min(1.0, split[2]) for split in _best_split(n, ks.ravel().tolist(), "exact_gamma")]
+    return totals[0] if ks.ndim == 0 else np.array(totals).reshape(ks.shape)

@@ -57,6 +57,9 @@ EXTRA = [
     # every check's residual on an odd grid (1001 t)
     ["verify", "--scope", "all", "--grid-steps", "1001", "--tolerance", "0", "--format",
      "json"],
+    # a budget whose feasible t range is {0} (t_max = 0), in every format
+    *(["bound-optimize", "--n", "1000", "--delta", "1e-13", "--format", fmt]
+      for fmt in FORMATS),
 ]
 ARGVS = [[*argv, "--format", fmt] for argv in COMMANDS for fmt in FORMATS] + EXTRA
 

@@ -358,7 +358,7 @@ class TestBestSplitGrid:
         monkeypatch.setattr(tb, "_total", lambda *a: priced.append(a[2]) or total(*a))
         monkeypatch.setattr(tb, "_golden_min",
                             lambda *a: entered.append(len(priced)) or golden(*a))
-        assert tb._best_split(139296996, 0.00444, "exact_gamma")[2] == 0.0
+        assert tb._best_split(139296996, [0.00444], "exact_gamma")[0][2] == 0.0
         # the numpy filter's one call, then the exact candidates up to the first 0.0
         assert isinstance(priced[0], np.ndarray) and len(priced) - 1 <= 8
         # no refinement probes through the public call either, and the same split
@@ -376,12 +376,12 @@ class TestBestSplitGrid:
 
     @staticmethod
     def _check(n, dv, mode):
-        got = tb._best_split(n, dv, mode)
+        got, = tb._best_split(n, [dv], mode)
         assert [float(v).hex() for v in got] == \
             [float(v).hex() for v in _per_point_best_split(n, dv, mode)]
 
     def test_t_max_zero_branch_is_reached(self):
-        assert tb._best_split(1000, 1e-13, "exact_gamma")[1] == 0.0
+        assert tb._best_split(1000, [1e-13], "exact_gamma")[0][1] == 0.0
 
     def test_approximate_totals_stay_far_inside_the_margin(self):
         # _best_split's docstring bounds |approx - exact| by rho(n) exact + alpha;
@@ -442,8 +442,8 @@ class TestCertifiedTMax:
         # every step's verdict is false below the least mid's gamma, about 2.2e-13
         for dv in (5e-324, 1e-13):
             assert tb._t_max(dv, "exact_gamma") == _plain_t_max(dv, "exact_gamma") == 0.0
-        assert tb._best_split(1000, 1e-13, "exact_gamma") == \
-            (1e-13, 0.0, tb._total(1000, 1e-13, 0.0, "exact_gamma"))
+        assert tb._best_split(1000, [1e-13], "exact_gamma") == \
+            [(1e-13, 0.0, tb._total(1000, 1e-13, 0.0, "exact_gamma"))]
 
     def test_corollary_mode_makes_no_cost_call(self, monkeypatch):
         calls = _count_costs(monkeypatch)
@@ -479,18 +479,18 @@ class TestBatchedSplit:
         dvs = 10.0 ** rng.uniform(-14.0, 0.1, 3 * per_block + 7)
         dvs[:3] = (1e-13, 0.75, 0.5)
         for n, mode in ((1000, "exact_gamma"), (2**64 - 1, "corollary"), (3, "exact_gamma")):
-            got = tb._best_split(n, dvs, mode)
+            got = tb._best_split(n, dvs.tolist(), mode)
             assert len(got) == dvs.size
             for dv, split in zip(dvs.tolist(), got):
                 assert [v.hex() for v in split] == \
-                    [v.hex() for v in tb._best_split(n, dv, mode)]
+                    [v.hex() for v in tb._best_split(n, [dv], mode)[0]]
 
     def test_filter_holds_one_block_at_a_time(self, monkeypatch):
         sizes = []
         total = tb._total
         monkeypatch.setattr(tb, "_total", lambda *a: (
             sizes.append(a[2].size) if isinstance(a[2], np.ndarray) else None) or total(*a))
-        tb._best_split(100, np.linspace(0.01, 0.2, 150), "exact_gamma")
+        tb._best_split(100, np.linspace(0.01, 0.2, 150).tolist(), "exact_gamma")
         assert sizes == [tb._FILTER_BLOCK, tb._FILTER_BLOCK, 22 * tb._GRID_POINTS]
 
     def test_p_value_bound_array(self):
@@ -501,6 +501,9 @@ class TestBatchedSplit:
             [p_value_bound(1000, k).hex() for k in ks.ravel().tolist()]
         assert p_value_bound(1000, [0.05]).tolist() == [p_value_bound(1000, 0.05)]
         assert p_value_bound(1000, np.array([])).shape == (0,)
+        # a 0-d array is priced as its scalar and returns the same float
+        zero_d = p_value_bound(1000, np.array(0.02))
+        assert type(zero_d) is float and zero_d.hex() == p_value_bound(1000, 0.02).hex()
 
     @pytest.mark.parametrize("bad", [[0.1, 0.0], [0.2, 1.5], [math.nan], ["0.1"], [True]])
     def test_p_value_bound_array_domain(self, bad):
