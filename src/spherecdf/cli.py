@@ -148,7 +148,47 @@ def load_vector_file(path) -> np.ndarray:
 
     Lines starting with '#', blank lines and a leading UTF-8 byte order mark
     are skipped.  Rows must be nonempty and rectangular with finite entries.
+    Each token is read exactly as Python's `float()` reads it: underscores
+    between digits and non-ASCII decimal digits are accepted, and `inf` and
+    `nan` are refused as non-finite.  Plain ASCII files go through numpy's C
+    text reader (`_fast_load`); any file it cannot read line for line falls
+    back to the exact per-line parse (`_exact_load`), which gives the same
+    matrix and writes every input error.
     """
+    mat = _fast_load(path)
+    if mat is None:
+        mat = _exact_load(path)
+    if not np.all(np.isfinite(mat)):
+        raise DomainError(f"{path}: non-finite entries")
+    return mat
+
+
+def _fast_load(path):
+    """The file's matrix from one `np.loadtxt` call, or None to leave it to `_exact_load`.
+
+    numpy converts each field with `PyOS_string_to_double`, the routine
+    `float()` uses, so a matrix returned here is bit-identical to the exact
+    parse.  None means the file could not be read, has no data line or a
+    line of separators alone (numpy would skip it, and warns on empty input,
+    so neither reaches it), or numpy refused a field.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = [text.replace(",", " ") for text in map(str.strip, fh)
+                     if text and not text.startswith("#")]
+    except (OSError, UnicodeDecodeError):
+        return None
+    if not lines or any(map(str.isspace, lines)):
+        return None
+    try:
+        mat = np.loadtxt(lines, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return mat if mat.shape[0] == len(lines) and mat.shape[1] else None
+
+
+def _exact_load(path) -> np.ndarray:
+    """The per-line parse: each token through `float()`, each input error by line."""
     rows = []
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -170,10 +210,7 @@ def load_vector_file(path) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise DomainError(f"{path}: rows have inconsistent lengths")
-    mat = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(mat)):
-        raise DomainError(f"{path}: non-finite entries")
-    return mat
+    return np.asarray(rows, dtype=np.float64)
 
 
 def _cmd_bound_eval(args) -> _Result:

@@ -5,15 +5,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spherecdf
 from spherecdf import (RngStream, build_ecdf, gaussian_vector, ks_to_normal,
                        p_value_bound, sphere_sample)
-from spherecdf.cli import _fmt, load_vector_file, main
+from spherecdf.cli import _exact_load, _fast_load, _fmt, load_vector_file, main
 
 
 def run_cli(capsys, *argv):
@@ -311,6 +313,33 @@ class TestUniformity:
             p = p_value_bound(40, min(ks, 1.0))
             assert got[i] == [_fmt(v) for v in (i, 40, warned, ks, p, p < 0.05)]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_same_for_every_file_form(self, capsys, tmp_path, fmt):
+        rows = [(sphere_sample(60, RngStream(7, i)).coords if i % 2 == 0
+                 else 1.2 * gaussian_vector(60, RngStream(7, i))).tolist() for i in range(6)]
+        tokens = [[repr(v) for v in row] for row in rows]
+        first = tokens[0][0]
+        at = next(i for i in range(len(first) - 1) if (first[i] + first[i + 1]).isdigit())
+        underscored = [row[:] for row in tokens]
+        underscored[0][0] = first[:at + 1] + "_" + first[at + 1:]
+        forms = {
+            "csv": "".join(",".join(row) + "\n" for row in tokens).encode(),
+            "whitespace": "".join(" \t".join(row) + "\n" for row in tokens).encode(),
+            "bom crlf comments": b"\xef\xbb\xbf" + "".join(
+                f"# row {i}\r\n" + ", ".join(row) + "\r\n" for i, row in enumerate(tokens)).encode(),
+            "underscore": "".join(",".join(row) + "\n" for row in underscored).encode(),
+        }
+        # one path for every form, so the json inputs echo is the same too
+        path = tmp_path / "v.txt"
+        outs = {}
+        for name, data in forms.items():
+            path.write_bytes(data)
+            # the underscored token leaves the file to the exact parse
+            assert (_fast_load(path) is None) == (name == "underscore")
+            outs[name] = run_cli(capsys, "test-uniformity", "--input", str(path), "--format", fmt)
+        assert outs["csv"][0] == 0 and outs["csv"][1]
+        assert all(out == outs["csv"] for out in outs.values())
+
     def test_one_dimension(self, capsys, tmp_path):
         path = tmp_path / "scalars.txt"
         path.write_text("1.0\n-1.0\n0.0\n2.5\n")
@@ -407,6 +436,38 @@ class TestUniformity:
         assert code == 2
 
 
+# pieces of an adversarial vector file: every separator, sign, digit and word
+# that float() and numpy's reader might treat differently, line ends included
+_PIECES = [*"0123456789.eE+-_, \t\x0b\xa0\u2003\x1c\x00#\r\n",
+           "nan", "inf", "\u0660", "\u0665", "\u0669"]
+_SEPARATORS = [",", " ", ", ", "\t", "\x0b", "\xa0", "\u2003", "\x1c", ",,", " ,"]
+_FIELDS = st.one_of(st.floats().map(repr), st.integers(-10**20, 10**20).map(str),
+                    st.lists(st.sampled_from(_PIECES), max_size=6).map("".join))
+
+
+@st.composite
+def _vector_files(draw):
+    """Text of a vector file: mostly rectangular rows, with comments, blanks and noise."""
+    width = draw(st.integers(1, 3))
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["row", "row", "row", "comment", "blank", "noise"]))
+        if kind == "row":
+            ragged = draw(st.sampled_from([0, 0, 0, 1]))
+            fields = draw(st.lists(_FIELDS, min_size=width, max_size=width + ragged))
+            line = draw(st.sampled_from(_SEPARATORS)).join(fields)
+        elif kind == "comment":
+            line = "#" + draw(_FIELDS)
+        elif kind == "blank":
+            line = draw(st.sampled_from(["", " ", "\t", "\xa0", ","]))
+        else:
+            line = "".join(draw(st.lists(st.sampled_from(_PIECES), max_size=12)))
+        lines.append(line)
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return (draw(st.sampled_from(["", "\ufeff"])) + end.join(lines)
+            + draw(st.sampled_from(["", end])))
+
+
 class TestLoader:
     def test_rectangular(self, tmp_path):
         path = tmp_path / "v.txt"
@@ -414,6 +475,42 @@ class TestLoader:
         mat = load_vector_file(path)
         assert mat.shape == (2, 3)
         assert np.array_equal(mat[1], [4.0, 5.0, 6.0])
+
+    # each text with its tokens, as float() must read them
+    @pytest.mark.parametrize("text, tokens", [
+        ("1_0 2.5_5\n3 4\n", [["1_0", "2.5_5"], ["3", "4"]]),
+        ("\u0661.\u0665 0.5\n", [["\u0661.\u0665", "0.5"]]),
+        ("1,2,\n3,4,\n", [["1", "2"], ["3", "4"]]),
+        ("1,,2\n", [["1", "2"]]),
+        ("1\xa02\xa0\xa03\n", [["1", "2", "3"]]),
+    ])
+    def test_forms_load_as_float_reads_them(self, tmp_path, text, tokens):
+        path = tmp_path / "v.txt"
+        path.write_text(text, encoding="utf-8")
+        want = np.array([[float(t) for t in row] for row in tokens])
+        assert load_vector_file(path).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text", ["# only\n# comments\n", "\n  \n\t\n"])
+    def test_no_data_rows_warns_nothing(self, capsys, recwarn, tmp_path, text):
+        path = tmp_path / "v.txt"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "test-uniformity", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert f"{path}: no data rows" in err
+        assert len(recwarn) == 0
+
+    @settings(max_examples=400)
+    @given(text=_vector_files())
+    def test_fast_path_never_widens_the_input_language(self, text):
+        # the fast attempt may decline any file, but a matrix it returns must
+        # be the exact parse's, bit for bit; an exact-parse error fails here
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "v.txt"
+            path.write_bytes(text.encode("utf-8"))
+            fast = _fast_load(path)
+            if fast is not None:
+                exact = _exact_load(path)
+                assert (fast.shape, fast.tobytes()) == (exact.shape, exact.tobytes())
 
 
 def _run_module(*args, prefix=("-m", "spherecdf")):
