@@ -150,67 +150,45 @@ def load_vector_file(path) -> np.ndarray:
     are skipped.  Rows must be nonempty and rectangular with finite entries.
     Each token is read exactly as Python's `float()` reads it: underscores
     between digits and non-ASCII decimal digits are accepted, and `inf` and
-    `nan` are refused as non-finite.  Plain ASCII files go through numpy's C
-    text reader (`_fast_load`); any file it cannot read line for line falls
-    back to the exact per-line parse (`_exact_load`), which gives the same
-    matrix and writes every input error.
+    `nan` are refused as non-finite.  The file is read once; its data lines
+    go to one call of numpy's C text reader, which rounds as `float()` does,
+    and when it declines them (a line of separators alone, a token it cannot
+    read, ragged rows) the same lines are converted with `float()` one at a
+    time, which writes every input error with its line number.
     """
-    mat = _fast_load(path)
-    if mat is None:
-        mat = _exact_load(path)
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            kept = [(lineno, text.replace(",", " "))
+                    for lineno, text in enumerate(map(str.strip, fh), 1)
+                    if text and not text.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from None
+    if not kept:
+        raise DomainError(f"{path}: no data rows")
+    lines = [text for _, text in kept]
+    mat = None
+    # numpy skips a line of separators alone, so such a file never reaches it
+    if not any(map(str.isspace, lines)):
+        try:
+            mat = np.loadtxt(lines, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if mat is None or mat.shape[0] != len(lines) or not mat.shape[1]:
+        rows = []
+        for lineno, text in kept:
+            try:
+                row = list(map(float, text.split()))
+            except ValueError:
+                raise DomainError(f"{path}:{lineno}: unparsable value") from None
+            if not row:
+                raise DomainError(f"{path}:{lineno}: no values")
+            rows.append(row)
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise DomainError(f"{path}: rows have inconsistent lengths")
+        mat = np.asarray(rows, dtype=np.float64)
     if not np.all(np.isfinite(mat)):
         raise DomainError(f"{path}: non-finite entries")
     return mat
-
-
-def _fast_load(path):
-    """The file's matrix from one `np.loadtxt` call, or None to leave it to `_exact_load`.
-
-    numpy converts each field with `PyOS_string_to_double`, the routine
-    `float()` uses, so a matrix returned here is bit-identical to the exact
-    parse.  None means the file could not be read, has no data line or a
-    line of separators alone (numpy would skip it, and warns on empty input,
-    so neither reaches it), or numpy refused a field.
-    """
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = [text.replace(",", " ") for text in map(str.strip, fh)
-                     if text and not text.startswith("#")]
-    except (OSError, UnicodeDecodeError):
-        return None
-    if not lines or any(map(str.isspace, lines)):
-        return None
-    try:
-        mat = np.loadtxt(lines, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return mat if mat.shape[0] == len(lines) and mat.shape[1] else None
-
-
-def _exact_load(path) -> np.ndarray:
-    """The per-line parse: each token through `float()`, each input error by line."""
-    rows = []
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            for lineno, line in enumerate(fh, 1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                try:
-                    row = list(map(float, text.replace(",", " ").split()))
-                except ValueError:
-                    raise DomainError(f"{path}:{lineno}: unparsable value") from None
-                if not row:
-                    raise DomainError(f"{path}:{lineno}: no values")
-                rows.append(row)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DomainError(f"cannot read {path}: {exc}") from None
-    if not rows:
-        raise DomainError(f"{path}: no data rows")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise DomainError(f"{path}: rows have inconsistent lengths")
-    return np.asarray(rows, dtype=np.float64)
 
 
 def _cmd_bound_eval(args) -> _Result:
@@ -307,10 +285,12 @@ def _cmd_test_uniformity(args) -> _Result:
     mat = load_vector_file(args.input)
     n = mat.shape[1]
     # unit rows are candidate sphere points X and are scaled to sqrt(N) X;
-    # anything else is taken as an already-scaled sample and flagged (the
-    # sphere projection itself is never applied: it would erase exactly the
-    # scale mismatch this test exists to detect)
-    warned = np.abs(_norms(mat) - 1.0) > 1e-6
+    # anything else, an overflowing (infinite) norm too, is taken as an
+    # already-scaled sample and flagged (the sphere projection itself is never
+    # applied: it would erase exactly the scale mismatch this test exists to
+    # detect)
+    with np.errstate(over="ignore"):
+        warned = np.abs(_norms(mat) - 1.0) > 1e-6
     values = mat * np.where(warned, 1.0, math.sqrt(n))[:, None]
     header = ["row", "n", "norm_warning", "ks_statistic", "p_bound", "reject"]
     stats = _ks_statistics(values)

@@ -117,7 +117,9 @@ def ks_to_normal(ecdf: EmpiricalCdfView) -> KsResult:
 def rescale_cdf(ecdf: EmpiricalCdfView, lam: float) -> EmpiricalCdfView:
     """View of the sample rescaled by lam > 0 (its CDF maps x to F(x/lam))."""
     lv = check_real(lam, "rescale factor", 0.0)
-    return EmpiricalCdfView(ecdf.sorted_values * lv)
+    # a product that overflows is inf, which the view refuses as a DomainError
+    with np.errstate(over="ignore"):
+        return EmpiricalCdfView(ecdf.sorted_values * lv)
 
 
 def check_tube_inflation(ecdf: EmpiricalCdfView, lam: float, epsilon: float, t,

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spherecdf
-from spherecdf import (RngStream, build_ecdf, gaussian_vector, ks_to_normal,
+from spherecdf import (DomainError, RngStream, build_ecdf, gaussian_vector, ks_to_normal,
                        p_value_bound, sphere_sample)
-from spherecdf.cli import _exact_load, _fast_load, _fmt, load_vector_file, main
+from spherecdf.cli import _fmt, load_vector_file, main
 
 
 def run_cli(capsys, *argv):
@@ -314,7 +315,7 @@ class TestUniformity:
             assert got[i] == [_fmt(v) for v in (i, 40, warned, ks, p, p < 0.05)]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_stdout_same_for_every_file_form(self, capsys, tmp_path, fmt):
+    def test_stdout_same_for_every_file_form(self, capsys, monkeypatch, tmp_path, fmt):
         rows = [(sphere_sample(60, RngStream(7, i)).coords if i % 2 == 0
                  else 1.2 * gaussian_vector(60, RngStream(7, i))).tolist() for i in range(6)]
         tokens = [[repr(v) for v in row] for row in rows]
@@ -329,16 +330,36 @@ class TestUniformity:
                 f"# row {i}\r\n" + ", ".join(row) + "\r\n" for i, row in enumerate(tokens)).encode(),
             "underscore": "".join(",".join(row) + "\n" for row in underscored).encode(),
         }
+        # each matrix numpy's reader returns
+        read_by_numpy = []
+        loadtxt = np.loadtxt
+
+        def loadtxt_spy(*args, **kwargs):
+            read_by_numpy.append(loadtxt(*args, **kwargs))
+            return read_by_numpy[-1]
+        monkeypatch.setattr(np, "loadtxt", loadtxt_spy)
         # one path for every form, so the json inputs echo is the same too
         path = tmp_path / "v.txt"
         outs = {}
         for name, data in forms.items():
             path.write_bytes(data)
-            # the underscored token leaves the file to the exact parse
-            assert (_fast_load(path) is None) == (name == "underscore")
+            read_by_numpy.clear()
             outs[name] = run_cli(capsys, "test-uniformity", "--input", str(path), "--format", fmt)
+            # numpy refuses the underscored token and leaves the file to float()
+            assert [m.shape for m in read_by_numpy] == ([] if name == "underscore" else [(6, 60)])
         assert outs["csv"][0] == 0 and outs["csv"][1]
         assert all(out == outs["csv"] for out in outs.values())
+
+    def test_overflowing_norm_flagged_without_warning(self, capsys, tmp_path):
+        # |row|^2 overflows, so the norm is inf and the row is flagged; numpy's
+        # overflow warning (an error in this suite) must not reach stderr
+        path = tmp_path / "huge.txt"
+        path.write_text("1e200 1e200\n0.6 0.8\n")
+        code, out, err = run_cli(capsys, "test-uniformity", "--input", str(path),
+                                 "--format", "csv")
+        assert (code, err) == (0, "")
+        _, got = parse_csv(out)
+        assert [r[2] for r in got] == ["true", "false"]
 
     def test_one_dimension(self, capsys, tmp_path):
         path = tmp_path / "scalars.txt"
@@ -398,6 +419,15 @@ class TestUniformity:
         code, out, err = run_cli(capsys, "test-uniformity", "--input", str(path))
         assert (code, out) == (2, "")
         assert f"{path}:2: unparsable value" in err
+
+    def test_read_error_wins_over_a_line_error(self, capsys, tmp_path):
+        # the file is read whole before any line is converted, so a byte that
+        # does not decode, 200 KB down, is reported over an unparsable line 2
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"0.5 0.5\n0.1 abc\n" + b"0.6 0.8\n" * 25_600 + b"\xff\n")
+        code, out, err = run_cli(capsys, "test-uniformity", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert f"cannot read {path}" in err and "unparsable" not in err
 
     def test_separator_only_row(self, capsys, tmp_path):
         # a row of width 0 used to reach the KS kernel and exit 1 with a traceback
@@ -501,16 +531,34 @@ class TestLoader:
 
     @settings(max_examples=400)
     @given(text=_vector_files())
-    def test_fast_path_never_widens_the_input_language(self, text):
-        # the fast attempt may decline any file, but a matrix it returns must
-        # be the exact parse's, bit for bit; an exact-parse error fails here
+    def test_matches_float_reference_parse(self, text):
+        want = _reference_parse(text)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "v.txt"
             path.write_bytes(text.encode("utf-8"))
-            fast = _fast_load(path)
-            if fast is not None:
-                exact = _exact_load(path)
-                assert (fast.shape, fast.tobytes()) == (exact.shape, exact.tobytes())
+            if want is None:
+                with pytest.raises(DomainError):
+                    load_vector_file(path)
+            else:
+                got = load_vector_file(path)
+                assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+
+def _reference_parse(text):
+    """README's input language read with float() alone: the matrix, or None if refused."""
+    rows = []
+    for line in re.split("\r\n|\r|\n", text.removeprefix("\ufeff")):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            rows.append([float(token) for token in line.replace(",", " ").split()])
+        except ValueError:
+            return None
+    if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
+        return None
+    mat = np.array(rows)
+    return mat if np.isfinite(mat).all() else None
 
 
 def _run_module(*args, prefix=("-m", "spherecdf")):

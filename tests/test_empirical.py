@@ -173,6 +173,11 @@ class TestRescale:
         direct = ks_to_normal(build_ecdf(lam * z)).statistic
         assert abs(via_rescale - direct) <= 1e-15
 
+    def test_overflow_is_a_domain_error(self):
+        # 1e308 * 10 overflows: the caller gets a DomainError, not numpy's warning
+        with pytest.raises(DomainError, match="inf"):
+            rescale_cdf(build_ecdf([1.0, 1e308]), 10.0)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_domain(self, bad):
         with pytest.raises(DomainError):

@@ -289,6 +289,18 @@ class TestLambdaOf:
         with pytest.raises(DomainError):
             lambda_of(np.zeros(3))
 
+    # |Z|^2 leaves float range (0 or inf) while |Z| and lambda do not
+    @pytest.mark.parametrize("z, lam", [([1e-200], 1e200), ([1e200, 1e200], 1e-200),
+                                        ([3e200, -4e200], math.sqrt(2.0) / 5e200),
+                                        ([3e-170, 0.0, 4e-170], math.sqrt(3.0) / 5e-170)])
+    def test_sum_of_squares_out_of_range(self, z, lam):
+        assert lambda_of(np.array(z)) == pytest.approx(lam, rel=1e-15)
+
+    @pytest.mark.parametrize("z", [[1e-320], [5e-324, 0.0]])
+    def test_lambda_out_of_float_range_rejected(self, z):
+        with pytest.raises(DomainError, match="out of float range"):
+            lambda_of(np.array(z))
+
     def test_matrix_rejected(self):
         with pytest.raises(DomainError, match="1-D vector"):
             lambda_of(np.ones((2, 2)))
