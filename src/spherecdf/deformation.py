@@ -114,14 +114,15 @@ def phi_deformed(x, t, sign: str):
     """
     tv = _t_array(t)
     s = 1.0 if check_choice(sign, "sign", ("plus", "minus")) == "minus" else -1.0
-    out = _phi_def(check_reals(x, "x"), tv, s)
+    xv = check_reals(x, "x")
+    out = _phi_def(xv, 1.0 + s * np.sign(xv) * tv)
     return float(out) if out.ndim == 0 else out
 
 
-def _phi_def(x, t, s):
-    # Phi(x / (1 + s sgn(x) t)) on validated arrays: s = -1 is the plus side,
-    # s = 1 the minus side; at x = 0 the quotient is 0 for any t
-    return special.ndtr(x / (1.0 + s * np.sign(x) * t))
+def _phi_def(x, div):
+    # Phi(x / div) on validated arrays, div being 1 + s sgn(x) t: s = -1 on the plus
+    # side, s = 1 on the minus side; x = 0 gives 0.5 whatever the divisor, as div > 0
+    return special.ndtr(x / div)
 
 
 # libm for the kernels below, which take a float or a 1-D array: math's functions, or the
@@ -328,13 +329,15 @@ def _golden_lanes(fn, a, b, tol, *args):
         left = fc <= fd  # keep [a, d] and probe anew inside it, else keep [c, b]
         a0, b0 = a, b
         a, b = np.where(left, a, c), np.where(left, d, b)
-        probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        width = b - a
+        step = _INVPHI * width
+        probe = np.where(left, b - step, a + step)
         fp = fn(probe, *args)
         c, d, fc, fd = (np.where(left, probe, d), np.where(left, c, probe),
                         np.where(left, fp, fd), np.where(left, fc, fp))
-        best = np.where(live & (fc < best), fc, best)  # left probe first
-        best = np.where(live & (fd < best), fd, best)
-        live &= (b - a > tol) & ((a != a0) | (b != b0))
+        # only the new probe can beat best: the kept one was compared when it was new
+        best = np.where(live & (fp < best), fp, best)
+        live &= (width > tol) & ((a != a0) | (b != b0))
     return best
 
 
@@ -351,31 +354,36 @@ def _oracle_scan(diff, ts, grid_points, near, probes=(0.1, 0.25, 0.5, 0.75, 1.0,
     """gamma_oracle's scan of diff over a 1-D t array: grid maxima and kept lanes.
 
     A lane is a (half-line, t) pair; near is the sign of x where the divisor
-    is 1 - t.  Returns the grid maximum per t, then per kept lane, in t-major
-    order, its half-line h (0 negative, 1 positive), its t index i and the
-    bracket (lo, hi) around its first argmax.  The caps come from the grid
-    points at or just beyond the |x| in probes, which set the speed, never
-    the results (see gamma_oracle).
+    is 1 - t.  diff(x, phi, div) is the gap at x given phi = Phi(x), which
+    the scan reads off the Phi it computes once over its grid, and the
+    divisor div of x's lane.  Returns the grid maximum per t, then per kept
+    lane, in t-major order, its half-line h (0 negative, 1 positive), its t
+    index i, its divisor and the bracket (lo, hi) around its first argmax.
+    The caps come from the grid points at or just beyond the |x| in probes,
+    which set the speed, never the results (see gamma_oracle).
     """
     half = np.linspace(0.0, SUP_WINDOW, grid_points // 2 + 1)
     xs = np.concatenate([-half[:0:-1], half])
     n, m = len(xs), len(half) - 1  # xs[m - j] == -half[j] and xs[m + j] == half[j]
-    sgn = np.array([[-1.0], [1.0]])  # half-line h: 0 negative, 1 positive
-    # the bound's argument is half[j] / div and its factor c, per half-line and t
-    div = np.where(sgn == near, 1.0, 1.0 + ts)
-    c = np.where(sgn == near, ts / (1.0 - ts), ts)
+    phi = special.ndtr(xs)
+    sgn = np.array([[-1], [1]])  # half-line h: 0 negative, 1 positive
+    # per half-line and t: the gap's divisor, and the bound's factor c and argument half[j] / den
+    div = np.where(sgn == near, 1.0 - ts, 1.0 + ts)
+    c = np.where(sgn == near, ts / div, ts)
+    den = np.where(sgn == near, 1.0, div)
     pj = np.searchsorted(half, probes)  # each probe's j
-    vals = diff(sgn[..., None] * half[pj], ts[:, None])
+    px = m + sgn * pj  # and its grid index on each half-line
+    vals = diff(xs[px][:, None], phi[px][:, None], div[..., None])
     thr = vals.max(axis=2) - 1e-12
     # keep a half-line unless its whole bound c phi(1) is below the other's cap
     i, h = np.nonzero((c * TANGENT_SLOPE >= thr[::-1]).T)
-    div, c, thr = div[h, i], c[h, i], thr[h, i]
+    div, c, den, thr = div[h, i], c[h, i], den[h, i], thr[h, i]
     # widen each window from its cap's probe by binary steps: the bound is unimodal
     ends = np.stack([pj[vals.argmax(axis=2)[h, i]]] * 2)
     outward = np.array([[-1], [1]])
     for step in 2 ** np.arange(m.bit_length())[::-1]:
         out = np.clip(ends + outward * step, 1, m)
-        ends = np.where(_gap_bound(half[out] / div, c) > thr, out, ends)
+        ends = np.where(_gap_bound(half[out] / den, c) > thr, out, ends)
     lens = ends[1] - ends[0] + 1
     starts = np.where(h == 1, m + ends[0], m - ends[1])
     top, k = np.empty(h.size), np.empty(h.size, dtype=np.intp)
@@ -385,7 +393,7 @@ def _oracle_scan(diff, ts, grid_points, near, probes=(0.1, 0.25, 0.5, 0.75, 1.0,
         size = lens[block]
         offs = np.cumsum(size) - size
         idx = np.repeat(starts[block] - offs, size) + np.arange(size.sum())
-        vals = diff(xs[idx], np.repeat(ts[i[block]], size))
+        vals = diff(xs[idx], phi[idx], np.repeat(div[block], size))
         top[block] = np.maximum.reduceat(vals, offs)
         hit = np.flatnonzero(vals == np.repeat(top[block], size))
         k[block] = idx[hit[np.searchsorted(hit, offs)]]  # first argmax of each
@@ -393,7 +401,7 @@ def _oracle_scan(diff, ts, grid_points, near, probes=(0.1, 0.25, 0.5, 0.75, 1.0,
     best = np.maximum(np.maximum.reduceat(top, np.flatnonzero(np.diff(i, prepend=-1))), 0.0)
     # bracket every kept lane: at small t both humps are kept and nearly equal, so
     # the coarse global argmax alone could land on the slightly lower one
-    return best, h, i, xs[np.maximum(k - 1, 0)], xs[np.minimum(k + 1, n - 1)]
+    return best, h, i, div, xs[np.maximum(k - 1, 0)], xs[np.minimum(k + 1, n - 1)]
 
 
 def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
@@ -403,7 +411,11 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
     Scans x in [-SUP_WINDOW, SUP_WINDOW] on a uniform grid (mirrored exactly
     around 0), then refines the best grid point on each half-line that can
     hold the maximum by golden-section search down to refine_tolerance in x.
-    Shares only the Gaussian CDF with gamma_closed.
+    Shares only the Gaussian CDF with gamma_closed.  The scan takes Phi once
+    over its grid and reads each window point's Phi(x) off it.  A half-line's
+    x never changes sign (its brackets reach x = 0 only as an end), so its
+    divisor 1 -/+ t is formed once per t and passed to every deformed-CDF
+    evaluation, on the grid and at each refinement probe.
 
     side="plus" maximizes Phi_plus - Phi; side="minus" maximizes Phi - Phi_minus.
     The two agree by the reflection symmetry of the deformation family.
@@ -450,14 +462,16 @@ def gamma_oracle(t, grid_points: int = 2001, refine_tolerance: float = 1e-10,
     refine_tolerance = check_real(refine_tolerance, "refine_tolerance", 0.0, interval="[)")
     side = check_choice(side, "side", ("plus", "minus"))
     ts = np.ravel(tv)
+    plus = side == "plus"
 
-    def diff(x, tt):
-        if side == "plus":
-            return _phi_def(x, tt, -1.0) - special.ndtr(x)
-        return special.ndtr(x) - _phi_def(x, tt, 1.0)
+    def gap(x, phi, div):  # the gap at x, from Phi(x) and the divisor of x's lane
+        return _phi_def(x, div) - phi if plus else phi - _phi_def(x, div)
 
-    best, h, i, lo, hi = _oracle_scan(diff, ts, grid_points, 1.0 if side == "plus" else -1.0)
-    peak = -_golden_lanes(lambda x, tt: -diff(x, tt), lo, hi, refine_tolerance, ts[i])
+    def drop(x, div):  # minus the gap, the refinement's objective
+        return special.ndtr(x) - _phi_def(x, div) if plus else _phi_def(x, div) - special.ndtr(x)
+
+    best, h, i, div, lo, hi = _oracle_scan(gap, ts, grid_points, 1.0 if plus else -1.0)
+    peak = -_golden_lanes(drop, lo, hi, refine_tolerance, div)
     for lanes in (h == 0, h == 1):  # negative half-line first, as max(best, peak)
         j = i[lanes]
         best[j] = np.where(peak[lanes] > best[j], peak[lanes], best[j])

@@ -151,16 +151,17 @@ def sphere_sample(N: int, rng: RngStream) -> SphereSample:
 def lambda_of(Z: np.ndarray) -> float:
     """Scale factor sqrt(N) / |Z| of a nonzero vector; equals sphere_sample's lam for Z.
 
-    Where the sum of squares leaves float range (|Z| comes out 0 or inf for a
-    nonzero Z), |Z| is taken as max|Z| * |Z / max|Z||, so lambda is refused
-    only for the zero vector or when lambda itself is out of float range.
+    Where the sum of squares overflows or is subnormal (|Z| comes out inf, or
+    below 2^-511, where it keeps only a few significant bits), |Z| is taken as
+    max|Z| * |Z / max|Z||, so lambda is refused only for the zero vector or
+    when lambda itself is out of float range.
     """
     z = check_reals(Z, "Z")
     if z.ndim != 1 or z.size == 0:
         raise DomainError("lambda_of expects a nonempty 1-D vector")
     with np.errstate(over="ignore"):
         nrm = float(_norms(z))
-    if 0.0 < nrm < math.inf:
+    if 2.0 ** -511 <= nrm < math.inf:
         return math.sqrt(z.size) / nrm
     big = float(np.max(np.abs(z)))
     if big == 0.0:

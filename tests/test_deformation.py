@@ -6,8 +6,10 @@ derivatives are checked against finite differences computed here.
 """
 
 import functools
+import json
 import math
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -96,6 +98,16 @@ class TestPhiDeformed:
             mid = std_normal_cdf(xs / lam)
             assert np.all(phi_deformed(xs, t, "minus") <= mid + 1e-14)
             assert np.all(mid <= phi_deformed(xs, t, "plus") + 1e-14)
+
+    @pytest.mark.parametrize("sign, s", [("plus", -1.0), ("minus", 1.0)])
+    def test_divisor_formula_bytes(self, sign, s):
+        # byte for byte ndtr(x / (1 + s sgn(x) t)), signed zeros and extreme t included
+        x = np.array([-0.0, 0.0, -5e-324, 5e-324, -1.5, 1.5, -12.0, 12.0])
+        t = np.array([0.0, 5e-324, 1.0 - 2.0 ** -53])[:, None]
+        want = special.ndtr(x / (1.0 + s * np.sign(x) * t))
+        assert phi_deformed(x, t, sign).tobytes() == want.tobytes()
+        assert [phi_deformed(xv, tv, sign).hex() for tv in t.ravel().tolist()
+                for xv in x.tolist()] == _hex(want.ravel())
 
     def test_bad_sign(self):
         with pytest.raises(DomainError):
@@ -220,41 +232,53 @@ def _hex(values):
     return [float(v).hex() for v in values]
 
 
-# the gap gamma_oracle maximizes on each side, as its scan evaluates it
-GAPS = {"plus": lambda x, t: dfm._phi_def(x, t, -1.0) - special.ndtr(x),
-        "minus": lambda x, t: special.ndtr(x) - dfm._phi_def(x, t, 1.0)}
+# the gap gamma_oracle maximizes on each side, as its scan evaluates it: at x,
+# from phi = Phi(x) and the divisor div of x's lane
+GAPS = {"plus": lambda x, phi, div: dfm._phi_def(x, div) - phi,
+        "minus": lambda x, phi, div: phi - dfm._phi_def(x, div)}
+NEAR = {"plus": 1.0, "minus": -1.0}  # the sign of x where the divisor is 1 - t
 
 
-def _full_lanes(diff, ts, grid_points):
+def _divisor(side, x, t):
+    # 1 + s sgn(x) t, s = -1 on the plus side and 1 on the minus side, as phi_deformed forms it
+    return 1.0 + -NEAR[side] * np.sign(x) * t
+
+
+def _gap(side, x, t):
+    # the gap with Phi(x) and the divisor computed afresh at every x
+    return GAPS[side](x, special.ndtr(x), _divisor(side, x, t))
+
+
+def _full_lanes(side, ts, grid_points):
     """The oracle's coarse scan over every grid point, the reference for _oracle_scan.
 
-    Returns the grid maximum per t, then each half-line's maximum and the
-    bracket around its first argmax as (half-line, t) arrays.
+    Returns the grid maximum per t, then each half-line's maximum, divisor and
+    the bracket around its first argmax as (half-line, t) arrays.
     """
     half = np.linspace(0.0, dfm.SUP_WINDOW, grid_points // 2 + 1)
     xs = np.concatenate([-half[:0:-1], half])
     n, m = len(xs), len(half) - 1
-    vals = diff(xs, ts[:, None])
+    vals = _gap(side, xs, ts[:, None])
+    div = _divisor(side, np.array([[-1.0], [1.0]]), ts)
     top, lo, hi = np.empty((3, 2, ts.size))
     for h, (start, stop) in enumerate(((0, m), (m + 1, n))):
         k = start + np.argmax(vals[:, start:stop], axis=1)
         top[h] = vals[:, start:stop].max(axis=1)
         lo[h], hi[h] = xs[np.maximum(k - 1, 0)], xs[np.minimum(k + 1, n - 1)]
-    return vals.max(axis=1), top, lo, hi
+    return vals.max(axis=1), top, div, lo, hi
 
 
-def _full_scan(diff, ts, grid_points, near=None):
+def _full_scan(diff, ts, grid_points, near):
     """_full_lanes in _oracle_scan's form, every lane kept.
 
-    It needs no near, and takes one only to stand in for _oracle_scan.
+    It takes the side from near and ignores diff, standing in for _oracle_scan.
     """
-    best, _, lo, hi = _full_lanes(diff, ts, grid_points)
+    best, _, div, lo, hi = _full_lanes("plus" if near == 1.0 else "minus", ts, grid_points)
     i, h = np.nonzero(np.ones((ts.size, 2), dtype=bool))
-    return best, h, i, lo[h, i], hi[h, i]
+    return best, h, i, div[h, i], lo[h, i], hi[h, i]
 
 
 ORACLE_EDGES = [0.0, 5e-324, 1e-12, 1.0 - 2.0 ** -53]
-NEAR = {"plus": 1.0, "minus": -1.0}  # the sign of x where the divisor is 1 - t
 # edge t mixed with mid-range t, then a reversed run: on the default grid the
 # scan's point budget cuts a first chunk after 51 t (three of them whole-grid
 # edge t) and leaves the last chunk part full (test_mixed_chunks_layout)
@@ -266,26 +290,27 @@ MIXED_CHUNKS = np.concatenate([np.insert(MID, [0, 20, 40, MID.size], ORACLE_EDGE
 def _assert_scan_exact(ts, side, grid_points, probes=None):
     """_oracle_scan against the full scan, and gamma_oracle with each scan, bit for bit.
 
-    The grid maxima and every kept lane's bracket equal the full scan's.  A
-    dropped lane's full-scan maximum, and a golden-section search over its
-    full-scan bracket, stay strictly below the grid maximum of its t, so
-    refining it could change nothing.
+    The grid maxima and every kept lane's divisor and bracket equal the full
+    scan's.  A dropped lane's full-scan maximum, and a golden-section search
+    over its full-scan bracket, stay strictly below the grid maximum of its
+    t, so refining it could change nothing.
     """
     scan = dfm._oracle_scan if probes is None else functools.partial(dfm._oracle_scan,
                                                                       probes=probes)
-    best, h, i, lo, hi = scan(GAPS[side], ts, grid_points, NEAR[side])
-    want, top, want_lo, want_hi = _full_lanes(GAPS[side], ts, grid_points)
+    best, h, i, div, lo, hi = scan(GAPS[side], ts, grid_points, NEAR[side])
+    want, top, want_div, want_lo, want_hi = _full_lanes(side, ts, grid_points)
     assert best.shape == ts.shape and _hex(best) == _hex(want)
     # lanes in t-major order, negative half-line first, and each t keeps one
     assert (np.lexsort((h, i)) == np.arange(h.size)).all()
     kept = np.zeros((2, ts.size), dtype=bool)
     kept[h, i] = True
     assert kept.sum() == h.size and kept.any(axis=0).all()
+    assert _hex(div) == _hex(want_div[h, i])
     assert _hex(lo) == _hex(want_lo[h, i]) and _hex(hi) == _hex(want_hi[h, i])
     for dh, di in zip(*np.nonzero(~kept)):
         assert top[dh, di] < best[di]
         t = float(ts[di])
-        _, f = dfm._golden_min(lambda x: -float(GAPS[side](x, t)), want_lo[dh, di],
+        _, f = dfm._golden_min(lambda x: -float(_gap(side, x, t)), want_lo[dh, di],
                                want_hi[dh, di], 1e-10, (math.nan, math.inf))
         assert -f < best[di]
     with mock.patch.object(dfm, "_oracle_scan", scan):
@@ -330,16 +355,20 @@ class TestOracleScan:
     def test_mixed_chunks_layout(self):
         # one chunk that the point budget cuts, holding whole-grid edge t, and a
         # part-full last chunk
-        sizes, ts = [], []
+        sizes, lanes = [], []
 
-        def counted(x, t):
+        def counted(x, phi, div):
             if np.ndim(x) == 1:  # a chunk's flat evaluation, not the probes
                 sizes.append(x.size)
-                ts.append(set(np.unique(t).tolist()))
-            return GAPS["plus"](x, t)
+                # a lane is a run of points with one half-line and one divisor
+                new = np.diff(div, prepend=np.nan) != 0.0
+                lanes.append(np.count_nonzero(new | (np.diff(np.sign(x), prepend=0.0) != 0.0)))
+            return GAPS["plus"](x, phi, div)
 
-        dfm._oracle_scan(counted, MIXED_CHUNKS, 2001, NEAR["plus"])
+        i = dfm._oracle_scan(counted, MIXED_CHUNKS, 2001, NEAR["plus"])[2]
         assert len(sizes) == 2 and sizes[1] < dfm._ORACLE_POINTS / 2 < sizes[0]
+        assert sum(lanes) == i.size  # the chunks hold the kept lanes in order
+        ts = [set(MIXED_CHUNKS[i[:lanes[0]]].tolist()), set(MIXED_CHUNKS[i[lanes[0]:]].tolist())]
         assert {0.0, 5e-324, 1e-12} < ts[0] and 1.0 - 2.0 ** -53 in ts[1]
 
     def test_tiny_t_memory(self):
@@ -357,17 +386,17 @@ class TestOracleScan:
 
     def test_scan_skips_most_of_the_grid(self):
         # on verify's 1000-t grid the scan evaluates under 3% of the (t, x)
-        # points of the default 2001-point grid, probes included, and keeps one
-        # lane per t, two at t = 0
+        # points of the default 2001-point grid, probes and the grid's own Phi
+        # included, and keeps one lane per t, two at t = 0
         ts = np.linspace(0.0, 0.99, 1000)
         calls = []
 
-        def counted(x, t):
-            calls.append(np.broadcast(x, t).size)
-            return GAPS["plus"](x, t)
+        def counted(x, phi, div):
+            calls.append(np.broadcast(x, phi, div).size)
+            return GAPS["plus"](x, phi, div)
 
         h = dfm._oracle_scan(counted, ts, 2001, NEAR["plus"])[1]
-        assert sum(calls) < 0.03 * ts.size * 2001 and h.size == ts.size + 1
+        assert sum(calls) + 2001 < 0.03 * ts.size * 2001 and h.size == ts.size + 1
 
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_mean_value_bound(self, side):
@@ -379,7 +408,7 @@ class TestOracleScan:
         near = NEAR[side] * x > 0.0
         bound = np.where(near, dfm._gap_bound(np.abs(x), t / (1.0 - t)),
                          dfm._gap_bound(np.abs(x) / (1.0 + t), t))
-        assert (GAPS[side](x, t) <= bound + 1e-12).all()
+        assert (_gap(side, x, t) <= bound + 1e-12).all()
 
     def test_ndtr_absolute_error(self):
         # the scan's 1e-12 slack must cover ndtr's absolute error on the window
@@ -388,6 +417,20 @@ class TestOracleScan:
             err = max(abs(float(special.ndtr(v)) - mpmath.ncdf(v))
                       for v in np.linspace(-12.0, 12.0, 2401).tolist())
         assert err < 1e-15
+
+
+# gamma_oracle's values as float.hex, per side and grid_points, on PINNED_T;
+# recorded from the oracle that called ndtr afresh at every window point and
+# probe, and rebuilt each probe's divisor 1 + s sgn(x) t
+ORACLE_PINS = Path(__file__).resolve().with_name("oracle_pins.json")
+PINNED_T = np.concatenate([ORACLE_EDGES, MIXED_CHUNKS, np.linspace(0.0, 0.99, 1000)[::37]])
+
+
+@pytest.mark.parametrize("grid_points", [1000, 2001, 4001])
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_oracle_pinned(side, grid_points):
+    want = json.loads(ORACLE_PINS.read_text())[side][str(grid_points)]
+    assert _hex(gamma_oracle(PINNED_T, grid_points=grid_points, side=side)) == want
 
 
 # t = 0, the 1e-4 series window of log1p(-t)/(-t) and both sides of its

@@ -296,6 +296,22 @@ class TestLambdaOf:
     def test_sum_of_squares_out_of_range(self, z, lam):
         assert lambda_of(np.array(z)) == pytest.approx(lam, rel=1e-15)
 
+    # a subnormal |Z|^2 keeps only a few bits: [1e-160] gave 1.0000055664551363e+160
+    def test_subnormal_sum_of_squares(self):
+        mpmath = pytest.importorskip("mpmath")
+        assert lambda_of(np.array([1e-160])) == 1e160
+        got = lambda_of(np.array([3e-155, 4e-155]))
+        with mpmath.workdps(40):
+            exact = mpmath.sqrt(2) / mpmath.sqrt(mpmath.mpf(3e-155) ** 2 + mpmath.mpf(4e-155) ** 2)
+            assert abs(got - exact) <= 2 * math.ulp(got)
+
+    # a normal |Z|^2, down to the smallest, keeps the one-ddot quotient bit for bit
+    @pytest.mark.parametrize("z", [[2.0 ** -511], [2.0 ** -512] * 4, [3e-154, -4e-154],
+                                   [1e-160, 1.0], [0.3, -1.2, 2.4, 0.01]])
+    def test_normal_sum_of_squares_unchanged(self, z):
+        z = np.array(z)
+        assert lambda_of(z).hex() == (math.sqrt(z.size) / float(np.sqrt(np.vecdot(z, z)))).hex()
+
     @pytest.mark.parametrize("z", [[1e-320], [5e-324, 0.0]])
     def test_lambda_out_of_float_range_rejected(self, z):
         with pytest.raises(DomainError, match="out of float range"):
