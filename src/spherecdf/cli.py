@@ -34,10 +34,10 @@ from . import __version__
 from .deformation import _g_minus, _g_plus, _gamma, gamma_oracle
 from .empirical import _ks_statistics
 from .errors import SIZE_MAX, DomainError, check_int, check_real
-from .montecarlo import (TrialConfig, run_chisq_trials, run_dkw_trials,
+from .montecarlo import (_SCOPES, TrialConfig, run_chisq_trials, run_dkw_trials,
                          run_lambda_trials, run_theorem_trials, verify_lemmas)
 from .sampling import _norms
-from .tail_bounds import (BoundInputs, _breakdown, corollary_bound, optimize_split,
+from .tail_bounds import (_MODES, BoundInputs, _breakdown, corollary_bound, optimize_split,
                           p_value_bound, theorem_bound)
 
 _FORMATS = ("human", "csv", "json")
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound-optimize", help="optimize the (epsilon, t) split")
     p.add_argument("--n", type=int, required=True, help="dimension N")
     p.add_argument("--delta", type=float, required=True, help="total deviation budget")
-    p.add_argument("--mode", choices=("exact_gamma", "corollary"), default="exact_gamma")
+    p.add_argument("--mode", choices=_MODES, default="exact_gamma")
 
     p = sub.add_parser("gamma", help="table of the gap function and secant bounds")
     p.add_argument("--t-min", type=float, default=0.0)
@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, default=None)
 
     p = sub.add_parser("verify", help="run the lemma / appendix verification suite")
-    p.add_argument("--scope", choices=("lemmas", "appendix", "all"), default="all")
+    p.add_argument("--scope", choices=_SCOPES, default="all")
     p.add_argument("--grid-steps", type=int, default=200)
     p.add_argument("--tolerance", type=float, default=None,
                    help="override every check's own threshold")

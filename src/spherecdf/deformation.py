@@ -115,6 +115,10 @@ def phi_deformed(x, t, sign: str):
     tv = _t_array(t)
     s = 1.0 if check_choice(sign, "sign", ("plus", "minus")) == "minus" else -1.0
     xv = check_reals(x, "x")
+    try:
+        np.broadcast_shapes(xv.shape, tv.shape)
+    except ValueError:
+        raise DomainError(f"x shape {xv.shape} and t shape {tv.shape} do not broadcast") from None
     out = _phi_def(xv, 1.0 + s * np.sign(xv) * tv)
     return float(out) if out.ndim == 0 else out
 
@@ -542,26 +546,22 @@ def secant_interval(target_slope: float, which: str) -> float:
     if check_choice(which, "which", ("gamma_upper", "gplus_lower")) == "gamma_upper":
         slope = check_real(target_slope, "gamma_upper slope", TANGENT_SLOPE, 0.5, "(]")
 
-        def h(t):
-            return _gamma(t) - slope * t
-
-        # h < 0 strictly inside the valid stretch, h > 0 beyond the root
-        inside_sign = -1.0
+        # each residual is > 0 strictly inside the valid stretch, < 0 beyond the root
+        def residual(t):
+            return slope * t - _gamma(t)
     else:
         slope = check_real(target_slope, "gplus_lower slope", 0.375, 1.0, "[)")
 
-        def h(t):
+        def residual(t):
             return _g_plus(t) - slope * t
 
-        inside_sign = 1.0
-
     hi = 1.0 - 1e-12
-    if inside_sign * h(hi) >= 0.0:
+    if residual(hi) >= 0.0:
         return 1.0
     lo = 1e-9
-    if inside_sign * h(lo) <= 0.0:
+    if residual(lo) <= 0.0:
         # slope is barely past the tangent slope; the root sits below lo and
         # the residual there is already under 1e-9
         return lo
-    lo, hi = _bisect(lambda t: inside_sign * h(t) > 0.0, lo, hi, 1e-13)
+    lo, hi = _bisect(lambda t: residual(t) > 0.0, lo, hi, 1e-13)
     return 0.5 * (lo + hi)

@@ -103,6 +103,8 @@ def ks_to_normal(ecdf: EmpiricalCdfView) -> KsResult:
     Ties in the gap value resolve to the upper side first and then to the
     lowest index, so the reported witness is deterministic.
     """
+    if not isinstance(ecdf, EmpiricalCdfView):
+        raise DomainError("ks_to_normal expects an EmpiricalCdfView")
     v = ecdf.sorted_values
     upper, lower = _sorted_ks_gaps(v)
     iu = int(np.argmax(upper))
@@ -116,6 +118,8 @@ def ks_to_normal(ecdf: EmpiricalCdfView) -> KsResult:
 
 def rescale_cdf(ecdf: EmpiricalCdfView, lam: float) -> EmpiricalCdfView:
     """View of the sample rescaled by lam > 0 (its CDF maps x to F(x/lam))."""
+    if not isinstance(ecdf, EmpiricalCdfView):
+        raise DomainError("rescale_cdf expects an EmpiricalCdfView")
     lv = check_real(lam, "rescale factor", 0.0)
     # a product that overflows is inf, which the view refuses as a DomainError
     with np.errstate(over="ignore"):

@@ -92,6 +92,7 @@ _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 _THREAD_MIN_N = 160
 
 _MIN_TRIALS = 100  # below this a Wilson verdict is meaningless
+_SCOPES = ("lemmas", "appendix", "all")  # verify_lemmas' scopes: main-text lemmas, appendix, both
 
 # an edge test misplaces a row by less than 1e-15 (module docstring), so only
 # rows within 2 _BAND of the threshold are left to _ks_statistics
@@ -387,7 +388,7 @@ def verify_lemmas(grid_steps: int = 200, tolerance=None, scope: str = "all") -> 
     grid_steps = check_int(grid_steps, "grid_steps", 100, SIZE_MAX)
     if tolerance is not None:
         tolerance = check_real(tolerance, "tolerance")
-    scope = check_choice(scope, "scope", ("lemmas", "appendix", "all"))
+    scope = check_choice(scope, "scope", _SCOPES)
     gen = RngStream(0, 0).generator()
     results = []
 

@@ -95,6 +95,8 @@ def gaussian_vector(N: int, rng: RngStream) -> np.ndarray:
     Deterministic per (seed, stream_id): the same stream always yields the
     same vector.
     """
+    if not isinstance(rng, RngStream):
+        raise DomainError("gaussian_vector expects an RngStream")
     u = _keyed_uniforms(rng.seed, rng.stream_id, 1, check_int(N, "N", 1, SIZE_MAX))[0]
     return special.ndtri(u, out=u)
 

@@ -190,12 +190,13 @@ def _scale_terms(n: int, t: float, mode: str, exp=math.exp):
     return exp(-(9.0 / 64.0) * n * t * t), exp(-n * t * t)
 
 
-def _cost(t, mode: str):
+def _cost(t, mode: str, gamma=_gamma):
     """Threshold price of the scale window t: gamma(t), or its secant bound t/2.
 
-    t is a float or a 1-D array, whose entries equal the float calls bit for bit.
+    The one map from a mode to its price.  t is a float, priced by _gamma, or
+    the split filter's grid, priced by gamma=_gamma_np (see _best_split).
     """
-    return _gamma(t) if mode == "exact_gamma" else 0.5 * t
+    return gamma(t) if mode == "exact_gamma" else 0.5 * t
 
 
 def _total(n: int, eps: float, t: float, mode: str, exp=math.exp) -> float:
@@ -239,6 +240,8 @@ def corollary_bound(N, epsilon, t) -> BoundBreakdown:
     return _breakdown(b.N, b.epsilon, b.t, "corollary")
 
 
+_MODES = ("exact_gamma", "corollary")  # the Theorem's gamma and rates, the Corollary's t/2, 3t/8, t
+
 # grid points of the split search, and the grid entries its numpy filter prices per block
 # (64 rows), which caps the filter's temporaries at a few MiB whatever the row count
 _GRID_POINTS = 512
@@ -252,8 +255,9 @@ _ROOT_BAND = 2.0 ** -40
 def _t_max(dv: float, mode: str) -> float:
     """The top of the feasible t range: _bisect's lo on cost(t) < dv over [0, 1 - 1e-12].
 
-    Every bisection step takes the verdict of _cost(mid, mode) < dv; a step is
-    evaluated only where _best_split's certificate does not settle it.
+    Every bisection step takes the verdict of _cost(mid, mode) < dv.  In exact
+    mode only a mid inside the band [lo, up] is evaluated: the certified
+    [below - 2^-40, above + 2^-40] of _best_split, or (-inf, inf) without it.
     """
     hi = 1.0 - 1e-12
     if dv >= 0.5:  # cost is strictly increasing from 0 toward 1/2
@@ -273,12 +277,10 @@ def _t_max(dv: float, mode: str) -> float:
             break
     # a root at or past hi needs no upper certificate: every mid lies below hi
     below, above = max(r - 2.0 ** -44, 0.0), min(r + 2.0 ** -44, hi)
+    lo, up = -math.inf, math.inf  # uncertified: every step is evaluated
     if _cost(below, mode) < dv and (above == hi or not _cost(above, mode) < dv):
         lo, up = below - _ROOT_BAND, above + _ROOT_BAND
-        pred = lambda t: t < lo or (t <= up and _cost(t, mode) < dv)  # noqa: E731
-    else:  # uncertified: evaluate every step
-        pred = lambda t: _cost(t, mode) < dv  # noqa: E731
-    return _bisect(pred, 0.0, hi, 1e-12)[0]
+    return _bisect(lambda t: t < lo or (t <= up and _cost(t, mode) < dv), 0.0, hi, 1e-12)[0]
 
 
 def _refine(n: int, dv: float, mode: str, t_max: float, grid, cand):
@@ -328,15 +330,15 @@ def _best_split(n: int, dvs, mode: str):
     L, R = r -+ 2^-44.  A mid below L - M then has
     gamma(mid) <= gamma(L) - s M < dv + E - 2E, so cost(mid) < dv, and a mid
     above R + M has cost(mid) >= dv likewise, for M = _ROOT_BAND = 2^-40,
-    about twice 2E / s = 4.7e-13.  Only the mids in [L - M, R + M] are
-    evaluated: with Newton's steps and the two checks, 3 to 11 _cost calls
-    where the bisection alone makes 40.  When a check fails, every step is
-    evaluated, as before.
+    about twice 2E / s = 4.7e-13.  So each step's verdict is the one predicate
+    mid < L - M or (mid <= R + M and cost(mid) < dv), evaluated only in the
+    band: with Newton's steps and the two checks, 3 to 11 _cost calls where
+    the bisection alone makes 40.  When a check fails, the band is (-inf, inf).
 
-    One numpy pass (_gamma_np, np.exp) prices the 512-point grids of all
-    rows, in blocks of _FILTER_BLOCK = 2^15 grid entries (64 rows, a few MiB
-    of temporaries); the exact scalar totals (math.exp, libm pow) are paid
-    only for the points whose approximate total is at most min (1 + m) +
+    One numpy pass (_cost by _gamma_np, _total by np.exp) prices the 512-point
+    grids of all rows, in blocks of _FILTER_BLOCK = 2^15 grid entries (64 rows,
+    a few MiB of temporaries); the exact scalar totals (math.exp, libm pow) are
+    paid only for the points whose approximate total is at most min (1 + m) +
     1e-299, m = 1e-11 (1 + sqrt(n)), each row then running the refinement.
     With u = 2^-53: each ndtr value is within 2^-46 of Phi (cephes' erfc peak
     error) and the peak height's x-derivative is 0, so the cost moves by at
@@ -359,8 +361,7 @@ def _best_split(n: int, dvs, mode: str):
         dv_t = np.array(block)  # columns dv and t_max
         # each row's np.linspace(0.0, t_max, 512, endpoint=False): i * (t_max / 512)
         grid = np.arange(float(_GRID_POINTS)) * (dv_t[:, 1:] / _GRID_POINTS)
-        cost = _gamma_np(grid) if mode == "exact_gamma" else 0.5 * grid
-        approx = _total(n, dv_t[:, :1] - cost, grid, mode, np.exp)
+        approx = _total(n, dv_t[:, :1] - _cost(grid, mode, _gamma_np), grid, mode, np.exp)
         limit = approx.min(axis=1, keepdims=True) * margin + 1e-299
         # a NaN or infinite approximation is a candidate too
         keep = ~(np.isfinite(approx) & (approx > limit))
@@ -384,7 +385,7 @@ def optimize_split(N, delta, mode: str = "exact_gamma") -> OptimizedBound:
     """
     n = check_int(N, "N")
     dv = check_real(delta, "delta", 0.0)
-    mode = check_choice(mode, "mode", ("exact_gamma", "corollary"))
+    mode = check_choice(mode, "mode", _MODES)
     (best_eps, best_t, best_total), = _best_split(n, [dv], mode)
     return OptimizedBound(delta=dv, best_epsilon=best_eps, best_t=best_t,
                           best_total=best_total, mode=mode)

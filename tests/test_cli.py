@@ -323,12 +323,18 @@ class TestUniformity:
         at = next(i for i in range(len(first) - 1) if (first[i] + first[i + 1]).isdigit())
         underscored = [row[:] for row in tokens]
         underscored[0][0] = first[:at + 1] + "_" + first[at + 1:]
+        # separators that str.split() and numpy's reader both take, and that text-mode
+        # reading never takes as a line break (str.splitlines() breaks at all but \x1f)
+        seps = "\x0c\x1d\x1e\x1f\x85\u2028\u2029"
         forms = {
             "csv": "".join(",".join(row) + "\n" for row in tokens).encode(),
             "whitespace": "".join(" \t".join(row) + "\n" for row in tokens).encode(),
             "bom crlf comments": b"\xef\xbb\xbf" + "".join(
                 f"# row {i}\r\n" + ", ".join(row) + "\r\n" for i, row in enumerate(tokens)).encode(),
             "underscore": "".join(",".join(row) + "\n" for row in underscored).encode(),
+            "unicode separators": "".join(row[0] + "".join(
+                seps[(i + j) % len(seps)] + v for j, v in enumerate(row[1:])) + "\n"
+                for i, row in enumerate(tokens)).encode(),
         }
         # each matrix numpy's reader returns
         read_by_numpy = []
@@ -347,6 +353,8 @@ class TestUniformity:
             outs[name] = run_cli(capsys, "test-uniformity", "--input", str(path), "--format", fmt)
             # numpy refuses the underscored token and leaves the file to float()
             assert [m.shape for m in read_by_numpy] == ([] if name == "underscore" else [(6, 60)])
+            if read_by_numpy:  # numpy's matrix is float()'s, one row per line
+                assert read_by_numpy[0].tolist() == [list(map(float, row)) for row in tokens]
         assert outs["csv"][0] == 0 and outs["csv"][1]
         assert all(out == outs["csv"] for out in outs.values())
 

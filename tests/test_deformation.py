@@ -113,6 +113,12 @@ class TestPhiDeformed:
         with pytest.raises(DomainError):
             phi_deformed(1.0, 0.5, "up")
 
+    @pytest.mark.parametrize("sign", ["plus", "minus"])
+    def test_shapes_that_do_not_broadcast(self, sign):
+        with pytest.raises(DomainError, match=r"\(3,\) and t shape \(2,\) do not"):
+            phi_deformed(np.ones(3), np.full(2, 0.1), sign)
+        assert phi_deformed(np.ones((2, 1)), np.full(3, 0.1), sign).shape == (2, 3)
+
 
 class TestCriticalPoints:
     def test_small_t_limits(self):

@@ -79,7 +79,16 @@ class TestBuildEcdf:
             view.sorted_values[0] = 0.0
 
 
+# arguments that are not an EmpiricalCdfView: a sample that skipped build_ecdf
+NOT_A_VIEW = [np.array([0.1, 0.2]), [0.1, 0.2], None]
+
+
 class TestKsToNormal:
+    @pytest.mark.parametrize("bad", NOT_A_VIEW)
+    def test_view_must_be_a_record(self, bad):
+        with pytest.raises(DomainError, match="^ks_to_normal expects an EmpiricalCdfView$"):
+            ks_to_normal(bad)
+
     def test_single_sample_at_origin(self):
         r = ks_to_normal(build_ecdf([0.0]))
         assert r.statistic == 0.5
@@ -178,6 +187,11 @@ class TestRescale:
         with pytest.raises(DomainError, match="inf"):
             rescale_cdf(build_ecdf([1.0, 1e308]), 10.0)
 
+    @pytest.mark.parametrize("bad", NOT_A_VIEW)
+    def test_view_must_be_a_record(self, bad):
+        with pytest.raises(DomainError, match="^rescale_cdf expects an EmpiricalCdfView$"):
+            rescale_cdf(bad, 2.0)
+
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_domain(self, bad):
         with pytest.raises(DomainError):
@@ -189,6 +203,11 @@ class TestRescale:
 
 
 class TestTubeInflation:
+    @pytest.mark.parametrize("bad", NOT_A_VIEW)
+    def test_view_must_be_a_record(self, bad):
+        with pytest.raises(DomainError, match="^ks_to_normal expects an EmpiricalCdfView$"):
+            check_tube_inflation(bad, 1.0, 0.5, 0.1)
+
     def test_unit_scale_reduces_to_hypothesis(self):
         view = build_ecdf(gaussian_vector(100, RngStream(2, 0)))
         eps = ks_to_normal(view).statistic + 0.01

@@ -183,6 +183,11 @@ class TestGaussianVector:
         assert -0.005 <= float(z.mean()) <= 0.005
         assert 0.995 <= float(z.var()) <= 1.005
 
+    @pytest.mark.parametrize("bad", [5, None, (0, 0), np.uint64(5)])
+    def test_stream_must_be_a_record(self, bad):
+        with pytest.raises(DomainError, match="^gaussian_vector expects an RngStream$"):
+            gaussian_vector(10, bad)
+
     def test_all_finite(self):
         z = gaussian_vector(100_000, RngStream(seed=5))
         assert np.all(np.isfinite(z))
@@ -190,6 +195,11 @@ class TestGaussianVector:
 
 
 class TestSphereSample:
+    @pytest.mark.parametrize("bad", [5, None])
+    def test_stream_must_be_a_record(self, bad):
+        with pytest.raises(DomainError, match="^gaussian_vector expects an RngStream$"):
+            sphere_sample(10, bad)
+
     def test_unit_norm(self):
         s = sphere_sample(1000, RngStream(seed=3, stream_id=9))
         assert abs(math.sqrt(float(np.dot(s.coords, s.coords))) - 1.0) <= 1e-12
