@@ -30,6 +30,25 @@ edge and gap rounding add about 2.2e-16 each (scipy 1.17.1), so an edge test
 misplaces a row by less than 1e-15, 2000 times inside the 2 _BAND margin, and
 the counts equal those of the exact statistic of every row.
 
+The lambda and chi-square runners count events of U = z . z, the float that
+np.vecdot(ndtri(u), ndtri(u)) returns, and _sq_norms decides most rows without
+ndtri.  w = min(u, 1 - u) is exact (1 - u is exact for u >= 1/2, Sterbenz)
+and ndtri(u)^2 = ndtri(w)^2 up to rounding; the bits of w index one of 2^8
+bins per octave, from 2^-54 (the smallest keyed uniform) to 1/2, and
+_sq_table holds bounds on ndtri^2 over each bin: its squared ndtri at the
+bin's edges (|ndtri| falls as w rises to 1/2), widened by 1e-9 relative,
+about a million times scipy's error (pinned by the tests, mirrors 1 - w
+included).  Any summation order, BLAS ddot with or without FMA or numpy's
+pairwise sum, is within gamma_n = n u / (1 - n u) of the exact sum (u =
+2^-53, Higham 2002, section 3.1), so U, the sum of the bin lows and that of
+the highs each carry at most that relative error; while 4 n u < 1/2 the
+sums widened by 4 n u relative, L and H, bracket U with room for their own
+roundings, and for larger n every row takes the exact path.  Correctly
+rounded -, / and sqrt are monotone, so each runner's verdict (U - n >= a,
+n - U >= b, or sqrt(n) / sqrt(U) - 1 against +-t) is monotone in U: where
+the verdicts at L and H agree, U has the same one, and L stands in for it.
+Only the rows whose verdicts differ reach ndtri and ddot.
+
 A Wilson score interval accompanies every frequency.  A configuration is
 dominated when the observed frequency does not exceed the bound; the Wilson
 upper edge is reported for context and checked with slack only where a bound
@@ -44,6 +63,7 @@ entries, so every residual equals a loop of float calls bit for bit.
 """
 
 import concurrent.futures
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -120,6 +140,69 @@ def _ks_exceeds(rows: np.ndarray, edges, thr: float, exact) -> np.ndarray:
     near = ~hit & ((rows < below_out).any(axis=-1) | (rows > above_out).any(axis=-1))
     hit[near] = exact(rows[near]) > thr
     return hit
+
+
+# _sq_norms' bins: a double's bits shifted right by _SQ_SHIFT give 2^8 bins per
+# octave; bin 0 starts at 2^-54, the smallest keyed uniform
+_SQ_SHIFT = 52 - 8
+_SQ_BASE = int(np.float64(2.0 ** -54).view(np.int64)) >> _SQ_SHIFT
+
+
+@functools.cache
+def _sq_table() -> np.ndarray:
+    """lo + i hi per bin of w in [2^-54, 1/2]: ndtri(w)^2 lies in [lo, hi] (module docstring).
+
+    The last bin holds w = 1/2 alone, so its edges are clipped to 1/2.  Built
+    on first use (about 0.4 ms), not at import.
+    """
+    bits = np.arange(_SQ_BASE, (int(np.float64(0.5).view(np.int64)) >> _SQ_SHIFT) + 2)
+    bits <<= _SQ_SHIFT
+    sq = bits.view(np.float64)
+    np.minimum(sq, 0.5, out=sq)
+    special.ndtri(sq, out=sq)
+    sq *= sq
+    tab = np.empty(sq.size - 1, dtype=complex)
+    np.multiply(sq[1:], 1.0 - 1e-9, out=tab.real)
+    np.multiply(sq[:-1], 1.0 + 1e-9, out=tab.imag)
+    tab.setflags(write=False)  # every caller shares the cached table
+    return tab
+
+
+def _sq_norms(u: np.ndarray, verdict) -> np.ndarray:
+    """Each row's U = z . z for z = ndtri(u), or a stand-in with U's verdict.
+
+    verdict maps an array of U to an array whose axis 0 lists its verdicts,
+    each monotone in U.  Rows go through the bin bounds in groups of about
+    _CHUNK_ELEMENTS / 16 entries (3 MiB of temporaries per 2^17, so groups
+    keep them near the caches and off the peak RSS: 2^14-entry groups read
+    0.4 MiB more peak on the mc-small-n shapes, at the same speed); a row
+    whose verdicts at its bounds L and H agree gets L, the others the exact
+    ndtri and ddot, one row at a time in place (module docstring).
+    """
+    rows, n = u.shape
+    near = np.ones(rows, dtype=bool)
+    widen = 4.0 * n * 2.0 ** -53
+    if widen < 0.5:
+        tab, group = _sq_table(), max(1, (_CHUNK_ELEMENTS >> 4) // n)
+        lo, hi = np.empty(rows), np.empty(rows)
+        for r in range(0, rows, group):
+            ug = u[r:r + group]
+            w = np.subtract(1.0, ug)
+            np.minimum(w, ug, out=w)
+            b = w.view(np.int64)
+            b >>= _SQ_SHIFT
+            b -= _SQ_BASE
+            s = tab[b].sum(axis=-1)
+            lo[r:r + group], hi[r:r + group] = s.real, s.imag
+        lo *= 1.0 - widen
+        hi *= 1.0 + widen
+        near = (verdict(lo) != verdict(hi)).any(axis=0)
+    else:
+        lo = np.empty(rows)
+    for i in np.flatnonzero(near):
+        z = special.ndtri(u[i], out=u[i])
+        lo[i] = np.vecdot(z, z)
+    return lo
 
 
 def _trial_keys(N, trials, seed):
@@ -212,9 +295,10 @@ def _per_trial(n: int, seed: int, trials: int, stat) -> np.ndarray:
     most one row, the larger blocks first.  Row i is bit-identical to
     _keyed_uniforms(seed, i, 1, n)[0], whose ndtri is gaussian_vector(n,
     RngStream(seed, i)), so the blocking never shows.  stat maps a block to one
-    entry per trial (a statistic, or the verdict of _ks_exceeds, stored as 0.0
-    or 1.0), which the block writes into its own slice of one array, so neither
-    block size nor block order can change the result.  A call spanning two or
+    entry per trial (a statistic, a stand-in with the same verdict as _sq_norms
+    returns, or the verdict of _ks_exceeds, stored as 0.0 or 1.0), which the
+    block writes into its own slice of one array, so neither block size nor
+    block order can change the result.  A call spanning two or
     more blocks with n >= _THREAD_MIN_N runs its blocks on _WORKERS threads (the
     draws, ndtri, sort and ndtr release the GIL); an exception raised in a block
     reaches the caller.  stat may overwrite its argument: each block's matrix
@@ -291,8 +375,14 @@ def run_lambda_trials(N: int, trials: int, seed: int, t) -> LambdaTrialReport:
     n, trials, seed = _trial_keys(N, trials, seed)
     tv = dfm._t_value(t)
     sqrt_n = math.sqrt(n)
-    d = _per_trial(n, seed, trials, lambda u: sqrt_n / _norms(special.ndtri(u, out=u)) - 1.0)
-    upper, lower = d > tv, d < -tv
+
+    def verdict(sq):
+        # lambda - 1 = sqrt(N)/|Z| - 1 against +-t; a stand-in U of 0 gives inf
+        with np.errstate(divide="ignore"):
+            d = sqrt_n / np.sqrt(sq) - 1.0
+        return np.array([d > tv, d < -tv])
+
+    upper, lower = verdict(_per_trial(n, seed, trials, lambda u: _sq_norms(u, verdict)))
     return _report(upper | lower, tb.lambda_concentration_bound(n, tv), LambdaTrialReport,
                    upper_count=int(np.count_nonzero(upper)),
                    lower_count=int(np.count_nonzero(lower)))
@@ -307,9 +397,12 @@ def run_chisq_trials(N: int, trials: int, seed: int, x: float):
     n, trials, seed = _trial_keys(N, trials, seed)
     up = tb.lm_upper(n, x)
     lo = tb.lm_lower(n, x)
-    # U = z . z in one ddot per row; ndtri writes z over the block's uniforms
-    sq = _per_trial(n, seed, trials, lambda u: np.vecdot(special.ndtri(u, out=u), u))
-    return _report(sq - n >= up.threshold, up.bound), _report(n - sq >= lo.threshold, lo.bound)
+
+    def verdict(sq):
+        return np.array([sq - n >= up.threshold, n - sq >= lo.threshold])
+
+    upper, lower = verdict(_per_trial(n, seed, trials, lambda u: _sq_norms(u, verdict)))
+    return _report(upper, up.bound), _report(lower, lo.bound)
 
 
 # ---------------------------------------------------------------------------

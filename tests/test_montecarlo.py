@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy import special
 import spherecdf.montecarlo as mc
 from spherecdf import (DomainError, RngStream, TrialConfig, build_ecdf,
                        dkw_bound, gamma_closed, gaussian_vector, ks_to_normal,
-                       lambda_concentration_bound, run_chisq_trials,
+                       lambda_concentration_bound, lm_lower, lm_upper, run_chisq_trials,
                        run_dkw_trials, run_lambda_trials, run_theorem_trials,
                        sphere_sample, verify_lemmas, wilson_interval)
 
@@ -269,6 +270,30 @@ class TestPlantedThresholds:
             assert (report.event_count, report.upper_count, report.lower_count) == (
                 expected, np.count_nonzero(dev > t), np.count_nonzero(-dev > t)), t
 
+    @pytest.mark.parametrize("n, seed", [(1, 0), (7, 3), (100, 2 ** 63 + 5)])
+    def test_chisq_planted_threshold(self, n, seed):
+        # x solves 2 sqrt(n x) + 2 x = U - n (U above n) or 2 sqrt(n x) = n - U
+        # (U below n) for every 10th row, and the doubles either side of x move
+        # the threshold by about an ulp of U - n
+        sq = np.array([np.vecdot(z, z) for z in
+                       (gaussian_vector(n, RngStream(seed, i)) for i in range(self.TRIALS))])
+        planted = []
+        for u in sq[::10]:
+            dev = u - n
+            x = ((math.sqrt(n + 2.0 * dev) - math.sqrt(n)) / 2.0) ** 2 if dev > 0 else dev * dev / (4.0 * n)
+            planted += [v for v in (np.nextafter(x, -1.0), x, np.nextafter(x, 2.0 * x + 1.0)) if v >= 0.0]
+        near = 0
+        for x in planted:
+            up, lo = lm_upper(n, float(x)), lm_lower(n, float(x))
+            near += bool(np.any(np.abs(sq - n - up.threshold) <= 1e-12 * abs(up.threshold))
+                         or np.any(np.abs(n - sq - lo.threshold) <= 1e-12 * abs(lo.threshold)))
+            reports = run_chisq_trials(n, self.TRIALS, seed, float(x))
+            assert tuple(r.event_count for r in reports) == (
+                np.count_nonzero(sq - n >= up.threshold),
+                np.count_nonzero(n - sq >= lo.threshold)), x
+        # the planted thresholds do sit on their rows' deviations
+        assert near >= 20, near
+
 
 class TestKsExceeds:
     """The edge rule decides every row as the exact statistic does.
@@ -343,6 +368,100 @@ class TestBandAssumption:
                         + np.arange(-5000, 5000)).view(np.float64), axis=-1)
         p = special.ndtr(runs)
         assert (np.maximum.accumulate(p, axis=-1) - p).max() <= 1e-15
+
+
+class TestSqTable:
+    """Pins the scipy behaviour _sq_norms' bin bounds rest on."""
+
+    @staticmethod
+    def bins(p):
+        """The bin _sq_norms reads for each uniform p."""
+        w = np.minimum(p, 1.0 - p)
+        return (w.view(np.int64) >> mc._SQ_SHIFT) - mc._SQ_BASE
+
+    def test_bins_hold_their_squares(self):
+        # every bin edge and the doubles 1-3 either side, kept inside the keyed
+        # range [2^-54, 1/2], and their mirrors 1 - w below 1
+        tab = mc._sq_table()
+        edges = (np.arange(tab.size + 1) + mc._SQ_BASE) << mc._SQ_SHIFT
+        w = (edges[:, None] + np.arange(-3, 4)).ravel().view(np.float64)
+        w = w[(w >= 2.0 ** -54) & (w <= 0.5)]
+        p = np.concatenate([w, (1.0 - w)[1.0 - w < 1.0]])
+        sq = special.ndtri(p) ** 2
+        b = self.bins(p)
+        assert b.min() == 0 and b.max() == tab.size - 1
+        assert np.all((tab.real[b] <= sq) & (sq <= tab.imag[b]))
+
+    def test_ndtri_matches_mpmath(self):
+        # scipy's ndtri within 1e-13 relative of a 40-digit inverse on 200 bin
+        # edges from 2^-54 to 1/2, a million times inside the 1e-9 widening
+        mpmath = pytest.importorskip("mpmath")
+        k = np.linspace(0, mc._sq_table().size - 1, 200).astype(np.int64)
+        p = ((k + mc._SQ_BASE) << mc._SQ_SHIFT).view(np.float64)
+        assert p[0] == 2.0 ** -54 and p[-1] == 0.5
+        got = special.ndtri(p)
+        assert got[-1] == 0.0
+        with mpmath.workdps(40):
+            for pv, g in zip(p[:-1], got[:-1]):
+                ref = mpmath.findroot(lambda x: mpmath.ncdf(x) - mpmath.mpf(pv), g)
+                assert abs(g - ref) <= 1e-13 * abs(ref), pv
+
+
+class TestSqNorms:
+    """_sq_norms' stand-ins carry the exact U's verdicts."""
+
+    @staticmethod
+    def exact(u):
+        z = special.ndtri(u)
+        return np.vecdot(z, z)
+
+    @pytest.mark.parametrize("n, rows, seed", [(1, 300, 0), (7, 200, 2 ** 64 - 1),
+                                               (100, 100, 3), (10_000, 20, 2 ** 64 - 1)])
+    def test_planted_thresholds(self, n, rows, seed):
+        # thresholds at each row's exact U and one ulp either side, under a
+        # verdict with >= and one with >
+        u = mc._keyed_uniforms(seed, 0, rows, n)
+        sq = self.exact(u)
+        for k in range(rows):
+            for thr in (np.nextafter(sq[k], 0.0), sq[k], np.nextafter(sq[k], np.inf)):
+                def verdict(s):
+                    return np.array([s >= thr, s > thr])
+
+                got = mc._sq_norms(u.copy(), verdict)
+                assert (verdict(got) == verdict(sq)).all(), (k, thr)
+                # a stand-in is the lower bound L <= U
+                assert np.all(got <= sq)
+
+    def test_zero_stand_in(self):
+        # at N = 1 trial 6 of seed 11 draws u in [1/2 - 2^-10, 1/2), whose bin
+        # low is ndtri(1/2)^2 = 0; lambda's verdict there divides by zero with
+        # no RuntimeWarning, and the counts match the one-trial pipeline
+        u = mc._keyed_uniforms(11, 6, 1, 1)
+        assert 0.5 - 2.0 ** -10 <= u[0, 0] < 0.5
+        assert mc._sq_norms(u, lambda s: np.array([s > 0.25])).tolist() == [0.0]
+        lam = np.array([sphere_sample(1, RngStream(11, i)).lam for i in range(100)])
+        for t in (0.1, 0.5, 0.9):
+            report = run_lambda_trials(1, 100, 11, t)
+            assert (report.upper_count, report.lower_count) == (
+                np.count_nonzero(lam - 1.0 > t), np.count_nonzero(1.0 - lam > t))
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 63 + 5])
+    def test_exact_path_sees_few_rows(self, monkeypatch, seed):
+        # at the lambda and chi-square acceptance shapes (criteria 07 and 09)
+        # under 1% of rows reach ndtri; the bins' width in U grows like N while
+        # U's spread grows like sqrt(N), so N = 10^4 sends about 5%
+        mc._sq_table()
+        rows = []
+        monkeypatch.setattr(mc, "special", types.SimpleNamespace(
+            ndtri=lambda u, **kw: rows.append(np.ndim(u)) or special.ndtri(u, **kw)))
+        runs = [(run_lambda_trials, 100, 2000, t, 20) for t in (0.1, 0.2, 0.3)]
+        runs += [(run_chisq_trials, 50, 2000, x, 20) for x in (0.5, 1.0, 2.0)]
+        runs += [(run_lambda_trials, 10_000, 500, 0.01, 40), (run_chisq_trials, 10_000, 500, 1.0, 40)]
+        for run, n, trials, param, budget in runs:
+            rows.clear()
+            run(n, trials, seed, param)
+            # each exact row is one 1-D ndtri call; the Wilson z is a scalar one
+            assert rows.count(1) < budget, (run.__name__, n, param, rows.count(1))
 
 
 class TestLambdaTrials:
