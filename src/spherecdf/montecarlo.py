@@ -22,7 +22,8 @@ values p have KS > s exactly when some p_i < i/N - s or p_i > (i-1)/N + s.  A
 row that crosses the edges of s = thr + 2 _BAND is an event, a row inside those
 of s = thr - 2 _BAND is not, and only the rows in between reach
 _ks_statistics.  The DKW runner tests its sorted uniforms against these edges,
-the theorem runner its sorted rows against their ndtri images.  Order
+the theorem runner, on rows shorter than _U_MIN_N, its sorted rows against
+their ndtri images.  Order
 statistics are 1-Lipschitz in the sup norm; |ndtr(ndtri(u)) - u| is at most
 2.8e-16 (over keyed draws, a dense grid of [0, 1] and the extremes 2^-k and
 1 - 2^-k), ndtr steps down by at most 2.2e-16 between consecutive doubles, and
@@ -48,6 +49,36 @@ rounded -, / and sqrt are monotone, so each runner's verdict (U - n >= a,
 n - U >= b, or sqrt(n) / sqrt(U) - 1 against +-t) is monotone in U: where
 the verdicts at L and H agree, U has the same one, and L stands in for it.
 Only the rows whose verdicts differ reach ndtri and ddot.
+
+Rows of at least _U_MIN_N entries get |Z|^2 bounds from their sorted uniforms
+too.  q(u) = ndtri(u)^2 is convex on (0, 1) (q'' = 2 (1 + z^2) / phi(z)^2):
+for k sorted entries between entries a <= b, k q(mean) bounds their sum of q
+below (Jensen) and k times the chord from (a, q(a)) to (b, q(b)) at the mean
+above.  _sq_bounds cuts a sorted row into about 24 n^(1/4) segments uniform in
+z, sums each by np.add.reduceat and calls ndtri only at segment ends and
+means.  A computed mean is within (k - 1) 2^-51 relative (gamma_(k-1) and a
+division), so Jensen takes that bracket's point nearest 1/2 and the chord its
+worse end; the sums, widened as above, bracket U.  _sq_norms sends the rows its
+bins leave open through these bounds, on sorted copies, before any ndtri.
+
+The theorem runner decides such rows in uniform space (_u_verdicts).  The exact
+sample x_i = Phi^-1(u_i) / rho, rho = |Z| / sqrt(N), has Phi(x_i) < e exactly
+when u_i < F(rho) = Phi(rho B), B = Phi^-1(e), at each edge e of KS > thr, and
+likewise for >.  With rho - 1 in [d_L, d_H] (from L and H), d = max(-d_L, d_H)
+and b = B phi(B), F(rho) = e + b (rho - 1) + R, |R| <= 0.2313 d^2 / (1 - d)^2
+(half of sup |x^3 phi(x)| = 0.46254, over min(1, rho)^2).  So e + b d_L or
+e + b d_H, whichever bounds b (rho - 1) on the side wanted, one multiply-add
+per entry, gives certified envelopes, the upper above the lower by
+|b| (d_H - d_L) <= 0.2420 (d_H - d_L).  A row inside both edges' envelopes by
+the bound on R plus mu = 1e-9 + N 2^-45 is no event, and a row crossing an
+envelope by as much is an event.  The others, and all rows with d > 1/4 or an
+edge with |B| > 5 (clipped edges are vacuous), are redrawn from their keys and
+get their exact statistic.  On those ranges Phi(Phi^-1(p) / rho) rises at least
+1/180 as fast as p, so mu, less the envelopes' rounding (under 1e-13), moves
+Phi(x_i) by over 5e-12 + N 2^-53: five times the 1e-12 band, and more than
+the statistic of the x-space pipeline can differ from the exact sample's
+(ndtri's 1e-13 relative error, the norm's gamma_N, ndtr and gap rounding).
+Every decided row therefore gets the verdict of that statistic.
 
 A Wilson score interval accompanies every frequency.  A configuration is
 dominated when the observed frequency does not exceed the bound; the Wilson
@@ -119,14 +150,18 @@ _SCOPES = ("lemmas", "appendix", "all")  # verify_lemmas' scopes: main-text lemm
 _BAND = 1e-12
 
 
-def _ks_edges(n: int, thr: float) -> np.ndarray:
-    """Edges of KS > thr + 2 _BAND (rows 0, 1, inner) and of KS > thr - 2 _BAND (rows 2, 3).
+def _ks_edges(n: int, thr: float, bands=(2 * _BAND, -2 * _BAND), out=None) -> np.ndarray:
+    """Edges of KS > thr + band for each band; by default inner (rows 0, 1) and outer (rows 2, 3).
 
-    Rows 0 and 2 are i/N - s, rows 1 and 3 are (i-1)/N + s, clipped to [0, 1].
+    Rows 2k and 2k + 1 are i/N - s and (i-1)/N + s at s = thr + bands[k],
+    clipped to [0, 1], written to out when it is given.
     """
     grid = np.arange(n + 1) / n
-    return np.clip([e for s in (thr + 2 * _BAND, thr - 2 * _BAND)
-                    for e in (grid[1:] - s, grid[:-1] + s)], 0.0, 1.0)
+    out = np.empty((2 * len(bands), n)) if out is None else out
+    for k, band in enumerate(bands):
+        np.subtract(grid[1:], thr + band, out=out[2 * k])
+        np.add(grid[:-1], thr + band, out=out[2 * k + 1])
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def _ks_exceeds(rows: np.ndarray, edges, thr: float, exact) -> np.ndarray:
@@ -176,8 +211,10 @@ def _sq_norms(u: np.ndarray, verdict) -> np.ndarray:
     _CHUNK_ELEMENTS / 16 entries (3 MiB of temporaries per 2^17, so groups
     keep them near the caches and off the peak RSS: 2^14-entry groups read
     0.4 MiB more peak on the mc-small-n shapes, at the same speed); a row
-    whose verdicts at its bounds L and H agree gets L, the others the exact
-    ndtri and ddot, one row at a time in place (module docstring).
+    whose verdicts at its bounds L and H agree gets L; for n >= _U_MIN_N the
+    others then go through _sq_bounds on sorted copies, and those still open
+    get the exact ndtri and ddot, one row at a time in place (module
+    docstring).
     """
     rows, n = u.shape
     near = np.ones(rows, dtype=bool)
@@ -197,12 +234,102 @@ def _sq_norms(u: np.ndarray, verdict) -> np.ndarray:
         lo *= 1.0 - widen
         hi *= 1.0 + widen
         near = (verdict(lo) != verdict(hi)).any(axis=0)
+        # long rows still open: sorted copies through _sq_bounds, in the same groups
+        rest = np.flatnonzero(near) if n >= _U_MIN_N else ()
+        for r in range(0, len(rest), group):
+            j = rest[r:r + group]
+            us = u[j]
+            us.sort(axis=-1)
+            lo2, hi2 = _sq_bounds(us)
+            same = (verdict(lo2) == verdict(hi2)).all(axis=0)
+            lo[j[same]], near[j[same]] = lo2[same], False
     else:
         lo = np.empty(rows)
     for i in np.flatnonzero(near):
         z = special.ndtri(u[i], out=u[i])
         lo[i] = np.vecdot(z, z)
     return lo
+
+
+# rows at least this long take the sorted-uniform bounds below.  Against the
+# x-space runner (in-process A/B, 2000 trials, best of 9, 2-core VM) the theorem
+# filter lost 17% at N = 512 and won 5% at N = 700 and 16% at N = 1000 on one
+# thread; on two, where its envelope passes gain little, it tied at
+# N = 700-1000 and won 5-15% from N = 1500 on
+_U_MIN_N = 1000
+_RHO_SPAN, _B_MAX = 0.25, 5.0  # the theorem filter's ranges of |rho - 1| and |ndtri(e)|
+
+
+@functools.lru_cache(maxsize=8)  # a run uses one N; a sweep over N must not pile up
+def _cuts(n: int):
+    """Starts, lengths, end indices and mean roundings (k - 1) 2^-51 of a sorted row's segments."""
+    z = np.linspace(-1.0, 1.0, int(24 * n ** 0.25) + 1) * special.ndtri(0.5 / n)
+    ranks = np.minimum(np.rint(n * dfm.std_normal_cdf(z)), n - 1)
+    p = np.unique(np.append(0, ranks)).astype(np.intp)  # 0.5 may round up to rank 1
+    k = np.diff(p, append=n).astype(float)
+    return p, k, np.append(p, n - 1), (k - 1.0) * 2.0 ** -51
+
+
+def _sq_bounds(us: np.ndarray):
+    """Bounds L <= U <= H on U = z . z, z = ndtri(us), for each sorted row (module docstring)."""
+    n = us.shape[1]
+    p, k, ends, rel = _cuts(n)
+    ends = us[:, ends]
+    a, b = ends[:, :-1], ends[:, 1:]
+    m = np.add.reduceat(us, p, axis=1) / k
+    lo, hi = np.maximum(m - m * rel, a), np.minimum(m + m * rel, b)
+    q = special.ndtri(ends) ** 2
+    qa, qb = q[:, :-1], q[:, 1:]
+    m = np.where(qb >= qa, hi, lo)  # the chord's worst mean
+    chord = np.divide(qa * (b - m) + qb * (m - a), b - a, out=qa.copy(), where=b > a)
+    widen = 1e-9 + 4.0 * n * 2.0 ** -53
+    return (np.vecdot(special.ndtri(np.clip(0.5, lo, hi)) ** 2, k) * (1.0 - widen),
+            np.vecdot(chord, k) * (1.0 + widen))
+
+
+def _u_edges(n: int, thr: float):
+    """e and b = B phi(B), B = ndtri(e), per edge of KS > thr, and each row's count of e < 1/2.
+
+    Past _B_MAX a clipped edge is vacuous (e = +-inf), any other opens every row (NaN).
+    """
+    tab = np.empty((2, 2, n))  # built in place: its temporaries are flags and one 2 x n array
+    e, b = tab[:, 0], tab[:, 1]
+    _ks_edges(n, thr, (0.0,), out=e)
+    split = np.count_nonzero(e < 0.5, axis=1)
+    special.ndtri(e, out=b)
+    far = (b < -_B_MAX) | (b > _B_MAX)
+    e[far] = np.nan
+    np.copyto(e, b, where=far & np.isinf(b))
+    b[far] = 0.0
+    phi = np.multiply(b, b)
+    phi *= -0.5
+    b *= np.exp(phi, out=phi)
+    b *= 1.0 / math.sqrt(2.0 * math.pi)
+    return tab, split
+
+
+def _u_verdicts(u: np.ndarray, tab: np.ndarray, split: np.ndarray):
+    """(hit, open) for sorted rows of keyed uniforms, in groups of _CHUNK_ELEMENTS / 4 entries."""
+    rows, n = u.shape
+    group = max(1, (_CHUNK_ELEMENTS >> 2) // n)
+    buf = np.empty((min(group, rows), n))  # below _sq_bounds' temporaries in a thread's heap
+    d = np.sqrt(np.array(_sq_bounds(u)) / n) - 1.0  # rho - 1 at L and at H
+    span = np.maximum(-d[0], d[1])
+    span[~(span <= _RHO_SPAN)] = np.nan  # a NaN remainder leaves its row open
+    rem = 0.2313 * (span / (1.0 - span)) ** 2 + (1e-9 + n * 2.0 ** -45)
+    gap = np.empty((2, rows))  # min u - upper envelope of i/N - thr, max u - lower of the rest
+    for r in range(0, rows, group):
+        us = u[r:r + group]
+        out = buf[:len(us)]
+        for k, ((e, b), i) in enumerate(zip(tab, split)):
+            np.multiply(d[k, r:r + group, None], b[:i], out=out[:, :i])  # columns with b <= 0
+            np.multiply(d[1 - k, r:r + group, None], b[i:], out=out[:, i:])
+            out += e
+            np.subtract(us, out, out=out)
+            gap[k, r:r + group] = out.max(axis=1) if k else out.min(axis=1)
+    wide = rem + 0.2420 * (d[1] - d[0])  # |b| <= phi(1) < 0.2420
+    hit = (gap[0] < -wide) | (gap[1] > wide)
+    return hit, ~(hit | ((gap[0] >= rem) & (gap[1] <= -rem)))
 
 
 def _trial_keys(N, trials, seed):
@@ -294,11 +421,12 @@ def _per_trial(n: int, seed: int, trials: int, stat) -> np.ndarray:
     uniforms (at least one row each), spread evenly: block sizes differ by at
     most one row, the larger blocks first.  Row i is bit-identical to
     _keyed_uniforms(seed, i, 1, n)[0], whose ndtri is gaussian_vector(n,
-    RngStream(seed, i)), so the blocking never shows.  stat maps a block to one
-    entry per trial (a statistic, a stand-in with the same verdict as _sq_norms
-    returns, or the verdict of _ks_exceeds, stored as 0.0 or 1.0), which the
-    block writes into its own slice of one array, so neither block size nor
-    block order can change the result.  A call spanning two or
+    RngStream(seed, i)), so the blocking never shows.  stat maps a block and
+    the index of its first trial to one entry per trial (a statistic, a
+    stand-in with the same verdict as _sq_norms returns, or a verdict stored as
+    0.0 or 1.0), which the block writes into its own slice of one array, so
+    neither block size nor block order can change the result; with the index
+    a stat can redraw any row of its block from its key.  A call spanning two or
     more blocks with n >= _THREAD_MIN_N runs its blocks on _WORKERS threads (the
     draws, ndtri, sort and ndtr release the GIL); an exception raised in a block
     reaches the caller.  stat may overwrite its argument: each block's matrix
@@ -310,7 +438,7 @@ def _per_trial(n: int, seed: int, trials: int, stat) -> np.ndarray:
 
     def block(b):
         first, count = b * rows + min(b, extra), rows + (b < extra)
-        out[first:first + count] = stat(_keyed_uniforms(seed, first, count, n))
+        out[first:first + count] = stat(_keyed_uniforms(seed, first, count, n), first)
 
     if _WORKERS > 1 and blocks > 1 and n >= _THREAD_MIN_N:
         with concurrent.futures.ThreadPoolExecutor(_WORKERS) as pool:
@@ -327,22 +455,42 @@ def run_theorem_trials(config: TrialConfig) -> MonteCarloReport:
     sqrt(N) X, and counts KS deviations from the Gaussian CDF exceeding
     epsilon + gamma(t).  The bound is the corresponding three-term total.
 
-    _ks_exceeds decides each sorted row against the ndtri images of _ks_edges.
+    Rows shorter than _U_MIN_N are decided by _ks_exceeds against the ndtri
+    images of _ks_edges.  Longer rows are sorted as uniforms and decided by
+    _u_verdicts; the few it leaves open are redrawn from their keys and get
+    the exact statistic of the x-space pipeline (module docstring).
     """
     if not isinstance(config, TrialConfig):
         raise DomainError("run_theorem_trials expects a TrialConfig")
     n = config.N
     bound = tb._breakdown(n, config.epsilon, config.t, "exact_gamma")
     thr = bound.threshold
-    edges = special.ndtri(_ks_edges(n, thr))
     sqrt_n = math.sqrt(n)
 
-    def exceeds(u):
+    def sample(u):  # sqrt(N) X for each row, drawn as the one-trial pipeline draws it
         x = special.ndtri(u, out=u)
         x /= _norms(x)[:, None]
         x *= sqrt_n
-        x.sort(axis=-1)
-        return _ks_exceeds(x, edges, thr, _ks_statistics)
+        return x
+
+    if n < _U_MIN_N:
+        edges = special.ndtri(_ks_edges(n, thr))
+
+        def exceeds(u, first):
+            x = sample(u)
+            x.sort(axis=-1)
+            return _ks_exceeds(x, edges, thr, _ks_statistics)
+    else:
+        tab, split = _u_edges(n, thr)
+
+        def exceeds(u, first):
+            u.sort(axis=-1)
+            hit, near = _u_verdicts(u, tab, split)
+            rows = np.flatnonzero(near)
+            if rows.size:
+                hit[rows] = _ks_statistics(sample(np.concatenate(
+                    [_keyed_uniforms(config.seed, first + j, 1, n) for j in rows]))) > thr
+            return hit
 
     return _report(_per_trial(n, config.seed, config.trials, exceeds), bound.total)
 
@@ -359,7 +507,7 @@ def run_dkw_trials(N: int, trials: int, seed: int, epsilon: float) -> MonteCarlo
     eps = check_real(epsilon, "epsilon", 0.0)
     edges = _ks_edges(n, eps)
 
-    def exceeds(u):
+    def exceeds(u, first):
         u.sort(axis=-1)
         return _ks_exceeds(u, edges, eps, lambda near: _ks_statistics(special.ndtri(near)))
 
@@ -382,7 +530,7 @@ def run_lambda_trials(N: int, trials: int, seed: int, t) -> LambdaTrialReport:
             d = sqrt_n / np.sqrt(sq) - 1.0
         return np.array([d > tv, d < -tv])
 
-    upper, lower = verdict(_per_trial(n, seed, trials, lambda u: _sq_norms(u, verdict)))
+    upper, lower = verdict(_per_trial(n, seed, trials, lambda u, first: _sq_norms(u, verdict)))
     return _report(upper | lower, tb.lambda_concentration_bound(n, tv), LambdaTrialReport,
                    upper_count=int(np.count_nonzero(upper)),
                    lower_count=int(np.count_nonzero(lower)))
@@ -401,7 +549,7 @@ def run_chisq_trials(N: int, trials: int, seed: int, x: float):
     def verdict(sq):
         return np.array([sq - n >= up.threshold, n - sq >= lo.threshold])
 
-    upper, lower = verdict(_per_trial(n, seed, trials, lambda u: _sq_norms(u, verdict)))
+    upper, lower = verdict(_per_trial(n, seed, trials, lambda u, first: _sq_norms(u, verdict)))
     return _report(upper, up.bound), _report(lower, lo.bound)
 
 

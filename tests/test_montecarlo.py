@@ -135,6 +135,20 @@ class TestTheoremTrials:
             assert on_main == [workers == 1] * (4 * 15)
         assert reports[1] == reports[2]
 
+    def test_thread_count_is_invisible_to_the_long_row_filters(self, monkeypatch):
+        # the same at N = _U_MIN_N, where the theorem runner's uniform-space
+        # filter and _sq_norms' sorted pass run inside the threaded blocks
+        n, trials, seed = mc._U_MIN_N, 100, 2 ** 63 + 11
+        cfg = TrialConfig(N=n, trials=trials, seed=seed, epsilon=0.03, t=0.05)
+        runs = (lambda: run_theorem_trials(cfg), lambda: run_lambda_trials(n, trials, seed, 0.03),
+                lambda: run_chisq_trials(n, trials, seed, 1.0))
+        monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * n)
+        reports = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(mc, "_WORKERS", workers)
+            reports[workers] = [run() for run in runs]
+        assert reports[1] == reports[2]
+
     def test_block_exception_reaches_caller(self, monkeypatch):
         draw = mc._keyed_uniforms
 
@@ -169,6 +183,18 @@ class TestTheoremTrials:
                               capture_output=True, text=True, env=env)
         assert (proc.returncode, proc.stdout.split()) == (0, ["1", "2"]), proc.stderr
 
+    @pytest.mark.parametrize("n", [4, 11, 61, 2000])
+    def test_filter_matches_per_trial_modules(self, monkeypatch, n):
+        # lengths whose segment cuts round the first rank up to 1, through the
+        # uniform-space filter
+        monkeypatch.setattr(mc, "_U_MIN_N", 1)
+        cfg = TrialConfig(N=n, trials=200, seed=2 ** 64 - 1, epsilon=0.5 / math.sqrt(n), t=0.1)
+        threshold = cfg.epsilon + gamma_closed(cfg.t).gamma
+        count = sum(ks_to_normal(build_ecdf(sphere_sample(n, RngStream(cfg.seed, i)).coords
+                                            * math.sqrt(n))).statistic > threshold
+                    for i in range(cfg.trials))
+        assert run_theorem_trials(cfg).event_count == count
+
     def test_impossible_threshold(self):
         # epsilon + gamma(t) > 1 cannot be exceeded by a KS distance
         cfg = TrialConfig(N=20, trials=200, seed=0, epsilon=0.9, t=0.5)
@@ -191,8 +217,23 @@ class TestPerTrial:
         monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", chunk)
         monkeypatch.setattr(mc, "_WORKERS", workers)
         monkeypatch.setattr(mc, "_THREAD_MIN_N", 1)
-        got = mc._per_trial(n, seed, trials, lambda u: u[:, 0].copy())
+        got = mc._per_trial(n, seed, trials, lambda u, first: u[:, 0].copy())
         assert got.tolist() == [mc._keyed_uniforms(seed, i, 1, n)[0, 0] for i in range(trials)]
+
+    # one block of 40 rows; 6 blocks of 7 or 6 rows
+    @pytest.mark.parametrize("chunk", [1 << 17, 7 * 50])
+    def test_redrawn_row_equals_block_row(self, monkeypatch, chunk):
+        # a stat that redraws row j of its block from the key (seed, first + j),
+        # as the theorem runner does for its open rows, gets that row bit for bit
+        n, trials, seed = 50, 40, 2 ** 64 - 1
+        monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", chunk)
+
+        def stat(u, first):
+            redrawn = np.concatenate([mc._keyed_uniforms(seed, first + j, 1, n)
+                                      for j in range(len(u))])
+            return (redrawn.view(np.int64) == u.view(np.int64)).all(axis=1)
+
+        assert mc._per_trial(n, seed, trials, stat).tolist() == [1.0] * trials
 
 
 class TestDkwTrials:
@@ -256,6 +297,20 @@ class TestPlantedThresholds:
         for eps, expected in self.planted(self.ks(rows)):
             cfg = TrialConfig(N=n, trials=self.TRIALS, seed=seed, epsilon=eps, t=0.0)
             assert run_theorem_trials(cfg).event_count == expected, eps
+
+    @pytest.mark.parametrize("n, seed", SHAPES)
+    def test_theorem_planted_threshold_filtered(self, monkeypatch, n, seed):
+        # the same thresholds through the uniform-space filter, which then meets
+        # N = 1, clipped edges where ndtri is +-inf and rows with |rho - 1| past
+        # _RHO_SPAN
+        monkeypatch.setattr(mc, "_U_MIN_N", 1)
+        self.test_theorem_planted_threshold(n, seed)
+
+    @pytest.mark.parametrize("n", [1000, 4000])
+    @pytest.mark.parametrize("seed", [0, 2 ** 63 + 5, 2 ** 64 - 1])
+    def test_theorem_planted_threshold_long_rows(self, monkeypatch, n, seed):
+        monkeypatch.setattr(mc, "_U_MIN_N", min(mc._U_MIN_N, n))
+        self.test_theorem_planted_threshold(n, seed)
 
     @pytest.mark.parametrize("n, seed", [(1, 0), (7, 3), (100, 2 ** 63 + 5)])
     def test_lambda_planted_threshold(self, n, seed):
@@ -342,6 +397,72 @@ class TestKsExceeds:
             seen.clear()
             run()
             assert sum(seen) <= 1, seen
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 63 + 5])
+    def test_filter_leaves_few_rows_open(self, monkeypatch, seed):
+        # at the mc-large-n theorem shape the uniform-space filter decides all
+        # but a few of 500 rows; each open row is redrawn alone from its key
+        assert 10_000 >= mc._U_MIN_N
+        draws, draw = [], mc._keyed_uniforms
+        monkeypatch.setattr(mc, "_keyed_uniforms", lambda *a: draws.append(a[2]) or draw(*a))
+        run_theorem_trials(TrialConfig(10_000, 500, seed, 0.01, 0.02))
+        assert draws.count(1) <= 2, draws
+
+
+class TestSortedBoundPremises:
+    """Pins what the sorted-uniform bounds of _sq_bounds and _u_verdicts rest on."""
+
+    @staticmethod
+    def rows():
+        """Keyed rows at N = 512, 10^4 and 10^6, rows holding the extreme uniforms,
+        and rows whose segment means round by more than their distance to 1 or 1/2."""
+        for n, count in ((512, 4), (10_000, 2), (1_000_000, 1)):
+            yield from mc._keyed_uniforms(2 ** 63 + 5, 0, count, n)
+        u = mc._keyed_uniforms(3, 0, 1, 4000)[0]
+        u[:7], u[7:11] = 2.0 ** -54, 1.0 - 2.0 ** -53
+        yield u
+        yield from ([2.0 ** -54], [1.0 - 2.0 ** -53], [2.0 ** -54, 0.5, 1.0 - 2.0 ** -53],
+                    [2.0 ** -54] * 600 + [1.0 - 2.0 ** -53] * 600)
+        for pair in ([1.0 - 2.0 ** -53, 1.0 - 2.0 ** -52], [0.5 - 2.0 ** -54, 0.5]):
+            yield np.resize(pair, 4000)
+        k = np.arange(1, 2001)
+        yield np.concatenate([2.0 ** -54 * k, 1.0 - 2.0 ** -53 * k])
+
+    def test_bounds_bracket_u(self):
+        # L <= U <= H for U summed exactly and for the vecdot U, in draw order
+        for u in self.rows():
+            u = np.array(u)
+            z = special.ndtri(u)
+            (lo,), (hi,) = mc._sq_bounds(np.sort(u)[None])
+            for sq in (math.fsum(z * z), np.vecdot(z, z)):
+                assert lo <= sq <= hi, (u.size, lo, sq, hi)
+
+    def test_segments_cover_every_row_length(self):
+        # every entry of a row lies in exactly one segment, for each N up to 3000
+        for n in range(1, 3001):
+            p, k, ends, _ = mc._cuts(n)
+            assert p[0] == 0 and np.all(k >= 1) and k.sum() == n and ends[-1] == n - 1, n
+
+    def test_bounds_bracket_u_at_every_short_length(self):
+        u = mc._keyed_uniforms(2 ** 64 - 1, 0, 1, 300)[0]
+        for n in range(1, 301):
+            z = special.ndtri(u[:n])
+            (lo,), (hi,) = mc._sq_bounds(np.sort(u[:n])[None])
+            assert lo <= np.vecdot(z, z) <= hi, n
+
+    def test_ndtri_keeps_sorted_order(self):
+        # so the sorted uniforms' order is the sorted Gaussian sample's
+        for u in self.rows():
+            assert np.all(np.diff(special.ndtri(np.sort(u))) >= 0.0)
+
+    def test_edge_remainder(self):
+        # |Phi(rho B) - Phi(B) - B phi(B) (rho - 1)| <= 0.2313 d^2 / (1 - |d|)^2,
+        # d = rho - 1, for |d| <= 1/4: half of sup |x|^3 phi(x) = 0.46254 over rho^2
+        b = np.linspace(-8.0, 8.0, 1601)[:, None]
+        d = np.linspace(-0.25, 0.25, 102)
+        rem = np.abs(special.ndtr((1.0 + d) * b) - special.ndtr(b)
+                     - b * np.exp(-0.5 * b * b) / math.sqrt(2.0 * math.pi) * d)
+        assert np.all(rem <= 0.2313 * (d / (1.0 - np.abs(d))) ** 2 + 1e-15)
 
 
 class TestBandAssumption:
@@ -431,6 +552,20 @@ class TestSqNorms:
                 assert (verdict(got) == verdict(sq)).all(), (k, thr)
                 # a stand-in is the lower bound L <= U
                 assert np.all(got <= sq)
+
+    @pytest.mark.parametrize("n, seed", [(1000, 5), (10_000, 2 ** 63 + 5)])
+    def test_planted_threshold_beside_a_settled_one(self, n, seed):
+        # one verdict planted on a row's exact U, the other far off: a row whose
+        # bounds settle only the far verdict must still reach the exact path
+        u = mc._keyed_uniforms(seed, 0, 20, n)
+        sq = self.exact(u)
+        for k in range(0, 20, 4):
+            for thr in (np.nextafter(sq[k], 0.0), sq[k], np.nextafter(sq[k], np.inf)):
+                def verdict(s):
+                    return np.array([s >= thr, s >= 2.0 * n])
+
+                got = mc._sq_norms(u.copy(), verdict)
+                assert (verdict(got) == verdict(sq)).all(), (k, thr)
 
     def test_zero_stand_in(self):
         # at N = 1 trial 6 of seed 11 draws u in [1/2 - 2^-10, 1/2), whose bin
