@@ -22,14 +22,15 @@ values p have KS > s exactly when some p_i < i/N - s or p_i > (i-1)/N + s.  A
 row that crosses the edges of s = thr + 2 _BAND is an event, a row inside those
 of s = thr - 2 _BAND is not, and only the rows in between reach
 _ks_statistics.  The DKW runner tests its sorted uniforms against these edges,
-the theorem runner, on rows shorter than _U_MIN_N, its sorted rows against
-their ndtri images.  Order
-statistics are 1-Lipschitz in the sup norm; |ndtr(ndtri(u)) - u| is at most
-2.8e-16 (over keyed draws, a dense grid of [0, 1] and the extremes 2^-k and
-1 - 2^-k), ndtr steps down by at most 2.2e-16 between consecutive doubles, and
-edge and gap rounding add about 2.2e-16 each (scipy 1.17.1), so an edge test
-misplaces a row by less than 1e-15, 2000 times inside the 2 _BAND margin, and
-the counts equal those of the exact statistic of every row.
+the theorem runner its sorted x-space rows against their ndtri images: every
+row shorter than _X_MIN_N, and the rows its uniform-space filter leaves open.
+Order statistics are 1-Lipschitz in the sup norm; |ndtr(ndtri(u)) - u| is at
+most 2.8e-16 (over keyed draws, a dense grid of [0, 1] and the extremes 2^-k
+and 1 - 2^-k), ndtr steps down by at most 2.2e-16 between consecutive
+doubles, and edge and gap rounding add about 2.2e-16 each (scipy 1.17.1), so
+an edge test misplaces a row by less than 1e-15, 2000 times inside the
+2 _BAND margin, and the counts equal those of the exact statistic of every
+row.
 
 The lambda and chi-square runners count events of U = z . z, the float that
 np.vecdot(ndtri(u), ndtri(u)) returns, and _sq_norms decides most rows without
@@ -61,24 +62,33 @@ division), so Jensen takes that bracket's point nearest 1/2 and the chord its
 worse end; the sums, widened as above, bracket U.  _sq_norms sends the rows its
 bins leave open through these bounds, on sorted copies, before any ndtri.
 
-The theorem runner decides such rows in uniform space (_u_verdicts).  The exact
-sample x_i = Phi^-1(u_i) / rho, rho = |Z| / sqrt(N), has Phi(x_i) < e exactly
-when u_i < F(rho) = Phi(rho B), B = Phi^-1(e), at each edge e of KS > thr, and
-likewise for >.  With rho - 1 in [d_L, d_H] (from L and H), d = max(-d_L, d_H)
-and b = B phi(B), F(rho) = e + b (rho - 1) + R, |R| <= 0.2313 d^2 / (1 - d)^2
-(half of sup |x^3 phi(x)| = 0.46254, over min(1, rho)^2).  So e + b d_L or
-e + b d_H, whichever bounds b (rho - 1) on the side wanted, one multiply-add
-per entry, gives certified envelopes, the upper above the lower by
-|b| (d_H - d_L) <= 0.2420 (d_H - d_L).  A row inside both edges' envelopes by
-the bound on R plus mu = 1e-9 + N 2^-45 is no event, and a row crossing an
-envelope by as much is an event.  The others, and all rows with d > 1/4 or an
-edge with |B| > 5 (clipped edges are vacuous), are redrawn from their keys and
-get their exact statistic.  On those ranges Phi(Phi^-1(p) / rho) rises at least
-1/180 as fast as p, so mu, less the envelopes' rounding (under 1e-13), moves
-Phi(x_i) by over 5e-12 + N 2^-53: five times the 1e-12 band, and more than
-the statistic of the x-space pipeline can differ from the exact sample's
-(ndtri's 1e-13 relative error, the norm's gamma_N, ndtr and gap rounding).
-Every decided row therefore gets the verdict of that statistic.
+The theorem runner decides rows of at least _X_MIN_N entries in uniform space
+(_u_verdicts), with L and H from the bins below _U_MIN_N (4 n u < 1/2 there)
+and from _sq_bounds from there on; what follows holds for any L <= U <= H.
+The exact sample x_i = Phi^-1(u_i) / rho, rho = |Z| / sqrt(N), has
+Phi(x_i) < e exactly when u_i < F(rho) = Phi(rho B), B = Phi^-1(e), at each
+edge e of KS > thr, and likewise for >.  With rho - 1 in [d_L, d_H] (from L
+and H), (rho - 1)^2 in [q_L, q_H], d = max(-d_L, d_H), b = B phi(B) and
+c = -B^2 b / 2, F(rho) = e + b (rho - 1) + c (rho - 1)^2 + R with
+|R| <= 0.2468 d^3 / (1 - d)^3 (a sixth of sup |x^3 (x^2 - 1) phi(x)| =
+1.48051, over min(1, rho)^3).  With d_M and q_M the midpoints of
+[d_L, d_H] and [q_L, q_H], the midpoint edge e + b d_M + c q_M is within
+|b| (d_H - d_L) / 2 + |c| (q_H - q_L) / 2 <= 0.1210 (d_H - d_L) +
+0.1157 (q_H - q_L) of e + b (rho - 1) + c (rho - 1)^2 (|b| <= phi(1) <
+0.2420, and |c| is at most half of sup |x^3 phi(x)| = 0.46254).  One matmul
+of the rows' (d_M, q_M, 1) with (b, c, e) per edge family forms the midpoint
+edges, each e plus two products whatever the BLAS.  The margin is that
+spread plus the bound on R plus mu = 1e-9 + N 2^-45: a row inside both
+families' midpoint edges by the margin is no event, and a row crossing one by
+as much is an event.  The others, and all rows with d > 1/4 or an edge with
+|B| > 5 (clipped edges are vacuous), are redrawn from their keys, in one call
+per block, and take the x-space edge rule.  On those ranges
+Phi(Phi^-1(p) / rho) rises at least 1/180 as fast as p, so mu, less the
+midpoint edges' rounding (under 1e-13), moves Phi(x_i) by over
+5e-12 + N 2^-53: five times the 1e-12 band, and more than the statistic of
+the x-space pipeline can differ from the exact sample's (ndtri's 1e-13
+relative error, the norm's gamma_N, ndtr and gap rounding).  Every decided
+row therefore gets the verdict of that statistic.
 
 A Wilson score interval accompanies every frequency.  A configuration is
 dominated when the observed frequency does not exceed the bound; the Wilson
@@ -133,14 +143,17 @@ _CHUNK_ELEMENTS = 1 << 17
 # the GIL for about 1.5 us (timeit, 2-core VM: a whole _keyed_uniforms call
 # takes 1.5 us per row at N = 1, 0.55 us of it the state restore and 0.9 us
 # the Generator.random call) and the uniform fill, ndtri, sort and ndtr
-# release it for about 0.06 us per entry.  When the set-up held it for about
-# 8 us, two threads lost 37% at N = 50, tied at N = 100-128 and won from
-# N = 160 on (in-process A/B); at 1.5 us they still lost 34% at N = 50 and 12%
-# at N = 100 (dkw plus chisq runs, 16 alternating in-process pairs).  No
-# benchmark workload has a multi-block call below N = 160
+# release it for about 0.06 us per entry; the theorem runner's uniform-space
+# blocks hand it over between many short numpy calls.  Two threads lost 34% at
+# N = 50 and 12% at N = 100 (dkw plus chisq runs, 16 alternating in-process
+# pairs); on the four runners they lost on 11 of 12 runner and N pairs at
+# N = 160-500, were mixed at N = 1000 and won on most from N = 1500 on (7
+# in-process rounds of best of 2, four blocks or more a call, loaded 2-core
+# VM), and the theorem runner at N = 200 and 1000 trials took 45% longer on
+# two than on one (median of 4 fresh processes, best of 7)
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-_THREAD_MIN_N = 160
+_THREAD_MIN_N = 1000
 
 _MIN_TRIALS = 100  # below this a Wilson verdict is meaningless
 _SCOPES = ("lemmas", "appendix", "all")  # verify_lemmas' scopes: main-text lemmas, appendix, both
@@ -203,39 +216,54 @@ def _sq_table() -> np.ndarray:
     return tab
 
 
+def _sq_group(n: int) -> int:
+    # rows per group of the |Z|^2 bound passes, about _CHUNK_ELEMENTS / 16
+    # entries: the bin pass makes 3 MiB of temporaries per 2^17 entries, so
+    # groups keep them near the caches and off the peak RSS (2^14-entry groups
+    # read 0.4 MiB more peak on the mc-small-n shapes, at the same speed)
+    return max(1, (_CHUNK_ELEMENTS >> 4) // n)
+
+
+def _bin_bounds(u: np.ndarray):
+    """Bounds L <= U <= H on U = z . z, z = ndtri(u), for each row, from _sq_table.
+
+    Valid while 4 n 2^-53 < 1/2 (module docstring), for rows in any order.
+    """
+    rows, n = u.shape
+    tab, group = _sq_table(), _sq_group(n)
+    lo, hi = np.empty(rows), np.empty(rows)
+    for r in range(0, rows, group):
+        ug = u[r:r + group]
+        w = np.subtract(1.0, ug)
+        np.minimum(w, ug, out=w)
+        b = w.view(np.int64)
+        b >>= _SQ_SHIFT
+        b -= _SQ_BASE
+        s = tab[b].sum(axis=-1)
+        lo[r:r + group], hi[r:r + group] = s.real, s.imag
+    widen = 4.0 * n * 2.0 ** -53
+    lo *= 1.0 - widen
+    hi *= 1.0 + widen
+    return lo, hi
+
+
 def _sq_norms(u: np.ndarray, verdict) -> np.ndarray:
     """Each row's U = z . z for z = ndtri(u), or a stand-in with U's verdict.
 
     verdict maps an array of U to an array whose axis 0 lists its verdicts,
-    each monotone in U.  Rows go through the bin bounds in groups of about
-    _CHUNK_ELEMENTS / 16 entries (3 MiB of temporaries per 2^17, so groups
-    keep them near the caches and off the peak RSS: 2^14-entry groups read
-    0.4 MiB more peak on the mc-small-n shapes, at the same speed); a row
-    whose verdicts at its bounds L and H agree gets L; for n >= _U_MIN_N the
-    others then go through _sq_bounds on sorted copies, and those still open
-    get the exact ndtri and ddot, one row at a time in place (module
+    each monotone in U.  Rows go through _bin_bounds; a row whose verdicts at
+    its bounds L and H agree gets L; for n >= _U_MIN_N the others then go
+    through _sq_bounds on sorted copies, in the same groups, and those still
+    open get the exact ndtri and ddot, one row at a time in place (module
     docstring).
     """
     rows, n = u.shape
     near = np.ones(rows, dtype=bool)
-    widen = 4.0 * n * 2.0 ** -53
-    if widen < 0.5:
-        tab, group = _sq_table(), max(1, (_CHUNK_ELEMENTS >> 4) // n)
-        lo, hi = np.empty(rows), np.empty(rows)
-        for r in range(0, rows, group):
-            ug = u[r:r + group]
-            w = np.subtract(1.0, ug)
-            np.minimum(w, ug, out=w)
-            b = w.view(np.int64)
-            b >>= _SQ_SHIFT
-            b -= _SQ_BASE
-            s = tab[b].sum(axis=-1)
-            lo[r:r + group], hi[r:r + group] = s.real, s.imag
-        lo *= 1.0 - widen
-        hi *= 1.0 + widen
+    if 4.0 * n * 2.0 ** -53 < 0.5:
+        lo, hi = _bin_bounds(u)
         near = (verdict(lo) != verdict(hi)).any(axis=0)
         # long rows still open: sorted copies through _sq_bounds, in the same groups
-        rest = np.flatnonzero(near) if n >= _U_MIN_N else ()
+        rest, group = np.flatnonzero(near) if n >= _U_MIN_N else (), _sq_group(n)
         for r in range(0, len(rest), group):
             j = rest[r:r + group]
             us = u[j]
@@ -251,12 +279,19 @@ def _sq_norms(u: np.ndarray, verdict) -> np.ndarray:
     return lo
 
 
-# rows at least this long take the sorted-uniform bounds below.  Against the
-# x-space runner (in-process A/B, 2000 trials, best of 9, 2-core VM) the theorem
-# filter lost 17% at N = 512 and won 5% at N = 700 and 16% at N = 1000 on one
-# thread; on two, where its envelope passes gain little, it tied at
-# N = 700-1000 and won 5-15% from N = 1500 on
+# rows at least this long take the sorted-uniform bounds below: in _sq_norms
+# after the bins, in the theorem runner in their place.  It was set where the
+# theorem filter on these bounds overtook the x-space runner.  Against the
+# bins' bracket that runner took 19-20% longer at N = 1000 on one and on two
+# threads, 8% longer at N = 2000 on one and the same on two, and 3-21% less
+# at N = 5000 (in-process A/B, 500 trials, median of 9 rounds of best of 3,
+# 2-core VM)
 _U_MIN_N = 1000
+# the theorem runner decides rows at least this long in uniform space, on
+# _bin_bounds below _U_MIN_N.  Against its x-space rule (in-process A/B, 1000
+# trials, four thresholds, median of 11 rounds of best of 3, one thread,
+# 2-core VM) it lost 0-3% at N = 24 and won 4-7% at N = 32 and 9-11% at 40
+_X_MIN_N = 32
 _RHO_SPAN, _B_MAX = 0.25, 5.0  # the theorem filter's ranges of |rho - 1| and |ndtri(e)|
 
 
@@ -287,49 +322,60 @@ def _sq_bounds(us: np.ndarray):
             np.vecdot(chord, k) * (1.0 + widen))
 
 
-def _u_edges(n: int, thr: float):
-    """e and b = B phi(B), B = ndtri(e), per edge of KS > thr, and each row's count of e < 1/2.
+def _u_edges(n: int, thr: float) -> np.ndarray:
+    """b = B phi(B), c = -B^2 b / 2 and e, B = ndtri(e), per edge e of KS > thr: (2, 3, n).
 
-    Past _B_MAX a clipped edge is vacuous (e = +-inf), any other opens every row (NaN).
+    Family 0 holds the edges i/N - thr, family 1 the edges (i-1)/N + thr.
+    Past _B_MAX a clipped edge is vacuous (e = +-inf), any other opens every
+    row (NaN).
     """
-    tab = np.empty((2, 2, n))  # built in place: its temporaries are flags and one 2 x n array
-    e, b = tab[:, 0], tab[:, 1]
+    lines = np.empty((2, 3, n))
+    b, c, e = lines.transpose(1, 0, 2)
     _ks_edges(n, thr, (0.0,), out=e)
-    split = np.count_nonzero(e < 0.5, axis=1)
     special.ndtri(e, out=b)
     far = (b < -_B_MAX) | (b > _B_MAX)
     e[far] = np.nan
     np.copyto(e, b, where=far & np.isinf(b))
     b[far] = 0.0
-    phi = np.multiply(b, b)
-    phi *= -0.5
-    b *= np.exp(phi, out=phi)
+    np.multiply(b, b, out=c)
+    c *= -0.5
+    b *= np.exp(c)
     b *= 1.0 / math.sqrt(2.0 * math.pi)
-    return tab, split
+    c *= b
+    return lines
 
 
-def _u_verdicts(u: np.ndarray, tab: np.ndarray, split: np.ndarray):
-    """(hit, open) for sorted rows of keyed uniforms, in groups of _CHUNK_ELEMENTS / 4 entries."""
+def _u_verdicts(u: np.ndarray, lines: np.ndarray, lo, hi):
+    """(hit, open) for sorted rows of keyed uniforms whose |Z|^2 lie in [lo, hi].
+
+    Per group of about _CHUNK_ELEMENTS / 8 entries, one matmul of the rows'
+    midpoints (d_M, q_M, 1) with _u_edges' lines forms both families'
+    midpoint edges.  The least of u - family 0's and family 1's - u decides a
+    row: an event below -margin, none from margin on (module docstring).
+    """
     rows, n = u.shape
-    group = max(1, (_CHUNK_ELEMENTS >> 2) // n)
-    buf = np.empty((min(group, rows), n))  # below _sq_bounds' temporaries in a thread's heap
-    d = np.sqrt(np.array(_sq_bounds(u)) / n) - 1.0  # rho - 1 at L and at H
+    group = -(-(_CHUNK_ELEMENTS >> 3) // n)  # rows, rounded up: two at N = 10^4
+    buf = np.empty((2, min(group, rows), n))
+    d = np.sqrt(np.array((lo, hi)) / n) - 1.0  # rho - 1 at L and at H
+    q = np.sort(d * d, axis=0)
+    q[0] *= (d[0] > 0.0) | (d[1] < 0.0)  # q_L = 0 where d_L <= 0 <= d_H
     span = np.maximum(-d[0], d[1])
-    span[~(span <= _RHO_SPAN)] = np.nan  # a NaN remainder leaves its row open
-    rem = 0.2313 * (span / (1.0 - span)) ** 2 + (1e-9 + n * 2.0 ** -45)
-    gap = np.empty((2, rows))  # min u - upper envelope of i/N - thr, max u - lower of the rest
+    span[~(span <= _RHO_SPAN)] = np.nan  # a NaN margin leaves its row open
+    margin = (0.2468 * (span / (1.0 - span)) ** 3 + (1e-9 + n * 2.0 ** -45)
+              + 0.1210 * (d[1] - d[0]) + 0.1157 * (q[1] - q[0]))
+    mid = np.ones((rows, 3))
+    mid[:, 0], mid[:, 1] = d.sum(axis=0) / 2.0, q.sum(axis=0) / 2.0
+    gap = np.empty(rows)
     for r in range(0, rows, group):
         us = u[r:r + group]
-        out = buf[:len(us)]
-        for k, ((e, b), i) in enumerate(zip(tab, split)):
-            np.multiply(d[k, r:r + group, None], b[:i], out=out[:, :i])  # columns with b <= 0
-            np.multiply(d[1 - k, r:r + group, None], b[i:], out=out[:, i:])
-            out += e
-            np.subtract(us, out, out=out)
-            gap[k, r:r + group] = out.max(axis=1) if k else out.min(axis=1)
-    wide = rem + 0.2420 * (d[1] - d[0])  # |b| <= phi(1) < 0.2420
-    hit = (gap[0] < -wide) | (gap[1] > wide)
-    return hit, ~(hit | ((gap[0] >= rem) & (gap[1] <= -rem)))
+        out = buf[:, :len(us)]
+        lower, upper = out
+        np.matmul(mid[r:r + group], lines, out=out)
+        np.subtract(us, lower, out=lower)
+        np.subtract(upper, us, out=upper)
+        gap[r:r + group] = np.minimum(lower, upper, out=lower).min(axis=1)
+    hit = gap < -margin
+    return hit, ~(hit | (gap >= margin))
 
 
 def _trial_keys(N, trials, seed):
@@ -455,10 +501,12 @@ def run_theorem_trials(config: TrialConfig) -> MonteCarloReport:
     sqrt(N) X, and counts KS deviations from the Gaussian CDF exceeding
     epsilon + gamma(t).  The bound is the corresponding three-term total.
 
-    Rows shorter than _U_MIN_N are decided by _ks_exceeds against the ndtri
-    images of _ks_edges.  Longer rows are sorted as uniforms and decided by
-    _u_verdicts; the few it leaves open are redrawn from their keys and get
-    the exact statistic of the x-space pipeline (module docstring).
+    The x-space rule forms sqrt(N) X as the one-trial pipeline does, sorts it
+    and decides it by _ks_exceeds against the ndtri images of _ks_edges.  Rows
+    shorter than _X_MIN_N all take it.  Longer rows are sorted as uniforms and
+    decided by _u_verdicts, their |Z|^2 bounded by _bin_bounds below _U_MIN_N
+    and by _sq_bounds from there on; the few it leaves open are redrawn from
+    their keys in one call and take the x-space rule (module docstring).
     """
     if not isinstance(config, TrialConfig):
         raise DomainError("run_theorem_trials expects a TrialConfig")
@@ -467,29 +515,29 @@ def run_theorem_trials(config: TrialConfig) -> MonteCarloReport:
     thr = bound.threshold
     sqrt_n = math.sqrt(n)
 
-    def sample(u):  # sqrt(N) X for each row, drawn as the one-trial pipeline draws it
+    @functools.cache
+    def edges():  # built by the first block that needs them: long rows seldom do
+        return special.ndtri(_ks_edges(n, thr))
+
+    def x_exceeds(u, first=None):  # sqrt(N) X as the one-trial pipeline forms it, sorted
         x = special.ndtri(u, out=u)
         x /= _norms(x)[:, None]
         x *= sqrt_n
-        return x
+        x.sort(axis=-1)
+        return _ks_exceeds(x, edges(), thr, _ks_statistics)
 
-    if n < _U_MIN_N:
-        edges = special.ndtri(_ks_edges(n, thr))
-
-        def exceeds(u, first):
-            x = sample(u)
-            x.sort(axis=-1)
-            return _ks_exceeds(x, edges, thr, _ks_statistics)
-    else:
-        tab, split = _u_edges(n, thr)
+    exceeds = x_exceeds
+    if n >= _X_MIN_N:
+        lines = _u_edges(n, thr)
+        sq_bounds = _bin_bounds if n < _U_MIN_N else _sq_bounds
 
         def exceeds(u, first):
             u.sort(axis=-1)
-            hit, near = _u_verdicts(u, tab, split)
+            hit, near = _u_verdicts(u, lines, *sq_bounds(u))
             rows = np.flatnonzero(near)
             if rows.size:
-                hit[rows] = _ks_statistics(sample(np.concatenate(
-                    [_keyed_uniforms(config.seed, first + j, 1, n) for j in rows]))) > thr
+                ids = [first + j for j in rows.tolist()]
+                hit[rows] = x_exceeds(_keyed_uniforms(config.seed, ids, rows.size, n))
             return hit
 
     return _report(_per_trial(n, config.seed, config.trials, exceeds), bound.total)

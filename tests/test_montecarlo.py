@@ -120,19 +120,24 @@ class TestTheoremTrials:
                 lambda: run_dkw_trials(n, trials, seed, 0.05),
                 lambda: run_lambda_trials(n, trials, seed, 0.05),
                 lambda: run_chisq_trials(n, trials, seed, 1.0))
-        draw, on_main = mc._keyed_uniforms, []
+        draw, calls = mc._keyed_uniforms, []
         monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * n)
+        # (whether the call draws a block, whether it runs on the main thread);
+        # the theorem runner redraws its open rows by a list of stream ids
         monkeypatch.setattr(
             mc, "_keyed_uniforms",
-            lambda *a: on_main.append(threading.current_thread() is threading.main_thread())
+            lambda *a: calls.append((not isinstance(a[1], list),
+                                     threading.current_thread() is threading.main_thread()))
             or draw(*a))
         reports = {}
         for workers in (1, 2):
             monkeypatch.setattr(mc, "_WORKERS", workers)
-            on_main.clear()
+            calls.clear()
             reports[workers] = [run() for run in runs]
-            # 15 blocks per runner, all on the main thread exactly when unthreaded
-            assert on_main == [workers == 1] * (4 * 15)
+            # 15 blocks per runner, and every draw on the main thread exactly
+            # when unthreaded
+            assert [main for block, main in calls if block] == [workers == 1] * (4 * 15)
+            assert {main for _, main in calls} == {workers == 1}
         assert reports[1] == reports[2]
 
     def test_thread_count_is_invisible_to_the_long_row_filters(self, monkeypatch):
@@ -186,13 +191,28 @@ class TestTheoremTrials:
     @pytest.mark.parametrize("n", [4, 11, 61, 2000])
     def test_filter_matches_per_trial_modules(self, monkeypatch, n):
         # lengths whose segment cuts round the first rank up to 1, through the
-        # uniform-space filter
+        # uniform-space filter on _sq_bounds
+        monkeypatch.setattr(mc, "_X_MIN_N", 1)
         monkeypatch.setattr(mc, "_U_MIN_N", 1)
         cfg = TrialConfig(N=n, trials=200, seed=2 ** 64 - 1, epsilon=0.5 / math.sqrt(n), t=0.1)
         threshold = cfg.epsilon + gamma_closed(cfg.t).gamma
         count = sum(ks_to_normal(build_ecdf(sphere_sample(n, RngStream(cfg.seed, i)).coords
                                             * math.sqrt(n))).statistic > threshold
                     for i in range(cfg.trials))
+        assert run_theorem_trials(cfg).event_count == count
+
+    @pytest.mark.parametrize("n", [mc._X_MIN_N - 1, mc._X_MIN_N, 100, 200,
+                                   mc._U_MIN_N - 1, mc._U_MIN_N])
+    @pytest.mark.parametrize("seed", [0, 2 ** 63 + 5, 2 ** 64 - 1])
+    def test_tiers_match_per_trial_modules(self, n, seed):
+        # either side of the x-space rule's and the two |Z|^2 bounds' crossovers
+        assert {100, 200} < set(range(mc._X_MIN_N, mc._U_MIN_N))
+        cfg = TrialConfig(N=n, trials=200, seed=seed, epsilon=0.7 / math.sqrt(n), t=0.01)
+        threshold = cfg.epsilon + gamma_closed(cfg.t).gamma
+        count = sum(ks_to_normal(build_ecdf(sphere_sample(n, RngStream(seed, i)).coords
+                                            * math.sqrt(n))).statistic > threshold
+                    for i in range(cfg.trials))
+        assert 0 < count < cfg.trials
         assert run_theorem_trials(cfg).event_count == count
 
     def test_impossible_threshold(self):
@@ -300,10 +320,18 @@ class TestPlantedThresholds:
 
     @pytest.mark.parametrize("n, seed", SHAPES)
     def test_theorem_planted_threshold_filtered(self, monkeypatch, n, seed):
-        # the same thresholds through the uniform-space filter, which then meets
-        # N = 1, clipped edges where ndtri is +-inf and rows with |rho - 1| past
-        # _RHO_SPAN
+        # the same thresholds through the uniform-space filter on _sq_bounds,
+        # which then meets N = 1, clipped edges where ndtri is +-inf and rows
+        # with |rho - 1| past _RHO_SPAN
+        monkeypatch.setattr(mc, "_X_MIN_N", 1)
         monkeypatch.setattr(mc, "_U_MIN_N", 1)
+        self.test_theorem_planted_threshold(n, seed)
+
+    @pytest.mark.parametrize("n, seed", [(64, 2 ** 64 - 1), (64, 0), (200, 2 ** 63 + 5)])
+    def test_theorem_planted_threshold_bin_bounded(self, monkeypatch, n, seed):
+        # the same thresholds through the uniform-space filter on _bin_bounds
+        monkeypatch.setattr(mc, "_X_MIN_N", min(mc._X_MIN_N, n))
+        assert n < mc._U_MIN_N
         self.test_theorem_planted_threshold(n, seed)
 
     @pytest.mark.parametrize("n", [1000, 4000])
@@ -398,15 +426,31 @@ class TestKsExceeds:
             run()
             assert sum(seen) <= 1, seen
 
+    @staticmethod
+    def redrawn_rows(monkeypatch, cfg):
+        """The rows run_theorem_trials redraws: those its draws take by a list of stream ids."""
+        rows, draw = [], mc._keyed_uniforms
+        monkeypatch.setattr(mc, "_keyed_uniforms", lambda *a: rows.extend(
+            a[1] if isinstance(a[1], list) else []) or draw(*a))
+        run_theorem_trials(cfg)
+        return rows
+
     @pytest.mark.parametrize("seed", [0, 2 ** 63 + 5])
     def test_filter_leaves_few_rows_open(self, monkeypatch, seed):
         # at the mc-large-n theorem shape the uniform-space filter decides all
-        # but a few of 500 rows; each open row is redrawn alone from its key
+        # but a few of 500 rows
         assert 10_000 >= mc._U_MIN_N
-        draws, draw = [], mc._keyed_uniforms
-        monkeypatch.setattr(mc, "_keyed_uniforms", lambda *a: draws.append(a[2]) or draw(*a))
-        run_theorem_trials(TrialConfig(10_000, 500, seed, 0.01, 0.02))
-        assert draws.count(1) <= 2, draws
+        rows = self.redrawn_rows(monkeypatch, TrialConfig(10_000, 500, seed, 0.01, 0.02))
+        assert len(rows) <= 2, rows
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 63 + 5])
+    @pytest.mark.parametrize("n, budget", [(100, 80), (200, 30)])
+    def test_bin_bounded_filter_leaves_few_rows_open(self, monkeypatch, seed, n, budget):
+        # at the mc-small-n theorem shapes past _X_MIN_N it leaves at most 8%
+        # and 3% of 1000 rows open
+        assert mc._X_MIN_N <= n < mc._U_MIN_N
+        rows = self.redrawn_rows(monkeypatch, TrialConfig(n, 1000, seed, 0.05, 0.1))
+        assert len(rows) <= budget, rows
 
 
 class TestSortedBoundPremises:
@@ -463,6 +507,37 @@ class TestSortedBoundPremises:
         rem = np.abs(special.ndtr((1.0 + d) * b) - special.ndtr(b)
                      - b * np.exp(-0.5 * b * b) / math.sqrt(2.0 * math.pi) * d)
         assert np.all(rem <= 0.2313 * (d / (1.0 - np.abs(d))) ** 2 + 1e-15)
+
+    def test_edge_remainder_past_the_square(self):
+        # |Phi(rho B) - Phi(B) - b d - c d^2| <= 0.2468 |d|^3 / (1 - |d|)^3,
+        # d = rho - 1, b = B phi(B), c = -B^2 b / 2, for |d| <= 1/4: a sixth of
+        # sup |x^3 (x^2 - 1) phi(x)| = 1.48051 over rho^3; and the bounds
+        # 0.2420 on |b| and 0.2313 on |c|, whose halves _u_verdicts' margin takes
+        b = np.linspace(-8.0, 8.0, 1601)[:, None]
+        d = np.linspace(-0.25, 0.25, 102)
+        slope = b * np.exp(-0.5 * b * b) / math.sqrt(2.0 * math.pi)
+        curve = -0.5 * b * b * slope
+        rem = np.abs(special.ndtr((1.0 + d) * b) - special.ndtr(b) - slope * d - curve * d * d)
+        assert np.all(rem <= 0.2468 * (np.abs(d) / (1.0 - np.abs(d))) ** 3 + 1e-15)
+        assert np.abs(slope).max() < 0.2420 and np.abs(curve).max() < 0.2313
+
+    @pytest.mark.parametrize("d, edge, family", [(-0.1, -2.4, 0), (0.1, 2.28, 1)])
+    def test_row_on_an_edge_stays_open(self, d, edge, family):
+        # a row inside every edge but one, whose entry sits on F(rho) = Phi(rho B)
+        # near the B where the third-order remainder is largest for this
+        # rho - 1 (about 0.8 of its bound), has no certified verdict
+        n, rho = 100, 1.0 + d
+        u = (np.arange(n) + 0.5) / n
+        on = special.ndtr(rho * edge)
+        if family == 0:  # the 6th entry on the edge 6/N - thr
+            thr = 6 / n - special.ndtr(edge)
+            u[:6] = np.linspace(0.5 / n, on, 6)
+        else:  # the 95th entry on the edge 94/N + thr
+            thr = special.ndtr(edge) - 94 / n
+            u[94:] = np.linspace(on, 1.0 - 0.5 / n, 6)
+        sq = np.array([n * rho * rho])
+        hit, near = mc._u_verdicts(u[None], mc._u_edges(n, thr), sq, sq)
+        assert near.tolist() == [True] and hit.tolist() == [False]
 
 
 class TestBandAssumption:
