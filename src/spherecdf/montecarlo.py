@@ -22,8 +22,8 @@ values p have KS > s exactly when some p_i < i/N - s or p_i > (i-1)/N + s.  A
 row that crosses the edges of s = thr + 2 _BAND is an event, a row inside those
 of s = thr - 2 _BAND is not, and only the rows in between reach
 _ks_statistics.  The DKW runner tests its sorted uniforms against these edges,
-the theorem runner its sorted x-space rows against their ndtri images: every
-row shorter than _X_MIN_N, and the rows its uniform-space filter leaves open.
+the theorem runner the sorted x-space rows its uniform-space filter leaves
+open against their ndtri images.
 Order statistics are 1-Lipschitz in the sup norm; |ndtr(ndtri(u)) - u| is at
 most 2.8e-16 (over keyed draws, a dense grid of [0, 1] and the extremes 2^-k
 and 1 - 2^-k), ndtr steps down by at most 2.2e-16 between consecutive
@@ -62,9 +62,9 @@ division), so Jensen takes that bracket's point nearest 1/2 and the chord its
 worse end; the sums, widened as above, bracket U.  _sq_norms sends the rows its
 bins leave open through these bounds, on sorted copies, before any ndtri.
 
-The theorem runner decides rows of at least _X_MIN_N entries in uniform space
-(_u_verdicts), with L and H from the bins below _U_MIN_N (4 n u < 1/2 there)
-and from _sq_bounds from there on; what follows holds for any L <= U <= H.
+The theorem runner decides its rows in uniform space (_u_verdicts), with L
+and H from the bins below _U_MIN_N (4 n u < 1/2 there) and from _sq_bounds
+from there on; what follows holds for any L <= U <= H.
 The exact sample x_i = Phi^-1(u_i) / rho, rho = |Z| / sqrt(N), has
 Phi(x_i) < e exactly when u_i < F(rho) = Phi(rho B), B = Phi^-1(e), at each
 edge e of KS > thr, and likewise for >.  With rho - 1 in [d_L, d_H] (from L
@@ -81,8 +81,8 @@ edges, each e plus two products whatever the BLAS.  The margin is that
 spread plus the bound on R plus mu = 1e-9 + N 2^-45: a row inside both
 families' midpoint edges by the margin is no event, and a row crossing one by
 as much is an event.  The others, and all rows with d > 1/4 or an edge with
-|B| > 5 (clipped edges are vacuous), are redrawn from their keys, in one call
-per block, and take the x-space edge rule.  On those ranges
+|B| > 5 (clipped edges are vacuous), are redrawn from their keys and take
+the x-space edge rule.  On those ranges
 Phi(Phi^-1(p) / rho) rises at least 1/180 as fast as p, so mu, less the
 midpoint edges' rounding (under 1e-13), moves Phi(x_i) by over
 5e-12 + N 2^-53: five times the 1e-12 band, and more than the statistic of
@@ -280,18 +280,10 @@ def _sq_norms(u: np.ndarray, verdict) -> np.ndarray:
 
 
 # rows at least this long take the sorted-uniform bounds below: in _sq_norms
-# after the bins, in the theorem runner in their place.  It was set where the
-# theorem filter on these bounds overtook the x-space runner.  Against the
-# bins' bracket that runner took 19-20% longer at N = 1000 on one and on two
-# threads, 8% longer at N = 2000 on one and the same on two, and 3-21% less
-# at N = 5000 (in-process A/B, 500 trials, median of 9 rounds of best of 3,
-# 2-core VM)
+# after the bins, in the theorem runner in their place.  At 1000 the theorem
+# filter on these bounds tied the x-space rule on two threads, and every
+# mc-large-n row is on this side
 _U_MIN_N = 1000
-# the theorem runner decides rows at least this long in uniform space, on
-# _bin_bounds below _U_MIN_N.  Against its x-space rule (in-process A/B, 1000
-# trials, four thresholds, median of 11 rounds of best of 3, one thread,
-# 2-core VM) it lost 0-3% at N = 24 and won 4-7% at N = 32 and 9-11% at 40
-_X_MIN_N = 32
 _RHO_SPAN, _B_MAX = 0.25, 5.0  # the theorem filter's ranges of |rho - 1| and |ndtri(e)|
 
 
@@ -501,12 +493,11 @@ def run_theorem_trials(config: TrialConfig) -> MonteCarloReport:
     sqrt(N) X, and counts KS deviations from the Gaussian CDF exceeding
     epsilon + gamma(t).  The bound is the corresponding three-term total.
 
-    The x-space rule forms sqrt(N) X as the one-trial pipeline does, sorts it
-    and decides it by _ks_exceeds against the ndtri images of _ks_edges.  Rows
-    shorter than _X_MIN_N all take it.  Longer rows are sorted as uniforms and
-    decided by _u_verdicts, their |Z|^2 bounded by _bin_bounds below _U_MIN_N
-    and by _sq_bounds from there on; the few it leaves open are redrawn from
-    their keys in one call and take the x-space rule (module docstring).
+    Rows are sorted as uniforms and decided by _u_verdicts, their |Z|^2
+    bounded by _bin_bounds below _U_MIN_N and by _sq_bounds from there on.
+    The few it leaves open are redrawn from their keys; the x-space rule forms
+    their sqrt(N) X as the one-trial pipeline does, sorts it and decides it by
+    _ks_exceeds against the ndtri images of _ks_edges (module docstring).
     """
     if not isinstance(config, TrialConfig):
         raise DomainError("run_theorem_trials expects a TrialConfig")
@@ -515,30 +506,26 @@ def run_theorem_trials(config: TrialConfig) -> MonteCarloReport:
     thr = bound.threshold
     sqrt_n = math.sqrt(n)
 
+    lines = _u_edges(n, thr)
+    sq_bounds = _bin_bounds if n < _U_MIN_N else _sq_bounds
+
     @functools.cache
     def edges():  # built by the first block that needs them: long rows seldom do
         return special.ndtri(_ks_edges(n, thr))
 
-    def x_exceeds(u, first=None):  # sqrt(N) X as the one-trial pipeline forms it, sorted
-        x = special.ndtri(u, out=u)
-        x /= _norms(x)[:, None]
-        x *= sqrt_n
-        x.sort(axis=-1)
-        return _ks_exceeds(x, edges(), thr, _ks_statistics)
-
-    exceeds = x_exceeds
-    if n >= _X_MIN_N:
-        lines = _u_edges(n, thr)
-        sq_bounds = _bin_bounds if n < _U_MIN_N else _sq_bounds
-
-        def exceeds(u, first):
-            u.sort(axis=-1)
-            hit, near = _u_verdicts(u, lines, *sq_bounds(u))
-            rows = np.flatnonzero(near)
-            if rows.size:
-                ids = [first + j for j in rows.tolist()]
-                hit[rows] = x_exceeds(_keyed_uniforms(config.seed, ids, rows.size, n))
-            return hit
+    def exceeds(u, first):
+        u.sort(axis=-1)
+        hit, near = _u_verdicts(u, lines, *sq_bounds(u))
+        rows = np.flatnonzero(near)
+        if rows.size:  # sqrt(N) X as the one-trial pipeline forms it, sorted
+            x = np.concatenate([_keyed_uniforms(config.seed, first + j, 1, n)
+                                for j in rows.tolist()])
+            special.ndtri(x, out=x)
+            x /= _norms(x)[:, None]
+            x *= sqrt_n
+            x.sort(axis=-1)
+            hit[rows] = _ks_exceeds(x, edges(), thr, _ks_statistics)
+        return hit
 
     return _report(_per_trial(n, config.seed, config.trials, exceeds), bound.total)
 

@@ -56,9 +56,6 @@ _philox = threading.local()
 def _keyed_uniforms(seed: int, first: int, count: int, n: int) -> np.ndarray:
     """Row j holds the first n uniforms of stream (seed, first + j), shape (count, n).
 
-    first may instead be a list of count stream ids, in any order; row j then
-    comes from stream (seed, first[j]).
-
     The values are (k + 1/2) 2^-53 rounded to double, for the 53-bit draws k,
     capped at 1 - 2^-53: k = 2^53 - 1 alone would round up to 1.0, whose
     inverse normal CDF is inf.  Generator.random writes k 2^-53 (k the top 53
@@ -83,8 +80,8 @@ def _keyed_uniforms(seed: int, first: int, count: int, n: int) -> np.ndarray:
     state = {"bit_generator": type(bg).__name__, "state": {"counter": [0] * 4, "key": key},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     out = np.empty((count, n))
-    for j, sid in enumerate(first if isinstance(first, list) else range(first, first + count)):
-        key[1] = sid
+    for j in range(count):
+        key[1] = first + j
         bg.state = state
         gen.random(out=out[j])
     out += 2.0 ** -54

@@ -76,17 +76,6 @@ class TestKeyedUniforms:
         for j in range(6):
             assert np.array_equal(batch[j], _keyed_uniforms(seed, first + j, 1, 37)[0])
 
-    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
-    def test_listed_ids_match_single_rows(self, seed):
-        # a scattered, unsorted list of stream ids, a repeat and the ids either
-        # side of 2^63 among them
-        ids = [2 ** 64 - 1, 17, 2 ** 63, 3, 2 ** 63 - 1, 17, 0, 2 ** 40 + 9]
-        batch = _keyed_uniforms(seed, ids, len(ids), 23)
-        assert batch.shape == (len(ids), 23)
-        for row, sid in zip(batch, ids):
-            assert np.array_equal(row.view(np.int64),
-                                  _keyed_uniforms(seed, sid, 1, 23)[0].view(np.int64))
-
     @pytest.mark.parametrize("seed", [2 ** 63, 2 ** 64 - 1])
     def test_rows_up_to_the_last_stream_id(self, seed):
         # the restored state holds Python ints; the keys past 2^63 and the last
