@@ -12,9 +12,10 @@ runners estimate the probabilities that the bounds dominate:
 
 _per_trial is the one trial loop: it draws and blocks the trials for all four
 runners and returns each trial's value in trial order; each runner counts its
-own events.  It cuts a run into cache-sized blocks and, for long rows, runs the
-blocks on up to two threads; since every trial is keyed, the values depend on
-neither the block size, nor the block order, nor the number of threads.
+own events.  It cuts a run into blocks of at most 2^18 entries and, for long
+rows, runs the blocks on up to two threads; since every trial is keyed, the
+values depend on neither the block size, nor the block order, nor the number
+of threads.
 
 A block is a matrix of keyed uniforms u; its Gaussian rows are ndtri(u).  The
 two KS runners count KS > thr through one edge rule, _ks_exceeds: sorted CDF
@@ -132,10 +133,13 @@ __all__ = [
     "verify_lemmas",
 ]
 
-# elements per block of trials (1 MiB of float64): one block's working
-# matrices stay near the caches, and a call at N <= 100 and 1000 trials is
-# still one block
-_CHUNK_ELEMENTS = 1 << 17
+# elements per block of trials (2 MiB of float64).  Each block makes about
+# 100 numpy calls and pool hand-offs besides its draw, sort and bounds, each a
+# point where a second worker can take the GIL: at N = 10^4, 500 trials run in
+# 20 blocks of 25 rows, not 39 of 12-13 as at 2^17, and mc-large-n ran 7%
+# faster for +1.8 MiB peak (2^19 added 7.5-8.6 MiB).  A call at N <= 200 and
+# 1000 trials is one block
+_CHUNK_ELEMENTS = 1 << 18
 
 # threads for a call that spans two or more blocks of rows of length at least
 # _THREAD_MIN_N (the CPUs this process may use where the OS says, else all of
@@ -143,14 +147,15 @@ _CHUNK_ELEMENTS = 1 << 17
 # the GIL for about 1.5 us (timeit, 2-core VM: a whole _keyed_uniforms call
 # takes 1.5 us per row at N = 1, 0.55 us of it the state restore and 0.9 us
 # the Generator.random call) and the uniform fill, ndtri, sort and ndtr
-# release it for about 0.06 us per entry; the theorem runner's uniform-space
-# blocks hand it over between many short numpy calls.  Two threads lost 34% at
-# N = 50 and 12% at N = 100 (dkw plus chisq runs, 16 alternating in-process
-# pairs); on the four runners they lost on 11 of 12 runner and N pairs at
-# N = 160-500, were mixed at N = 1000 and won on most from N = 1500 on (7
-# in-process rounds of best of 2, four blocks or more a call, loaded 2-core
-# VM), and the theorem runner at N = 200 and 1000 trials took 45% longer on
-# two than on one (median of 4 fresh processes, best of 7)
+# release it for about 0.06 us per entry; every block hands it over between
+# many short numpy calls, so fewer, larger blocks stall less (_CHUNK_ELEMENTS).
+# Two threads lost 34% at N = 50 and 12% at N = 100 (dkw plus chisq runs, 16
+# alternating in-process pairs); on the four runners they lost on 11 of 12
+# runner and N pairs at N = 160-500, were mixed at N = 1000 and won on most
+# from N = 1500 on (7 in-process rounds of best of 2, four blocks of 2^17
+# entries or more a call, loaded 2-core VM), and the theorem runner at N = 200
+# and 1000 trials took 45% longer on two than on one (median of 4 fresh
+# processes, best of 7)
 _WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 _THREAD_MIN_N = 1000
@@ -216,12 +221,15 @@ def _sq_table() -> np.ndarray:
     return tab
 
 
+# entries per group of the |Z|^2 bound passes, a budget of its own so the
+# bin pass's temporaries (24 bytes an entry) stay near the caches and off the
+# peak RSS whatever the block size: 2^14-entry groups read 0.4 MiB more peak
+# on the mc-small-n shapes, at the same speed
+_SQ_GROUP_ELEMENTS = 1 << 13
+
+
 def _sq_group(n: int) -> int:
-    # rows per group of the |Z|^2 bound passes, about _CHUNK_ELEMENTS / 16
-    # entries: the bin pass makes 3 MiB of temporaries per 2^17 entries, so
-    # groups keep them near the caches and off the peak RSS (2^14-entry groups
-    # read 0.4 MiB more peak on the mc-small-n shapes, at the same speed)
-    return max(1, (_CHUNK_ELEMENTS >> 4) // n)
+    return max(1, _SQ_GROUP_ELEMENTS // n)  # rows, at least one
 
 
 def _bin_bounds(u: np.ndarray):
@@ -280,9 +288,8 @@ def _sq_norms(u: np.ndarray, verdict) -> np.ndarray:
 
 
 # rows at least this long take the sorted-uniform bounds below: in _sq_norms
-# after the bins, in the theorem runner in their place.  At 1000 the theorem
-# filter on these bounds tied the x-space rule on two threads, and every
-# mc-large-n row is on this side
+# after the bins, in the theorem runner in their place; the one switch serves
+# both, and every mc-large-n row is on the sorted side
 _U_MIN_N = 1000
 _RHO_SPAN, _B_MAX = 0.25, 5.0  # the theorem filter's ranges of |rho - 1| and |ndtri(e)|
 
@@ -346,7 +353,7 @@ def _u_verdicts(u: np.ndarray, lines: np.ndarray, lo, hi):
     row: an event below -margin, none from margin on (module docstring).
     """
     rows, n = u.shape
-    group = -(-(_CHUNK_ELEMENTS >> 3) // n)  # rows, rounded up: two at N = 10^4
+    group = -(-(_CHUNK_ELEMENTS >> 3) // n)  # rows, rounded up: four at N = 10^4
     buf = np.empty((2, min(group, rows), n))
     d = np.sqrt(np.array((lo, hi)) / n) - 1.0  # rho - 1 at L and at H
     q = np.sort(d * d, axis=0)
@@ -457,18 +464,20 @@ def _per_trial(n: int, seed: int, trials: int, stat) -> np.ndarray:
 
     Rows come in the fewest blocks of at most _CHUNK_ELEMENTS entries of keyed
     uniforms (at least one row each), spread evenly: block sizes differ by at
-    most one row, the larger blocks first.  Row i is bit-identical to
-    _keyed_uniforms(seed, i, 1, n)[0], whose ndtri is gaussian_vector(n,
-    RngStream(seed, i)), so the blocking never shows.  stat maps a block and
+    most one row, the larger blocks first (at N = 10^4, 500 trials make 20
+    blocks of 25 rows).  Row i is bit-identical to _keyed_uniforms(seed, i, 1,
+    n)[0], whose ndtri is gaussian_vector(n, RngStream(seed, i)), so the
+    blocking never shows.  stat maps a block and
     the index of its first trial to one entry per trial (a statistic, a
     stand-in with the same verdict as _sq_norms returns, or a verdict stored as
     0.0 or 1.0), which the block writes into its own slice of one array, so
     neither block size nor block order can change the result; with the index
     a stat can redraw any row of its block from its key.  A call spanning two or
     more blocks with n >= _THREAD_MIN_N runs its blocks on _WORKERS threads (the
-    draws, ndtri, sort and ndtr release the GIL); an exception raised in a block
-    reaches the caller.  stat may overwrite its argument: each block's matrix
-    is its own.
+    draws, ndtri, sort and ndtr release the GIL, and each block's short numpy
+    calls are where the threads wait on each other); an exception raised in a
+    block reaches the caller.  stat may overwrite its argument: each block's
+    matrix is its own.
     """
     blocks = -(-trials // max(1, _CHUNK_ELEMENTS // n))
     rows, extra = divmod(trials, blocks)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -157,6 +158,21 @@ class TestTheoremTrials:
         runs = (lambda: run_theorem_trials(cfg), lambda: run_lambda_trials(n, trials, seed, 0.03),
                 lambda: run_chisq_trials(n, trials, seed, 1.0))
         monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", 7 * n)
+        reports = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(mc, "_WORKERS", workers)
+            reports[workers] = [run() for run in runs]
+        assert reports[1] == reports[2]
+
+    def test_thread_count_is_invisible_at_the_default_block(self, monkeypatch):
+        # the default block at N = 10^4: the four runners in four blocks of 25
+        # rows (2^18 entries; TrialConfig's fewest trials) on one worker and on two
+        n, trials, seed = 10_000, 100, 2 ** 63 + 11
+        assert -(-trials // (mc._CHUNK_ELEMENTS // n)) == 4 and n >= mc._THREAD_MIN_N
+        cfg = TrialConfig(N=n, trials=trials, seed=seed, epsilon=0.01, t=0.02)
+        runs = (lambda: run_theorem_trials(cfg), lambda: run_dkw_trials(n, trials, seed, 0.01),
+                lambda: run_lambda_trials(n, trials, seed, 0.01),
+                lambda: run_chisq_trials(n, trials, seed, 1.0))
         reports = {}
         for workers in (1, 2):
             monkeypatch.setattr(mc, "_WORKERS", workers)
@@ -644,6 +660,22 @@ class TestSqNorms:
 
                 got = mc._sq_norms(u.copy(), verdict)
                 assert (verdict(got) == verdict(sq)).all(), (k, thr)
+
+    def test_group_memory_does_not_follow_the_block(self, monkeypatch):
+        # the bin pass's temporaries are sized by _SQ_GROUP_ELEMENTS alone: on a
+        # (26, 10^4) block its peak is one row's, at any block size
+        u = mc._keyed_uniforms(3, 0, 26, 10_000)
+        mc._bin_bounds(u)  # builds the table and numpy's one-time state
+        peaks = []
+        for chunk in (1 << 18, 1 << 20):
+            monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", chunk)
+            tracemalloc.start()
+            try:
+                mc._bin_bounds(u)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] == peaks[1] < 2 ** 19
 
     def test_zero_stand_in(self):
         # at N = 1 trial 6 of seed 11 draws u in [1/2 - 2^-10, 1/2), whose bin
