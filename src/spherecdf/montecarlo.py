@@ -221,38 +221,40 @@ def _sq_table() -> np.ndarray:
     return tab
 
 
-# entries per group of the |Z|^2 bound passes, a budget of its own so the
-# bin pass's temporaries (24 bytes an entry) stay near the caches and off the
-# peak RSS whatever the block size: 2^14-entry groups read 0.4 MiB more peak
-# on the mc-small-n shapes, at the same speed
-_SQ_GROUP_ELEMENTS = 1 << 13
-
-
-def _sq_group(n: int) -> int:
-    return max(1, _SQ_GROUP_ELEMENTS // n)  # rows, at least one
+# bytes of scratch per group of rows in the |Z|^2 bound passes, whatever the
+# block size: a group is this over a row's bytes, at least one row; 24 an
+# entry in the bin pass (2 rows at N = 10^4, 218 at N = 100) and 8 in the
+# sorted copies of its open rows (6 at N = 10^4).  Each numpy call on a group
+# is a point where a second worker can take the GIL: against one-row groups,
+# the lambda and chisq runners at N = 10^4 took 11-21% less time on two
+# workers and switched threads half as often.  2^15-entry groups (0.75 MiB at
+# 24 B an entry) exceed the bin pass's 0.5 MiB test cap
+_SQ_GROUP_BYTES = 1 << 19
 
 
 def _bin_bounds(u: np.ndarray):
     """Bounds L <= U <= H on U = z . z, z = ndtri(u), for each row, from _sq_table.
 
     Valid while 4 n 2^-53 < 1/2 (module docstring), for rows in any order.
+    Each group's bins and gathered bounds go to one scratch of 24 bytes an
+    entry, allocated once per call.
     """
     rows, n = u.shape
-    tab, group = _sq_table(), _sq_group(n)
-    lo, hi = np.empty(rows), np.empty(rows)
+    tab, group = _sq_table(), max(1, min(rows, _SQ_GROUP_BYTES // (24 * n)))
+    bins, val = np.empty((group, n), np.int64), np.empty((group, n), complex)
+    s = np.empty(rows, complex)
     for r in range(0, rows, group):
         ug = u[r:r + group]
-        w = np.subtract(1.0, ug)
+        b, v = bins[:len(ug)], val[:len(ug)]
+        w = b.view(np.float64)
+        np.subtract(1.0, ug, out=w)
         np.minimum(w, ug, out=w)
-        b = w.view(np.int64)
         b >>= _SQ_SHIFT
         b -= _SQ_BASE
-        s = tab[b].sum(axis=-1)
-        lo[r:r + group], hi[r:r + group] = s.real, s.imag
+        np.take(tab, b, out=v, mode="wrap")  # "raise" would buffer out; b is in range
+        np.sum(v, axis=-1, out=s[r:r + group])
     widen = 4.0 * n * 2.0 ** -53
-    lo *= 1.0 - widen
-    hi *= 1.0 + widen
-    return lo, hi
+    return s.real * (1.0 - widen), s.imag * (1.0 + widen)
 
 
 def _sq_norms(u: np.ndarray, verdict) -> np.ndarray:
@@ -261,20 +263,22 @@ def _sq_norms(u: np.ndarray, verdict) -> np.ndarray:
     verdict maps an array of U to an array whose axis 0 lists its verdicts,
     each monotone in U.  Rows go through _bin_bounds; a row whose verdicts at
     its bounds L and H agree gets L; for n >= _U_MIN_N the others then go
-    through _sq_bounds on sorted copies, in the same groups, and those still
-    open get the exact ndtri and ddot, one row at a time in place (module
-    docstring).
+    through _sq_bounds on sorted copies, in batches of _SQ_GROUP_BYTES, and
+    those still open get the exact ndtri and ddot, one row at a time in place
+    (module docstring).
     """
     rows, n = u.shape
     near = np.ones(rows, dtype=bool)
     if 4.0 * n * 2.0 ** -53 < 0.5:
         lo, hi = _bin_bounds(u)
         near = (verdict(lo) != verdict(hi)).any(axis=0)
-        # long rows still open: sorted copies through _sq_bounds, in the same groups
-        rest, group = np.flatnonzero(near) if n >= _U_MIN_N else (), _sq_group(n)
+        # long rows still open: sorted copies through _sq_bounds, 8 bytes an entry
+        rest = np.flatnonzero(near) if n >= _U_MIN_N else ()
+        group = max(1, _SQ_GROUP_BYTES // (8 * n))
+        buf = np.empty((min(group, len(rest)), n))
         for r in range(0, len(rest), group):
             j = rest[r:r + group]
-            us = u[j]
+            us = np.take(u, j, axis=0, out=buf[:len(j)], mode="wrap")
             us.sort(axis=-1)
             lo2, hi2 = _sq_bounds(us)
             same = (verdict(lo2) == verdict(hi2)).all(axis=0)

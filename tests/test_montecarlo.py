@@ -661,20 +661,80 @@ class TestSqNorms:
                 got = mc._sq_norms(u.copy(), verdict)
                 assert (verdict(got) == verdict(sq)).all(), (k, thr)
 
+    @classmethod
+    def opening_verdict(cls, u):
+        """Thresholds at the deciles of the block's U and at every fifth row's U.
+
+        They leave most rows open after the bins: on the (26, 10^4) blocks
+        below, 21 or 22 rows, of which _sq_bounds decides about half.
+        """
+        sq = cls.exact(u)
+        thr = np.concatenate([np.quantile(sq, np.arange(1, 10) / 10), sq[::5]])
+        return lambda s: s >= thr[:, None]
+
+    @pytest.mark.parametrize("n", [1, 50, 999, 10_000])
+    def test_grouping_never_shows(self, monkeypatch, n):
+        # one-row groups, the default budget and one group per block give the
+        # same L and H and the same stand-ins, bit for bit
+        u = mc._keyed_uniforms(2 ** 63 + 5, 0, 26, n)
+        verdict = self.opening_verdict(u)
+        got = []
+        for budget in (1, mc._SQ_GROUP_BYTES, 1 << 40):
+            monkeypatch.setattr(mc, "_SQ_GROUP_BYTES", budget)
+            got.append(b"".join(a.tobytes() for a in (*mc._bin_bounds(u),
+                                                       mc._sq_norms(u.copy(), verdict))))
+        assert got[0] == got[1] == got[2]
+
+    def test_runner_grouping_never_shows(self, monkeypatch):
+        # the lambda and chi-square runners at N = 10^4 (four 25-row blocks)
+        # report the same under one-row groups as under the default budget
+        def runs():
+            return run_lambda_trials(10_000, 100, 4, 0.01), run_chisq_trials(10_000, 100, 4, 1.0)
+
+        default = runs()
+        monkeypatch.setattr(mc, "_SQ_GROUP_BYTES", 1)
+        assert runs() == default
+
+    @staticmethod
+    def steady_peak(call, u):
+        """The least tracemalloc peak of call on a fresh copy of u, over five calls.
+
+        numpy's small-block caches take a few calls to fill, and until then
+        they move a call's peak by up to 2 KB.
+        """
+        peaks = []
+        for _ in range(5):
+            v = u.copy()
+            tracemalloc.start()
+            try:
+                call(v)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return min(peaks)
+
+    def test_open_row_memory_does_not_follow_the_block(self, monkeypatch):
+        # the sorted copies of the rows the bins leave open come in batches of
+        # _SQ_GROUP_BYTES: on a (26, 10^4) block with 22 rows open, _sq_norms'
+        # peak is the same at any block size, and under 1 MiB
+        u = mc._keyed_uniforms(3, 0, 26, 10_000)
+        verdict = self.opening_verdict(u)
+        mc._sq_norms(u.copy(), verdict)  # builds the table, the cuts and numpy's one-time state
+        peaks = []
+        for chunk in (1 << 18, 1 << 20):
+            monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", chunk)
+            peaks.append(self.steady_peak(lambda v: mc._sq_norms(v, verdict), u))
+        assert peaks[0] == peaks[1] < 2 ** 20
+
     def test_group_memory_does_not_follow_the_block(self, monkeypatch):
-        # the bin pass's temporaries are sized by _SQ_GROUP_ELEMENTS alone: on a
-        # (26, 10^4) block its peak is one row's, at any block size
+        # the bin pass's scratch is sized by _SQ_GROUP_BYTES alone: on a
+        # (26, 10^4) block its peak is one two-row group's, at any block size
         u = mc._keyed_uniforms(3, 0, 26, 10_000)
         mc._bin_bounds(u)  # builds the table and numpy's one-time state
         peaks = []
         for chunk in (1 << 18, 1 << 20):
             monkeypatch.setattr(mc, "_CHUNK_ELEMENTS", chunk)
-            tracemalloc.start()
-            try:
-                mc._bin_bounds(u)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+            peaks.append(self.steady_peak(mc._bin_bounds, u))
         assert peaks[0] == peaks[1] < 2 ** 19
 
     def test_zero_stand_in(self):
